@@ -2,14 +2,18 @@
 //! serial vs threaded, with machine-readable output.
 //!
 //! Emits `BENCH_kernels.json` (blocked LU GFLOP/s, packed DGEMM GFLOP/s,
-//! STREAM triad GB/s, each with the threaded-over-serial speedup) and
+//! STREAM triad GB/s, each with the threaded-over-serial speedup, plus
+//! the ABFT Detect factor time and its overhead over the threaded LU) and
 //! `BENCH_engine.json` (simulation steps/s at 1 and 4 engine threads,
 //! plus the event-driven clock's wall-clock ratio over fixed-dt on a
 //! sparse and a dense scenario). Every threaded run is checked bitwise
 //! against its serial twin, and every event-driven run against its
 //! fixed-dt twin — any divergence is a hard failure (non-zero exit),
 //! because the contract is that neither thread count nor clock mode ever
-//! changes a result.
+//! changes a result. The same holds for ABFT: Detect factors that differ
+//! from the plain ones by a bit, or a clean run that raises a checksum
+//! mismatch, fail the run. The Detect overhead itself is reported, not
+//! gated.
 //!
 //! The dense scenario additionally gates the §16 sampled-span replay: a
 //! monitored tick ratio below 10x is a hard failure, because the tick
@@ -37,6 +41,7 @@ use std::time::Instant;
 
 use cimone_cluster::engine::{ClockMode, ClusterWorkload, EngineConfig, JobRequest, SimEngine};
 use cimone_cluster::faults::{FaultKind, FaultPlan};
+use cimone_kernels::abft::{factor_protected, AbftMode};
 use cimone_kernels::checkpoint::Checkpoint;
 use cimone_kernels::dgemm;
 use cimone_kernels::lu::LuFactorization;
@@ -150,14 +155,28 @@ fn bench_lu(sizes: &Sizes, pool: &WorkerPool, divergences: &mut Vec<String>) -> 
     let a = Matrix::random(n, n, &mut rng);
     let flops = 2.0 / 3.0 * (n as f64).powi(3);
 
-    // Warm up both paths once so page faults and lazy init stay out of
-    // the measured reps.
+    // Warm up every path once so page faults and lazy init stay out of
+    // the measured reps. The warm-ups double as the bitwise checks.
     let warm_s = LuFactorization::factor(a.clone(), nb).expect("factors");
     let warm_p = LuFactorization::factor_parallel(a.clone(), nb, pool).expect("factors");
-    if warm_s.packed().as_slice() != warm_p.packed().as_slice()
-        || warm_s.pivots() != warm_p.pivots()
-    {
+    let (warm_d, report) =
+        factor_protected(a.clone(), nb, AbftMode::Detect, Some(pool), None).expect("factors");
+    let same = |lu: &LuFactorization| {
+        lu.packed().as_slice() == warm_s.packed().as_slice() && lu.pivots() == warm_s.pivots()
+    };
+    let identical = same(&warm_p);
+    if !identical {
         divergences.push(format!("LU {n}x{n} nb={nb}: threaded != serial"));
+    }
+    let detect_identical = same(&warm_d);
+    if !detect_identical {
+        divergences.push(format!("LU {n}x{n} nb={nb}: ABFT Detect != plain"));
+    }
+    if report.mismatches > 0 {
+        divergences.push(format!(
+            "LU {n}x{n} nb={nb}: ABFT Detect raised {} mismatches on a clean run",
+            report.mismatches
+        ));
     }
 
     let (serial_s, _) = time_reps(reps, || {
@@ -166,13 +185,24 @@ fn bench_lu(sizes: &Sizes, pool: &WorkerPool, divergences: &mut Vec<String>) -> 
     let (threaded_s, _) = time_reps(reps, || {
         LuFactorization::factor_parallel(a.clone(), nb, pool).expect("factors")
     });
+    let (detect_s, _) = time_reps(reps, || {
+        factor_protected(a.clone(), nb, AbftMode::Detect, Some(pool), None).expect("factors")
+    });
     let speedup = serial_s / threaded_s;
+    let abft_time_overhead = detect_s / threaded_s - 1.0;
+    let abft_flop_overhead = report.checksum_flops / flops;
     println!(
         "LU      n={n:<8} nb={nb:<4} serial {:>8.2} ms ({:>6.2} GFLOP/s)  threaded {:>8.2} ms ({:>6.2} GFLOP/s)  speedup {speedup:.2}x",
         serial_s * 1e3,
         flops / serial_s / 1e9,
         threaded_s * 1e3,
         flops / threaded_s / 1e9,
+    );
+    println!(
+        "ABFT    n={n:<8} nb={nb:<4} detect {:>8.2} ms  time overhead {:>6.1}%  flop overhead {:>5.1}%",
+        detect_s * 1e3,
+        abft_time_overhead * 100.0,
+        abft_flop_overhead * 100.0,
     );
     obj(vec![
         ("n", num(n as f64)),
@@ -182,7 +212,11 @@ fn bench_lu(sizes: &Sizes, pool: &WorkerPool, divergences: &mut Vec<String>) -> 
         ("serial_gflops", num(flops / serial_s / 1e9)),
         ("threaded_gflops", num(flops / threaded_s / 1e9)),
         ("speedup", num(speedup)),
-        ("bit_identical", JsonValue::Bool(divergences.is_empty())),
+        ("bit_identical", JsonValue::Bool(identical)),
+        ("abft_detect_ms", num(detect_s * 1e3)),
+        ("abft_time_overhead", num(abft_time_overhead)),
+        ("abft_flop_overhead", num(abft_flop_overhead)),
+        ("abft_bit_identical", JsonValue::Bool(detect_identical)),
     ])
 }
 

@@ -13,10 +13,22 @@
 //! the identical per-element operation chain — so a repaired run is
 //! **bit-identical** to a clean one.
 //!
-//! All checksum arithmetic uses Neumaier compensated summation, keeping
-//! the verification tolerance near `kb·ε·scale` instead of `n·ε·scale`;
+//! The checksums are side vectors, never rows of the matrix, and they
+//! form one chain: each panel's verified post-update column sums are
+//! carried into the next panel, which derives its pre-update sums from
+//! them instead of re-reading the trailing block. One pass over the
+//! trailing block per panel therefore both verifies this panel and seeds
+//! the next, and a flip that lands between two panels is caught by the
+//! second.
+//!
+//! All checksum arithmetic is compensated (`abft/colsum.rs`), keeping the
+//! verification tolerance near `kb·ε·scale` instead of `n·ε·scale`;
 //! every flip large enough to move the HPL residual sits orders of
 //! magnitude above it.
+
+mod colsum;
+
+use colsum::{col_sum, ColSum, Compensated};
 
 use crate::lu::{
     apply_deferred_swaps, factor_panel, solve_block_row, update_trailing, update_trailing_parallel,
@@ -87,34 +99,6 @@ pub struct SdcInjection {
     pub bit: u32,
 }
 
-/// Neumaier compensated accumulator: exact enough that the verification
-/// tolerance is set by the *update's* rounding, not the summation's.
-#[derive(Debug, Clone, Copy, Default)]
-struct Neumaier {
-    sum: f64,
-    comp: f64,
-}
-
-impl Neumaier {
-    fn seeded(v: f64) -> Self {
-        Neumaier { sum: v, comp: 0.0 }
-    }
-
-    fn add(&mut self, v: f64) {
-        let t = self.sum + v;
-        if self.sum.abs() >= v.abs() {
-            self.comp += (self.sum - t) + v;
-        } else {
-            self.comp += (v - t) + self.sum;
-        }
-        self.sum = t;
-    }
-
-    fn value(&self) -> f64 {
-        self.sum + self.comp
-    }
-}
-
 /// Flips one bit of the matrix backing store in place.
 fn flip_bit(a: &mut Matrix, word: usize, bit: u32) {
     let data = a.as_mut_slice();
@@ -131,6 +115,15 @@ fn column_tolerance(kb: usize, abs_scale: f64) -> f64 {
     8.0 * f64::EPSILON * (kb as f64 + 4.0) * abs_scale + 1e-290
 }
 
+/// Checksum flops per element of a column sum: a compensated add (4, the
+/// Neumaier count; the branch-free TwoSum spends two more subtractions to
+/// drop the magnitude compare) plus the absolute-mass add.
+const SUM_FLOPS: usize = 5;
+
+/// Checksum flops per term `lsum_p·u_pj` of a checksum image: the
+/// product, its compensated add, and the mass product and add.
+const IMAGE_FLOPS: usize = 7;
+
 /// Blocked LU with Huang–Abraham panel checksums.
 ///
 /// Identical arithmetic to [`LuFactorization::factor`] (serial) or
@@ -139,6 +132,13 @@ fn column_tolerance(kb: usize, abs_scale: f64) -> f64 {
 /// repair replays the exact per-element update chain, so the returned
 /// factors are bit-identical to the unprotected path on a clean run —
 /// at any worker count.
+///
+/// One pass reads the trailing block per panel. The column sums over
+/// rows `k..n` are taken once from the input, then carried: each panel
+/// derives its pre-update sums over rows `k+kb..n` by subtracting the
+/// rows `k..k+kb` from the carried sums (valid because the panel's row
+/// swaps only permute rows inside `k..n`), and its verification pass
+/// measures the post-update sums that the next panel carries on.
 ///
 /// `inject` plants a deterministic single-bit flip after the named
 /// panel's update (the SDC experiments' fault model); `None` runs clean.
@@ -172,6 +172,21 @@ pub fn factor_protected(
     let mut snapshot: Vec<f64> = Vec::new();
     let mut panel_index = 0usize;
 
+    // The carried checksums, indexed by column: at the top of panel `k`,
+    // `carried[j]` is the compensated sum and absolute mass of column `j`
+    // over rows `k..n`. The mass is never differenced: the tolerance must
+    // scale with every row a derived sum passed through, or rows scaled
+    // far above the rest would swamp it.
+    let mut carried: Vec<ColSum> = Vec::new();
+    // Sums and masses of the L21 panel columns.
+    let mut l21: Vec<ColSum> = Vec::new();
+    if protect {
+        let first = block.min(n);
+        carried = vec![ColSum::default(); first];
+        carried.extend((first..n).map(|j| col_sum(a.col(j))));
+        report.checksum_flops += (SUM_FLOPS * n * (n - first)) as f64;
+    }
+
     for k in (0..n).step_by(block) {
         let kb = block.min(n - k);
         factor_panel(&mut a, k, kb, &mut pivots)?;
@@ -185,36 +200,14 @@ pub fn factor_protected(
             continue;
         }
 
-        // Checksums are taken *after* the panel factorisation: its
-        // deferred-pivot pass swaps trailing-block rows across the
-        // `k+kb` boundary, so earlier sums would not survive it.
-        let mut s_pre = vec![0.0f64; t];
-        let mut s_abs = vec![0.0f64; t];
-        let mut lsum = vec![0.0f64; kb];
-        let mut labs = vec![0.0f64; kb];
         if protect {
-            for (j, (s, sa)) in s_pre.iter_mut().zip(s_abs.iter_mut()).enumerate() {
-                let col = &a.col(k + kb + j)[k + kb..n];
-                let mut acc = Neumaier::default();
-                let mut abs = 0.0f64;
-                for &v in col {
-                    acc.add(v);
-                    abs += v.abs();
-                }
-                *s = acc.value();
-                *sa = abs;
+            // Pre-update sums over rows k+kb..n, read after the panel's
+            // row swaps and before the block-row solve rewrites the top.
+            for (j, c) in carried.iter_mut().enumerate().skip(k + kb) {
+                c.sum -= col_sum(&a.col(j)[k..k + kb]).sum;
             }
-            for (p, (s, sa)) in lsum.iter_mut().zip(labs.iter_mut()).enumerate() {
-                let col = &a.col(k + p)[k + kb..n];
-                let mut acc = Neumaier::default();
-                let mut abs = 0.0f64;
-                for &v in col {
-                    acc.add(v);
-                    abs += v.abs();
-                }
-                *s = acc.value();
-                *sa = abs;
-            }
+            l21.clear();
+            l21.extend((k..k + kb).map(|p| col_sum(&a.col(p)[k + kb..n])));
             if mode == AbftMode::Correct {
                 snapshot.clear();
                 snapshot.reserve(t * t);
@@ -238,22 +231,25 @@ pub fn factor_protected(
         }
 
         if protect {
-            report.checksum_flops += (9 * t * t + 9 * t * kb) as f64;
-            for jj in k + kb..n {
+            // One t×t verification pass; the kb×t top rows and t×kb L21
+            // sums; the t×kb image terms; one subtraction per derived sum.
+            report.checksum_flops +=
+                (SUM_FLOPS * t * t + (2 * SUM_FLOPS + IMAGE_FLOPS) * t * kb + t) as f64;
+            for (jj, carry) in carried.iter_mut().enumerate().skip(k + kb) {
                 let (pred, abs_scale) = {
                     let col = a.col(jj);
-                    let mut pred = Neumaier::seeded(s_pre[jj - k - kb]);
+                    let mut pred = Compensated::seeded(carry.sum);
                     let mut dot_abs = 0.0f64;
-                    for (p, (&s, &sa)) in lsum.iter().zip(labs.iter()).enumerate() {
+                    for (p, l) in l21.iter().enumerate() {
                         let u = col[k + p];
-                        pred.add(-(s * u));
-                        dot_abs += sa * u.abs();
+                        pred.add(-(l.sum * u));
+                        dot_abs += l.mass * u.abs();
                     }
-                    (pred.value(), s_abs[jj - k - kb] + 2.0 * dot_abs)
+                    (pred.value(), carry.mass + 2.0 * dot_abs)
                 };
                 let tol = column_tolerance(kb, abs_scale);
-                let actual = trailing_sum(&a, jj, k + kb);
-                let delta = (actual - pred).abs();
+                let mut actual = col_sum(&a.col(jj)[k + kb..n]);
+                let delta = (actual.sum - pred).abs();
                 // A NaN delta is a mismatch: corruption can turn sums into
                 // NaN, which every ordered comparison would wave through.
                 if delta > tol || delta.is_nan() {
@@ -261,12 +257,16 @@ pub fn factor_protected(
                     if mode == AbftMode::Correct {
                         repair_column(&mut a, &snapshot, k, kb, jj, t);
                         report.recompute_flops += (2 * kb * t + 4 * t + 4 * kb) as f64;
-                        let again = (trailing_sum(&a, jj, k + kb) - pred).abs();
-                        if again <= tol {
+                        actual = col_sum(&a.col(jj)[k + kb..n]);
+                        if (actual.sum - pred).abs() <= tol {
                             report.columns_recomputed += 1;
                         }
                     }
                 }
+                // The measured sums, not the prediction, are carried on: a
+                // column Detect left corrupted is flagged once, not again
+                // at every later panel.
+                *carry = actual;
             }
             report.panels_verified += 1;
         }
@@ -275,16 +275,6 @@ pub fn factor_protected(
     apply_deferred_swaps(&mut a, &pivots, block);
 
     Ok((LuFactorization::from_parts(a, pivots, block), report))
-}
-
-/// Neumaier sum of column `jj`, rows `row0..n`.
-fn trailing_sum(a: &Matrix, jj: usize, row0: usize) -> f64 {
-    let n = a.rows();
-    let mut acc = Neumaier::default();
-    for &v in &a.col(jj)[row0..n] {
-        acc.add(v);
-    }
-    acc.value()
 }
 
 /// Rebuilds trailing column `jj` of panel `k`: restores the pre-update
@@ -338,36 +328,16 @@ pub fn checked_multiply(
     let mut report = AbftReport::default();
     let protect = mode != AbftMode::Off;
 
-    let mut s0 = vec![0.0f64; ncols];
-    let mut s0_abs = vec![0.0f64; ncols];
-    let mut sa = vec![0.0f64; kdim];
-    let mut sa_abs = vec![0.0f64; kdim];
+    let mut s0: Vec<ColSum> = Vec::new();
+    let mut sa: Vec<ColSum> = Vec::new();
     let mut snapshot: Vec<f64> = Vec::new();
     if protect {
-        for j in 0..ncols {
-            let mut acc = Neumaier::default();
-            let mut abs = 0.0f64;
-            for &v in c.col(j) {
-                acc.add(v);
-                abs += v.abs();
-            }
-            s0[j] = acc.value();
-            s0_abs[j] = abs;
-        }
-        for p in 0..kdim {
-            let mut acc = Neumaier::default();
-            let mut abs = 0.0f64;
-            for &v in a.col(p) {
-                acc.add(v);
-                abs += v.abs();
-            }
-            sa[p] = acc.value();
-            sa_abs[p] = abs;
-        }
+        s0 = (0..ncols).map(|j| col_sum(c.col(j))).collect();
+        sa = (0..kdim).map(|p| col_sum(a.col(p))).collect();
         if mode == AbftMode::Correct {
             snapshot = c.as_slice().to_vec();
         }
-        report.checksum_flops += (5 * m * ncols + 5 * m * kdim) as f64;
+        report.checksum_flops += (SUM_FLOPS * m * (ncols + kdim)) as f64;
     }
 
     match pool {
@@ -380,27 +350,26 @@ pub fn checked_multiply(
     }
 
     if protect {
-        report.checksum_flops += (ncols * (4 * kdim + 4 * m + 4)) as f64;
-        for j in 0..ncols {
+        report.checksum_flops += (ncols * (SUM_FLOPS * m + (IMAGE_FLOPS + 1) * kdim + 2)) as f64;
+        for (j, s0j) in s0.iter().enumerate() {
             let bcol = b.col(j);
-            let mut pred = Neumaier::seeded(beta * s0[j]);
+            let mut pred = Compensated::seeded(beta * s0j.sum);
             let mut dot_abs = 0.0f64;
-            for p in 0..kdim {
-                pred.add(alpha * (sa[p] * bcol[p]));
-                dot_abs += sa_abs[p] * bcol[p].abs();
+            for (s, &bv) in sa.iter().zip(bcol) {
+                pred.add(alpha * (s.sum * bv));
+                dot_abs += s.mass * bv.abs();
             }
-            let abs_scale = beta.abs() * s0_abs[j] + alpha.abs() * dot_abs;
+            let pred = pred.value();
+            let abs_scale = beta.abs() * s0j.mass + alpha.abs() * dot_abs;
             let tol = column_tolerance(kdim, abs_scale);
-            let actual = full_col_sum(c, j);
-            let delta = (actual - pred.value()).abs();
+            let delta = (col_sum(c.col(j)).sum - pred).abs();
             // NaN counts as a mismatch, same as the factorization check.
             if delta > tol || delta.is_nan() {
                 report.mismatches += 1;
                 if mode == AbftMode::Correct {
                     repair_gemm_column(alpha, a, b, beta, c, &snapshot, j);
                     report.recompute_flops += (2 * kdim * m + 4 * m) as f64;
-                    let again = (full_col_sum(c, j) - pred.value()).abs();
-                    if again <= tol {
+                    if (col_sum(c.col(j)).sum - pred).abs() <= tol {
                         report.columns_recomputed += 1;
                     }
                 }
@@ -408,14 +377,6 @@ pub fn checked_multiply(
         }
     }
     report
-}
-
-fn full_col_sum(c: &Matrix, j: usize) -> f64 {
-    let mut acc = Neumaier::default();
-    for &v in c.col(j) {
-        acc.add(v);
-    }
-    acc.value()
 }
 
 /// Rebuilds `C`'s column `j` by the blocked kernel's per-element chain:

@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
+use cimone_kernels::abft::{factor_protected, AbftMode};
 use cimone_kernels::checkpoint::{Checkpoint, SteppableLu};
 use cimone_kernels::dgemm;
 use cimone_kernels::eig::EigenDecomposition;
@@ -231,6 +232,35 @@ proptest! {
         let from_snapshot = resumed.run_to_completion_with_pool(&pool).expect("nonsingular");
         prop_assert_eq!(from_snapshot.packed().as_slice(), direct.packed().as_slice());
         prop_assert_eq!(from_snapshot.pivots(), direct.pivots());
+    }
+
+    #[test]
+    fn abft_detect_raises_no_false_positives_on_badly_scaled_rows(
+        n in 1usize..96,
+        nb in 1usize..128,
+        decades in 12i32..=40,
+        threads in 0usize..=3,
+        seed in 0u64..1000,
+    ) {
+        // Every row scaled by its own 10^±decades: after pivoting, the
+        // huge rows carry almost all of a column's mass, so a checksum
+        // derived by subtracting them must keep the tolerance at the
+        // mass they carried, not at the tiny remainder's.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut a = Matrix::random(n, n, &mut rng);
+        for i in 0..n {
+            let scale = 10f64.powi(rng.gen_range(-decades..=decades));
+            for j in 0..n {
+                a[(i, j)] *= scale;
+            }
+        }
+        let plain = LuFactorization::factor(a.clone(), nb).expect("nonsingular");
+        let pool = (threads > 0).then(|| WorkerPool::new(threads));
+        let (lu, report) = factor_protected(a, nb, AbftMode::Detect, pool.as_ref(), None)
+            .expect("nonsingular");
+        prop_assert_eq!(report.mismatches, 0, "n={} nb={} decades={}", n, nb, decades);
+        prop_assert_eq!(lu.packed().as_slice(), plain.packed().as_slice());
+        prop_assert_eq!(lu.pivots(), plain.pivots());
     }
 
     #[test]
