@@ -1,16 +1,17 @@
-//! The perf-regression baseline: pinned-size kernel and engine runs,
-//! serial vs threaded, with machine-readable output.
+//! The perf-regression baseline: pinned-size kernel runs (serial vs
+//! threaded) and engine runs, with machine-readable output.
 //!
 //! Emits `BENCH_kernels.json` (blocked LU GFLOP/s, packed DGEMM GFLOP/s,
 //! STREAM triad GB/s, each with the threaded-over-serial speedup, plus
 //! the ABFT Detect factor time and its overhead over the threaded LU) and
-//! `BENCH_engine.json` (simulation steps/s at 1 and 4 engine threads,
-//! plus the event-driven clock's wall-clock ratio over fixed-dt on a
-//! sparse and a dense scenario). Every threaded run is checked bitwise
-//! against its serial twin, and every event-driven run against its
-//! fixed-dt twin — any divergence is a hard failure (non-zero exit),
-//! because the contract is that neither thread count nor clock mode ever
-//! changes a result. The same holds for ABFT: Detect factors that differ
+//! `BENCH_engine.json` (serial simulation steps/s — the engine always
+//! steps serially — plus the event-driven clock's wall-clock ratio over
+//! fixed-dt on a sparse and a dense scenario). Every threaded kernel run
+//! is checked bitwise against its serial twin, and every event-driven
+//! run against its fixed-dt twin — any divergence is a hard failure
+//! (non-zero exit), because the contract is that neither the kernels'
+//! worker count nor the clock mode ever changes a result. The same holds
+//! for ABFT: Detect factors that differ
 //! from the plain ones by a bit, or a clean run that raises a checksum
 //! mismatch, fail the run. The Detect overhead itself is reported, not
 //! gated.
@@ -32,10 +33,10 @@
 //!
 //! `--smoke` shrinks the problem sizes for CI; `REPS` overrides the
 //! repetition count; `--out-dir DIR` redirects the JSON snapshots (so CI
-//! artifacts don't clobber the committed repo-root copies). Kernel
-//! timings report the median rep, the stable statistic on a noisy shared
-//! host; the clock-mode comparison and the broker throughput use
-//! best-of-reps as above.
+//! artifacts don't clobber the committed repo-root copies). Kernel and
+//! engine-step timings report the median rep, the stable statistic on a
+//! noisy shared host; the clock-mode comparison and the broker
+//! throughput use best-of-reps as above.
 
 use std::time::Instant;
 
@@ -300,95 +301,39 @@ fn bench_stream(sizes: &Sizes, divergences: &mut Vec<String>) -> JsonValue {
     ])
 }
 
-fn engine_with_threads(
-    threads: usize,
-    parallel_grain: Option<usize>,
-    steps: usize,
-) -> (f64, SimEngine) {
-    let mut config = EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    };
-    if let Some(grain) = parallel_grain {
-        config.parallel_grain = grain;
-    }
-    let mut engine = SimEngine::new(config);
-    engine
-        .submit(JobRequest {
-            name: "perf-baseline".into(),
-            user: "bench".into(),
-            nodes: 8,
-            workload: ClusterWorkload::Synthetic {
-                workload: Workload::Hpl,
-                secs: 100_000, // never finishes: every step does full work
-            },
-        })
-        .expect("job fits the machine");
-    let start = Instant::now();
-    for _ in 0..steps {
-        engine.step();
-    }
-    (start.elapsed().as_secs_f64(), engine)
-}
-
-/// Threaded engine stepping, reported the way it actually ships: the
-/// default posture (default grain, where the stock 8-node machine is
-/// below the min-work threshold, so the engine auto-falls back to serial
-/// stepping) is the headline; the forced-pool path (grain 1) is measured
-/// and reported separately, because on this machine the fan-out loses to
-/// its own synchronisation and hiding that behind the default numbers
-/// would misstate both.
-fn bench_engine(sizes: &Sizes, divergences: &mut Vec<String>) -> JsonValue {
+/// Serial engine stepping: a full-machine job that never finishes, so
+/// every timed step runs the whole pipeline with monitoring on. Reports
+/// the median rep.
+fn bench_engine(sizes: &Sizes) -> JsonValue {
     let steps = sizes.engine_steps;
-    let mut serial_times = Vec::with_capacity(sizes.reps);
-    let mut default_times = Vec::with_capacity(sizes.reps);
-    let mut forced_times = Vec::with_capacity(sizes.reps);
-    let mut identical = true;
+    let mut times = Vec::with_capacity(sizes.reps);
     for _ in 0..sizes.reps {
-        let (st, serial) = engine_with_threads(1, None, steps);
-        let (dt, default) = engine_with_threads(WORKERS, None, steps);
-        let (ft, forced) = engine_with_threads(WORKERS, Some(1), steps);
-        serial_times.push(st);
-        default_times.push(dt);
-        forced_times.push(ft);
-        identical &= serial.store() == default.store()
-            && serial.events() == default.events()
-            && serial.store() == forced.store()
-            && serial.events() == forced.events();
+        let mut engine = SimEngine::new(EngineConfig::default());
+        engine
+            .submit(JobRequest {
+                name: "perf-baseline".into(),
+                user: "bench".into(),
+                nodes: 8,
+                workload: ClusterWorkload::Synthetic {
+                    workload: Workload::Hpl,
+                    secs: 100_000, // never finishes: every step does full work
+                },
+            })
+            .expect("job fits the machine");
+        let start = Instant::now();
+        for _ in 0..steps {
+            engine.step();
+        }
+        times.push(start.elapsed().as_secs_f64());
     }
-    if !identical {
-        divergences.push(format!("engine {steps} steps: threaded != serial"));
-    }
-    // Whether a default-grain engine at WORKERS threads falls back to
-    // serial stepping (it should, on the stock 8-node machine).
-    let auto_fallback = !SimEngine::new(EngineConfig {
-        threads: WORKERS,
-        ..EngineConfig::default()
-    })
-    .parallel_engaged();
-    let serial_s = median(serial_times);
-    let default_s = median(default_times);
-    let forced_s = median(forced_times);
-    let default_speedup = serial_s / default_s;
-    let forced_speedup = serial_s / forced_s;
+    let serial_s = median(times);
     println!(
-        "ENGINE  steps={steps:<7} serial {:>8.0} steps/s  default({WORKERS}t) {:>8.0} steps/s ({default_speedup:.2}x, auto_fallback={auto_fallback})  forced-pool {:>8.0} steps/s ({forced_speedup:.2}x)",
+        "ENGINE  steps={steps:<7} serial {:>8.0} steps/s",
         steps as f64 / serial_s,
-        steps as f64 / default_s,
-        steps as f64 / forced_s,
     );
     obj(vec![
         ("steps", num(steps as f64)),
         ("serial_steps_per_s", num(steps as f64 / serial_s)),
-        ("default_steps_per_s", num(steps as f64 / default_s)),
-        ("forced_pool_steps_per_s", num(steps as f64 / forced_s)),
-        ("default_speedup", num(default_speedup)),
-        ("forced_pool_speedup", num(forced_speedup)),
-        (
-            "auto_fallback_default_grain",
-            JsonValue::Bool(auto_fallback),
-        ),
-        ("bit_identical", JsonValue::Bool(identical)),
     ])
 }
 
@@ -605,7 +550,7 @@ fn main() {
     let lu = bench_lu(&sizes, &pool, &mut divergences);
     let gemm = bench_dgemm(&sizes, &pool, &mut divergences);
     let stream = bench_stream(&sizes, &mut divergences);
-    let engine = bench_engine(&sizes, &mut divergences);
+    let engine = bench_engine(&sizes);
     let engine_event = bench_engine_event(&sizes, &mut divergences);
     let broker = bench_broker(&sizes);
 

@@ -26,7 +26,6 @@ use cimone_soc::units::{Celsius, Energy, Power, SimDuration, SimTime};
 use cimone_soc::workload::Workload;
 
 use cimone_kernels::abft::AbftMode;
-use cimone_kernels::pool::{default_threads, WorkerPool};
 use cimone_monitor::scrub::ScrubPolicy;
 
 use cimone_net::switch::MgmtSwitch;
@@ -118,22 +117,6 @@ pub struct EngineConfig {
     /// engine keeps its oracle semantics — a crash reaches the scheduler
     /// the same instant it happens.
     pub recovery: Option<RecoveryConfig>,
-    /// Worker threads for the per-node step phases (node advance,
-    /// telemetry sampling, broker fan-out). `1` (the default) runs fully
-    /// serial; `0` sizes a pool from the host (honouring
-    /// `CIMONE_THREADS`); any other value pins the pool size. Results
-    /// are bit-identical at every setting: per-node work is independent,
-    /// merges happen in node order, and the power-noise RNG is only ever
-    /// drawn serially. Whether a pool actually engages is further gated
-    /// by [`EngineConfig::parallel_grain`].
-    pub threads: usize,
-    /// Minimum nodes *per worker* before the thread pool engages. Below
-    /// it the per-tick work is too small to amortise the fan-out/join
-    /// overhead and a threaded engine runs *slower* than a serial one, so
-    /// the engine silently falls back to the (bit-identical) serial path.
-    /// The default of 8 means the stock 8-node machine always steps
-    /// serially; set 1 to force the pool on for any `threads` setting.
-    pub parallel_grain: usize,
     /// Clock advancement strategy; see [`ClockMode`].
     pub clock: ClockMode,
     /// Blade power-rail cap governor. `Some` (the default) arms graceful
@@ -160,8 +143,6 @@ impl Default for EngineConfig {
             monitoring: true,
             governor: None,
             recovery: None,
-            threads: 1,
-            parallel_grain: 8,
             clock: ClockMode::FixedDt,
             power_cap: Some(PowerCapConfig::rv007_default()),
             abft: AbftMode::Off,
@@ -570,19 +551,15 @@ pub struct SimEngine {
     failures: usize,
     /// The recovery subsystem, when configured.
     recovery: Option<RecoveryState>,
-    /// Shared worker pool for the per-node step phases; `None` when
-    /// [`EngineConfig::threads`] is 1 or the machine is too small for
-    /// [`EngineConfig::parallel_grain`] (fully serial stepping).
-    pool: Option<std::sync::Arc<WorkerPool>>,
-    /// Per-node message buffers reused across ticks by the plugin
-    /// sampling phase (avoids two Vec allocations per node per tick).
-    plugin_scratch: Vec<Vec<(Topic, Payload)>>,
-    /// Per-node snapshots reused across replay ticks: `snapshot_into`
-    /// refills them without allocating once warm.
+    /// Per-node snapshots reused across ticks: a node due to sample
+    /// refills its buffer through `snapshot_into` without allocating once
+    /// warm.
     snap_scratch: Vec<NodeSnapshot>,
-    /// Tick-level message batch reused by the §16 replay, drained by
-    /// [`Broker::publish_batch_serial`] each tick.
-    replay_batch: Vec<(Topic, Payload)>,
+    /// Noise-free mean power per node, refilled every executed tick.
+    node_power: Vec<Power>,
+    /// The tick's telemetry batch — power samples, then plugin messages
+    /// in node order — drained by [`Broker::publish_batch_serial`].
+    tick_batch: Vec<(Topic, Payload)>,
     /// Ticks executed through the full step pipeline.
     ticks_stepped: u64,
     /// Ticks fast-forwarded by the event-driven clock (thermal-only
@@ -734,22 +711,9 @@ impl SimEngine {
             node_downtime: vec![SimDuration::ZERO; n],
             failures: 0,
             recovery,
-            pool: {
-                let size = if config.threads == 0 {
-                    default_threads()
-                } else {
-                    config.threads
-                };
-                // Min-work threshold: a pool that gets fewer than
-                // `parallel_grain` nodes per worker loses more to
-                // fan-out/join overhead than it gains, so fall back to
-                // the bit-identical serial path.
-                (size > 1 && n >= size * config.parallel_grain.max(1))
-                    .then(|| std::sync::Arc::new(WorkerPool::new(size)))
-            },
-            plugin_scratch: (0..n).map(|_| Vec::new()).collect(),
             snap_scratch: (0..n).map(|_| NodeSnapshot::default()).collect(),
-            replay_batch: Vec::new(),
+            node_power: Vec::with_capacity(n),
+            tick_batch: Vec::new(),
             ticks_stepped: 0,
             ticks_skipped: 0,
         }
@@ -813,6 +777,13 @@ impl SimEngine {
     /// The ExaMon time-series store.
     pub fn store(&self) -> &TimeSeriesStore {
         &self.store
+    }
+
+    /// Reserves room for `additional` further points on every series
+    /// already in the store, so a run over a known horizon ingests
+    /// without regrowing a column.
+    pub fn reserve_store_points(&mut self, additional: usize) {
+        self.store.reserve_points(additional);
     }
 
     /// The topic schema in use.
@@ -930,8 +901,8 @@ impl SimEngine {
 
     /// Records this tick's per-blade power and, while a blade is under an
     /// active brownout budget (governed or crash-only), tracks the peak.
-    /// Called with the same mean powers phase 4 and the thermal microstep
-    /// integrate, so the peak is the exact governed quantity.
+    /// Called by [`SimEngine::thermal_phase`] with the mean powers the
+    /// integrator consumes, so the peak is the exact governed quantity.
     fn record_blade_power(&mut self, node_power: &[Power]) {
         for blade in 0..self.last_blade_power.len() {
             let watts: f64 = self.layout.blades()[blade]
@@ -1056,13 +1027,6 @@ impl SimEngine {
         self.ticks_skipped
     }
 
-    /// Whether the worker pool actually engaged, i.e. `threads != 1` and
-    /// the machine cleared [`EngineConfig::parallel_grain`]. `false`
-    /// means per-node phases run on the (bit-identical) serial path.
-    pub fn parallel_engaged(&self) -> bool {
-        self.pool.is_some()
-    }
-
     /// Submits a job.
     ///
     /// # Errors
@@ -1133,32 +1097,26 @@ impl SimEngine {
         // 2. Advance job progress (gated by the slowest allocated node's
         //    DVFS state — HPL is bulk-synchronous — and by any active
         //    filesystem / interconnect fault) and complete finished jobs.
-        let speeds: Vec<f64> = self
-            .nodes
-            .iter()
-            .map(|n| n.cpufreq().performance_scale())
-            .collect();
         let nfs_stalled = self.nfs_stall_until.is_some_and(|t| self.now < t);
         let degrade = match self.degrade_until {
             Some(t) if self.now < t => self.degrade_factor,
             _ => 1.0,
         };
         let partitioned = self.active_partition();
-        let alive = self.recovery.as_ref().map(|r| r.node_alive.clone());
         for job in self.running.values_mut() {
             let mut speed = job
                 .node_indices
                 .iter()
-                .map(|&i| speeds[i])
+                .map(|&i| self.nodes[i].cpufreq().performance_scale())
                 .fold(1.0f64, f64::min);
             if nfs_stalled {
                 // I/O blocks cluster-wide: no job makes progress.
                 speed = 0.0;
             }
-            if let Some(alive) = &alive {
+            if let Some(rec) = &self.recovery {
                 // A crashed node takes its jobs with it; until the control
                 // plane notices, the scheduler still believes they run.
-                if job.node_indices.iter().any(|&i| !alive[i]) {
+                if job.node_indices.iter().any(|&i| !rec.node_alive[i]) {
                     speed = 0.0;
                 }
             }
@@ -1224,14 +1182,12 @@ impl SimEngine {
         // 2b. Checkpoint state machine: commit finished writes, begin due
         //     ones.
         self.advance_checkpoints();
-        let mut finished: Vec<JobId> = self
+        let finished: Vec<JobId> = self
             .running
             .values()
             .filter(|job| job.progress >= 1.0)
             .map(|job| job.id)
             .collect();
-        // Deterministic completion order (HashMap iteration is not).
-        finished.sort_unstable();
         for id in finished {
             // 2c. End-of-run residual check: a poisoned run that reached
             //     completion either fails the residual (ABFT on — restart
@@ -1294,162 +1250,32 @@ impl SimEngine {
         self.evaluate_power_cap();
 
         // 4. Power and energy. The thermal and energy integrators consume
-        //    the noise-free *mean* power (sensor noise is a measurement
-        //    artefact, not physics); the noisy sample is drawn only when a
-        //    reading is actually published, serially in node order, so the
-        //    RNG stream is identical at every thread count.
-        let mut node_power = Vec::with_capacity(self.nodes.len());
-        let mut power_messages: Vec<(Topic, Payload)> = Vec::with_capacity(self.nodes.len());
-        // A dead management switch silences every node's telemetry at once
-        // (the broker lives across it), exactly like a cluster-wide sensor
-        // dropout.
-        let switch_up = self.switch.is_up(self.now);
-        for i in 0..self.nodes.len() {
-            let workload = self.nodes[i].effective_power_workload();
-            let temp = self.thermal.temperature(i);
-            let scale = self.nodes[i].cpufreq().scale();
-            node_power.push(self.power.mean_all_dvfs(workload, temp, scale).total());
-            if self.config.monitoring && switch_up {
-                let dropped_out = self.now < self.sensor_dropout_until[i];
-                let stuck = self.now < self.sensor_stuck_until[i];
-                if !dropped_out {
-                    let measured = self
-                        .power
-                        .sample_all_dvfs(workload, temp, scale, &mut self.rng)
-                        .total()
-                        .as_watts();
-                    let watts = match (stuck, self.last_power[i]) {
-                        (true, Some(frozen)) => frozen,
-                        _ => measured,
-                    };
-                    // An active payload-corruption span flips the sign bit
-                    // of the value on the wire (after the RNG draw, so the
-                    // noise stream is untouched): the reading becomes
-                    // implausible and the ingestion scrub quarantines it.
-                    let watts = if self.now < self.payload_corrupt_until[i] {
-                        f64::from_bits(watts.to_bits() ^ (1u64 << 63))
-                    } else {
-                        watts
-                    };
-                    let topic = self.power_topic(i);
-                    power_messages.push((topic, Payload::new(watts, self.now)));
-                    if !stuck {
-                        self.last_power[i] = Some(measured);
-                    }
-                }
-            }
-        }
-        self.record_blade_power(&node_power);
-        if let Some(pool) = &self.pool {
-            self.broker.publish_batch(power_messages, pool);
-        } else {
-            for (topic, payload) in power_messages {
-                self.broker.publish(&topic, payload);
-            }
-        }
+        //    the noise-free *mean* power; the noisy sample is drawn only
+        //    for a reading that is actually published.
+        let observe = self.observing();
+        let mut node_power = std::mem::take(&mut self.node_power);
+        let mut batch = std::mem::take(&mut self.tick_batch);
+        self.mean_power_into(&mut node_power);
+        self.sample_power_into(observe, &mut batch);
         for job in self.running.values_mut() {
             let p: Power = job.node_indices.iter().map(|&i| node_power[i]).sum();
             job.energy += p.energy_over(dt);
         }
 
-        // 5. Thermal step and trip handling.
-        let tripped = self.thermal.step(&node_power, dt);
-        for node_index in tripped {
-            self.handle_trip(node_index);
-        }
-        for i in 0..self.nodes.len() {
-            let (cpu, mb, nvme) = (
-                self.thermal.temperature(i),
-                self.thermal.mb_temperature(i),
-                self.thermal.nvme_temperature(i),
-            );
-            self.nodes[i].set_temperatures(cpu, mb, nvme);
-        }
+        // 5. Thermal step, trip handling and the thermal governor.
+        self.thermal_phase(&node_power);
+        self.node_power = node_power;
 
-        // 5b. The thermal governor, when enabled, throttles hot nodes and
-        //     recovers cool ones.
-        self.govern();
-
-        // 6. Node execution + monitoring plugins, merged into ONE fan-out:
-        //    each node advances its counters, snapshots, and samples its
-        //    due plugins in a single pass (node.advance reads only the
-        //    conditions and DVFS state fixed in earlier phases, so running
-        //    it after power/thermal is equivalent). With a pool the
-        //    per-node work fans out once and messages are merged back in
-        //    node order (PMU before stats, exactly as the serial loop
-        //    publishes them) before one batch fan-out. Per-node buffers
-        //    are reused across ticks.
-        let monitoring = self.config.monitoring;
-        if let Some(pool) = &self.pool {
-            let now = self.now;
-            let eligible: Vec<bool> = (0..self.nodes.len())
-                .map(|i| monitoring && switch_up && now >= self.sensor_dropout_until[i])
-                .collect();
-            let tiles = pool.even_chunks(self.nodes.len());
-            pool.scope(|scope| {
-                let mut nodes = self.nodes.as_mut_slice();
-                let mut elig = eligible.as_slice();
-                let mut pmu = self.pmu.as_mut_slice();
-                let mut stats = self.stats.as_mut_slice();
-                let mut out = self.plugin_scratch.as_mut_slice();
-                for (start, end) in tiles {
-                    let len = end - start;
-                    let (node_c, node_r) = nodes.split_at_mut(len);
-                    nodes = node_r;
-                    let (elig_c, elig_r) = elig.split_at(len);
-                    elig = elig_r;
-                    let (pmu_c, pmu_r) = pmu.split_at_mut(len);
-                    pmu = pmu_r;
-                    let (stats_c, stats_r) = stats.split_at_mut(len);
-                    stats = stats_r;
-                    let (out_c, out_r) = out.split_at_mut(len);
-                    out = out_r;
-                    scope.spawn(move || {
-                        for ((((node, &ok), pmu), stats), out) in node_c
-                            .iter_mut()
-                            .zip(elig_c)
-                            .zip(pmu_c)
-                            .zip(stats_c)
-                            .zip(out_c)
-                        {
-                            node.advance(dt);
-                            out.clear();
-                            if !ok {
-                                continue; // silent or monitoring off
-                            }
-                            let snapshot = node.snapshot(now);
-                            pmu.due_messages_into(now, &snapshot, out);
-                            stats.due_messages_into(now, &snapshot, out);
-                        }
-                    });
-                }
-            });
-            if monitoring {
-                let batch: Vec<(Topic, Payload)> = self
-                    .plugin_scratch
-                    .iter_mut()
-                    .flat_map(|out| out.drain(..))
-                    .collect();
-                self.broker.publish_batch(batch, pool);
-            }
-        } else {
-            for i in 0..self.nodes.len() {
-                self.nodes[i].advance(dt);
-                if !monitoring || !switch_up || self.now < self.sensor_dropout_until[i] {
-                    continue; // silent, switch dark, or monitoring off
-                }
-                let mut out = std::mem::take(&mut self.plugin_scratch[i]);
-                out.clear();
-                let snapshot = self.nodes[i].snapshot(self.now);
-                self.pmu[i].due_messages_into(self.now, &snapshot, &mut out);
-                self.stats[i].due_messages_into(self.now, &snapshot, &mut out);
-                for (topic, payload) in out.drain(..) {
-                    self.broker.publish(&topic, payload);
-                }
-                self.plugin_scratch[i] = out;
-            }
-        }
-        if monitoring {
+        // 6. Node execution and plugin sampling (node.advance reads only
+        //    the conditions and DVFS state fixed in earlier phases, so
+        //    running it after power/thermal is equivalent). The tick's
+        //    messages then go out as one serial batch: power samples
+        //    first, then plugins in node order — the order per-message
+        //    publishing would produce.
+        self.advance_and_sample_into(observe, &mut batch);
+        self.broker.publish_batch_serial(&mut batch);
+        self.tick_batch = batch;
+        if self.config.monitoring {
             if let Some(collector) = &mut self.collector {
                 collector.pump(&mut self.store);
             }
@@ -1458,6 +1284,116 @@ impl SimEngine {
 
         self.ticks_stepped += 1;
         self.now += dt;
+    }
+
+    /// Whether telemetry leaves the nodes this tick: monitoring is on and
+    /// the management switch it rides on is up. A dead switch silences
+    /// every node at once (the broker lives across it), exactly like a
+    /// cluster-wide sensor dropout.
+    fn observing(&self) -> bool {
+        self.config.monitoring && self.switch.is_up(self.now)
+    }
+
+    /// Phase 4a: each node's noise-free mean power, the quantity the
+    /// thermal and energy integrators consume (sensor noise is a
+    /// measurement artefact, not physics). Draws no randomness.
+    fn mean_power_into(&self, node_power: &mut Vec<Power>) {
+        node_power.clear();
+        node_power.extend(self.nodes.iter().enumerate().map(|(i, node)| {
+            let workload = node.effective_power_workload();
+            let scale = node.cpufreq().scale();
+            self.power
+                .mean_all_dvfs(workload, self.thermal.temperature(i), scale)
+                .total()
+        }));
+    }
+
+    /// Phase 4b: when `observe`, each node's noisy power reading, drawn
+    /// serially in node order and pushed onto `batch`. A dropped-out
+    /// sensor draws nothing; a stuck one republishes its frozen value
+    /// after the draw. An active payload-corruption span flips the sign
+    /// bit of the value on the wire (after the draw, so the noise stream
+    /// is untouched): the reading becomes implausible and the ingestion
+    /// scrub quarantines it.
+    fn sample_power_into(&mut self, observe: bool, batch: &mut Vec<(Topic, Payload)>) {
+        if !observe {
+            return;
+        }
+        for i in 0..self.nodes.len() {
+            if self.now < self.sensor_dropout_until[i] {
+                continue; // dropped out: no draw, no message
+            }
+            let stuck = self.now < self.sensor_stuck_until[i];
+            let node = &self.nodes[i];
+            let measured = self
+                .power
+                .sample_all_dvfs(
+                    node.effective_power_workload(),
+                    self.thermal.temperature(i),
+                    node.cpufreq().scale(),
+                    &mut self.rng,
+                )
+                .total()
+                .as_watts();
+            let watts = match (stuck, self.last_power[i]) {
+                (true, Some(frozen)) => frozen,
+                _ => measured,
+            };
+            let watts = if self.now < self.payload_corrupt_until[i] {
+                f64::from_bits(watts.to_bits() ^ (1u64 << 63))
+            } else {
+                watts
+            };
+            batch.push((self.power_topics[i], Payload::new(watts, self.now)));
+            if !stuck {
+                self.last_power[i] = Some(measured);
+            }
+        }
+    }
+
+    /// Phases 5–5b: blade power bookkeeping, thermal integration, trip
+    /// handling, the nodes' hwmon temperatures and the thermal governor,
+    /// from this tick's mean powers. Returns whether a trip or a governor
+    /// move changed state beyond the integrator.
+    fn thermal_phase(&mut self, node_power: &[Power]) -> bool {
+        self.record_blade_power(node_power);
+        let tripped = self.thermal.step(node_power, self.config.dt);
+        let any_trip = !tripped.is_empty();
+        for node_index in tripped {
+            self.handle_trip(node_index);
+        }
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            node.set_temperatures(
+                self.thermal.temperature(i),
+                self.thermal.mb_temperature(i),
+                self.thermal.nvme_temperature(i),
+            );
+        }
+        let governed = self.govern();
+        any_trip || governed
+    }
+
+    /// Phase 6: every node advances its counters one tick (load averages
+    /// smooth exponentially, so ticks are never batched). When `observe`,
+    /// each node whose sensor is live and has a plugin due refills its
+    /// reused snapshot and appends its due PMU then stats messages to
+    /// `batch`; a node with nothing due is not snapshotted at all.
+    fn advance_and_sample_into(&mut self, observe: bool, batch: &mut Vec<(Topic, Payload)>) {
+        let dt = self.config.dt;
+        let now = self.now;
+        for i in 0..self.nodes.len() {
+            self.nodes[i].advance(dt);
+            if !observe || now < self.sensor_dropout_until[i] {
+                continue; // silent, switch dark, or monitoring off
+            }
+            if now < self.pmu[i].next_due() && now < self.stats[i].next_due() {
+                continue;
+            }
+            let snapshot = &mut self.snap_scratch[i];
+            self.nodes[i].snapshot_into(now, snapshot);
+            self.pmu[i].due_messages_into(now, snapshot, batch);
+            self.stats[i].due_messages_into(now, snapshot, batch);
+        }
     }
 
     /// Turns every sample the ingestion scrub quarantined since the last
@@ -1484,9 +1420,9 @@ impl SimEngine {
         }
     }
 
-    /// Phase 5b: the thermal governor's per-node decision, shared by the
-    /// full step and the fast-forward microstep (which must replicate it
-    /// exactly at the tick a threshold is crossed).
+    /// Phase 5b: the thermal governor's per-node decision, run by
+    /// [`SimEngine::thermal_phase`] on every tick that integrates
+    /// temperature, full or fast-forwarded.
     fn govern(&mut self) -> bool {
         let Some(governor) = self.config.governor else {
             return false;
@@ -1764,15 +1700,10 @@ impl SimEngine {
                 }
             }
         }
+        if self.control_plane_busy() {
+            return false;
+        }
         if let Some(rec) = &self.recovery {
-            let temps: Vec<Celsius> = (0..self.nodes.len())
-                .map(|i| self.thermal.temperature(i))
-                .collect();
-            // No fenced nodes, no watchdog state in flight, temps clear
-            // of the watchdog thresholds.
-            if !rec.control.is_quiescent(&temps) {
-                return false;
-            }
             let dt = self.config.dt;
             for i in 0..self.nodes.len() {
                 // A phi threshold crossing now fences a node.
@@ -1930,18 +1861,18 @@ impl SimEngine {
 
     /// The sampled-span replay (DESIGN.md §16): fast-forwards a
     /// *monitored* observation-only span towards `cap`. Every replayed
-    /// tick performs exactly the observable slice of a full step, in the
-    /// full step's order — heartbeat publication and same-tick ingestion,
-    /// the per-node sensor-noise draws and power messages (serially in
-    /// node order, so the RNG stream is identical), plugin samples
-    /// through the same allocation-free `due_messages_into`/`sample_into`
-    /// paths, per-tick node counter advancement (load averages smooth
-    /// exponentially — not batchable bitwise) and collector pumping —
-    /// while the phases proven inert for the whole span (scheduler probe,
-    /// job walk, condition refresh, power-cap evaluation) are skipped.
-    /// Thermal advances with the §13 microstep arithmetic until its f64
-    /// fixed point, after which the temperature-dependent slice is frozen
-    /// and skipped under the same equilibrium argument as the §13 jump.
+    /// tick runs exactly the observable slice of a full step, through the
+    /// full step's own phase helpers and in its order — heartbeat
+    /// publication and same-tick ingestion, [`SimEngine::mean_power_into`]
+    /// and [`SimEngine::sample_power_into`] (sensor draws serially in node
+    /// order, so the RNG stream is identical), [`SimEngine::thermal_phase`],
+    /// [`SimEngine::advance_and_sample_into`] and one serial batch publish
+    /// per tick, with collector pumping deferred to the span end — while
+    /// the phases proven inert for the whole span (scheduler probe, job
+    /// walk, condition refresh, power-cap evaluation) are skipped. Once
+    /// the thermal integrator reaches its f64 fixed point the mean-power
+    /// and thermal phases are frozen and skipped under the same
+    /// equilibrium argument as the §13 jump.
     ///
     /// Phi-accrual suspicion is scheduled, not polled: between heartbeat
     /// ingestions a detector's state is frozen and phi is monotone in
@@ -1974,10 +1905,8 @@ impl SimEngine {
                 *slot = rec.control.next_suspicion_due(i, self.now + dt, wake, dt);
             }
         }
-        // A node's power topic is identical every tick; build each once.
-        let power_topics: Vec<Topic> = (0..n).map(|i| self.power_topic(i)).collect();
         let mut equilibrium = false;
-        let mut node_power: Vec<Power> = Vec::with_capacity(n);
+        let mut node_power = std::mem::take(&mut self.node_power);
         let mut prev_temps: Vec<Celsius> = Vec::with_capacity(n);
         while self.now < wake {
             if crossings.iter().flatten().any(|&t| t <= self.now) {
@@ -2005,117 +1934,40 @@ impl SimEngine {
                     }
                 }
             }
-            // Phase 4: sensor-noise draws and power messages, exactly as
-            // the full step draws them. The noise-free mean feeding the
-            // thermal model is frozen once the integrator settles.
-            let switch_up = self.switch.is_up(self.now);
+            // Phase 4: the full step's power helpers. The noise-free mean
+            // feeding the thermal model is frozen once the integrator
+            // settles; the sensor draws never are.
+            let observe = self.observing();
             if !equilibrium {
-                node_power.clear();
+                self.mean_power_into(&mut node_power);
                 prev_temps.clear();
-                for i in 0..n {
-                    let workload = self.nodes[i].effective_power_workload();
-                    let temp = self.thermal.temperature(i);
-                    prev_temps.push(temp);
-                    let scale = self.nodes[i].cpufreq().scale();
-                    node_power.push(self.power.mean_all_dvfs(workload, temp, scale).total());
-                }
+                prev_temps.extend((0..n).map(|i| self.thermal.temperature(i)));
             }
-            let mut batch = std::mem::take(&mut self.replay_batch);
-            batch.clear();
-            if switch_up {
-                for (i, topic) in power_topics.iter().enumerate() {
-                    if self.now < self.sensor_dropout_until[i] {
-                        continue; // dropped out: no draw, no message
-                    }
-                    let stuck = self.now < self.sensor_stuck_until[i];
-                    let workload = self.nodes[i].effective_power_workload();
-                    let temp = self.thermal.temperature(i);
-                    let scale = self.nodes[i].cpufreq().scale();
-                    let measured = self
-                        .power
-                        .sample_all_dvfs(workload, temp, scale, &mut self.rng)
-                        .total()
-                        .as_watts();
-                    let watts = match (stuck, self.last_power[i]) {
-                        (true, Some(frozen)) => frozen,
-                        _ => measured,
-                    };
-                    // Same wire-level sign flip as the full step's phase 4.
-                    let watts = if self.now < self.payload_corrupt_until[i] {
-                        f64::from_bits(watts.to_bits() ^ (1u64 << 63))
-                    } else {
-                        watts
-                    };
-                    batch.push((*topic, Payload::new(watts, self.now)));
-                    if !stuck {
-                        self.last_power[i] = Some(measured);
-                    }
-                }
-            }
-            // Phases 5/5b: the §13 thermal microstep arithmetic. A trip,
-            // governor move or watchdog arming finishes this tick exactly
-            // as the full step would, then resumes full stepping.
+            let mut batch = std::mem::take(&mut self.tick_batch);
+            self.sample_power_into(observe, &mut batch);
+            // Phases 5/5b: a trip, governor move or watchdog arming
+            // finishes this tick exactly as the full step would, then
+            // resumes full stepping.
             let mut resume = false;
             if !equilibrium {
-                self.record_blade_power(&node_power);
-                let tripped = self.thermal.step(&node_power, dt);
-                let any_trip = !tripped.is_empty();
-                for node_index in tripped {
-                    self.handle_trip(node_index);
-                }
-                for i in 0..n {
-                    let (cpu, mb, nvme) = (
-                        self.thermal.temperature(i),
-                        self.thermal.mb_temperature(i),
-                        self.thermal.nvme_temperature(i),
-                    );
-                    self.nodes[i].set_temperatures(cpu, mb, nvme);
-                }
-                let governed = self.govern();
-                if any_trip || governed {
-                    resume = true;
-                } else if let Some(rec) = &self.recovery {
-                    let temps: Vec<Celsius> = (0..n).map(|i| self.thermal.temperature(i)).collect();
-                    if !rec.control.is_quiescent(&temps) {
-                        resume = true;
-                    }
-                }
+                resume = self.thermal_phase(&node_power) || self.control_plane_busy();
                 if !resume {
                     equilibrium = (0..n).all(|i| self.thermal.temperature(i) == prev_temps[i]);
                 }
             }
             // Phase 6: counters advance every tick; plugins sample at
-            // their due ticks. Building the (reusable, in-place) snapshot
-            // only when a plugin is actually due is the replay's one
-            // shortcut; the tick's messages then go out as ONE serial
-            // batch (identical observable semantics to per-message
-            // publish, broker locks amortised over the tick).
-            for i in 0..n {
-                self.nodes[i].advance(dt);
-                if !switch_up || self.now < self.sensor_dropout_until[i] {
-                    continue; // silent or switch dark
-                }
-                if self.now < self.pmu[i].next_due() && self.now < self.stats[i].next_due() {
-                    continue;
-                }
-                let mut out = std::mem::take(&mut self.plugin_scratch[i]);
-                out.clear();
-                let mut snapshot = std::mem::take(&mut self.snap_scratch[i]);
-                self.nodes[i].snapshot_into(self.now, &mut snapshot);
-                self.pmu[i].due_messages_into(self.now, &snapshot, &mut out);
-                self.stats[i].due_messages_into(self.now, &snapshot, &mut out);
-                self.snap_scratch[i] = snapshot;
-                batch.append(&mut out);
-                self.plugin_scratch[i] = out;
-            }
+            // their due ticks. The tick's messages go out as ONE serial
+            // batch, exactly as the full step publishes them.
+            self.advance_and_sample_into(observe, &mut batch);
             self.broker.publish_batch_serial(&mut batch);
-            self.replay_batch = batch;
+            self.tick_batch = batch;
             self.ticks_skipped += 1;
             self.now += dt;
             if resume {
                 break;
             }
         }
+        self.node_power = node_power;
         // One collector pump for the whole span. Nothing reads the store
         // mid-span (the engine only writes it through this pump; external
         // readers see state between `run_for` calls), per-series message
@@ -2136,46 +1988,19 @@ impl SimEngine {
     /// exact arithmetic and ordering of the full step, then advances the
     /// clock one `dt`.
     fn thermal_microstep(&mut self) -> Microstep {
-        let dt = self.config.dt;
         let n = self.nodes.len();
-        let mut node_power = Vec::with_capacity(n);
-        let mut prev_temps = Vec::with_capacity(n);
-        for i in 0..n {
-            let workload = self.nodes[i].effective_power_workload();
-            let temp = self.thermal.temperature(i);
-            let scale = self.nodes[i].cpufreq().scale();
-            prev_temps.push(temp);
-            node_power.push(self.power.mean_all_dvfs(workload, temp, scale).total());
-        }
-        self.record_blade_power(&node_power);
-        let tripped = self.thermal.step(&node_power, dt);
-        let any_trip = !tripped.is_empty();
-        for node_index in tripped {
-            self.handle_trip(node_index);
-        }
-        for i in 0..n {
-            let (cpu, mb, nvme) = (
-                self.thermal.temperature(i),
-                self.thermal.mb_temperature(i),
-                self.thermal.nvme_temperature(i),
-            );
-            self.nodes[i].set_temperatures(cpu, mb, nvme);
-        }
-        // The governor fires at this tick exactly as phase 5b would.
-        let governed = self.govern();
+        let prev_temps: Vec<Celsius> = (0..n).map(|i| self.thermal.temperature(i)).collect();
+        let mut node_power = std::mem::take(&mut self.node_power);
+        self.mean_power_into(&mut node_power);
+        let changed = self.thermal_phase(&node_power);
+        self.node_power = node_power;
         self.ticks_skipped += 1;
-        self.now += dt;
-        if any_trip || governed {
-            // State beyond the integrator changed: resume full stepping.
+        self.now += self.config.dt;
+        // State beyond the integrator changed, or the *next* tick's
+        // control plane would act on the temperatures just set: resume
+        // full stepping.
+        if changed || self.control_plane_busy() {
             return Microstep::Resume;
-        }
-        // The *next* tick's control plane reads the temperatures just
-        // set; crossing a watchdog line ends the skippable span.
-        if let Some(rec) = &self.recovery {
-            let temps: Vec<Celsius> = (0..n).map(|i| self.thermal.temperature(i)).collect();
-            if !rec.control.is_quiescent(&temps) {
-                return Microstep::Resume;
-            }
         }
         let settled = (0..n).all(|i| self.thermal.temperature(i) == prev_temps[i]);
         if settled {
@@ -2185,16 +2010,25 @@ impl SimEngine {
         }
     }
 
+    /// Whether the recovery control plane has work at the current
+    /// temperatures: a fenced node, watchdog state in flight, or a
+    /// temperature over a watchdog threshold. Such a tick is never
+    /// fast-forwarded.
+    fn control_plane_busy(&self) -> bool {
+        self.recovery.as_ref().is_some_and(|rec| {
+            let temps: Vec<Celsius> = (0..self.nodes.len())
+                .map(|i| self.thermal.temperature(i))
+                .collect();
+            !rec.control.is_quiescent(&temps)
+        })
+    }
+
     /// The partition cutting the management network right now, if any.
     fn active_partition(&self) -> Option<(usize, usize)> {
         match self.partition_until {
             Some(t) if self.now < t => self.partitioned,
             _ => None,
         }
-    }
-
-    fn power_topic(&self, node_index: usize) -> Topic {
-        self.power_topics[node_index]
     }
 
     fn start_job(&mut self, id: JobId) {
@@ -2300,9 +2134,12 @@ impl SimEngine {
         );
     }
 
-    /// Re-derives every node's conditions from the running-job set.
+    /// Re-derives every node's conditions from the running-job set: idle
+    /// everywhere, then each job's nodes overwritten in id order.
     fn refresh_conditions(&mut self) {
-        let mut conditions: Vec<NodeConditions> = vec![NodeConditions::default(); self.nodes.len()];
+        for node in &mut self.nodes {
+            node.set_conditions(NodeConditions::default());
+        }
         for job in self.running.values() {
             let elapsed = self.now.saturating_since(job.started);
             let workload_class = match job.workload {
@@ -2318,18 +2155,15 @@ impl SimEngine {
                 && (in_cycle as f64) < job.comm_fraction * job.panel_cycle.as_micros() as f64;
             let net = if communicating { 60.0e6 } else { 0.2e6 };
             for &i in &job.node_indices {
-                conditions[i] = NodeConditions {
+                self.nodes[i].set_conditions(NodeConditions {
                     workload: workload_class,
                     busy_cores: 4,
                     communicating,
                     net_recv: net,
                     net_send: net,
                     mem_used: job.mem_per_node,
-                };
+                });
             }
-        }
-        for (node, cond) in self.nodes.iter_mut().zip(conditions) {
-            node.set_conditions(cond);
         }
     }
 
@@ -2590,9 +2424,7 @@ impl SimEngine {
             }
             FaultKind::BitFlip { node, target, .. } => {
                 // The flip poisons a job actually computing on the struck
-                // node. HashMap iteration order is nondeterministic, so the
-                // victim is the *lowest-id* running job there — a pure
-                // function of engine state, identical in both clock modes.
+                // node: the *lowest-id* running job there.
                 let victim = self
                     .running
                     .values()
@@ -3271,71 +3103,6 @@ mod tests {
         engine.submit(synthetic(1, 5)).unwrap();
         engine.run_for(SimDuration::from_secs(8));
         assert!(engine.store().is_empty());
-    }
-
-    #[test]
-    fn threaded_stepping_is_bit_identical_to_serial() {
-        // The whole parallel contract in one test: a threaded engine must
-        // be indistinguishable from a serial one — same telemetry stream
-        // (every power/PMU/stats point, bitwise), same events, same clock.
-        let run = |threads: usize| {
-            let mut engine = SimEngine::new(EngineConfig {
-                threads,
-                parallel_grain: 1, // force the pool despite only 8 nodes
-                ..EngineConfig::default()
-            });
-            assert_eq!(engine.parallel_engaged(), threads != 1);
-            engine.submit(synthetic(8, 40)).unwrap();
-            engine.submit(synthetic(3, 15)).unwrap();
-            for _ in 0..120 {
-                engine.step();
-            }
-            engine
-        };
-        let serial = run(1);
-        for threads in [2, 4] {
-            let threaded = run(threads);
-            assert_eq!(serial.now(), threaded.now());
-            assert_eq!(serial.events(), threaded.events());
-            assert!(
-                serial.store() == threaded.store(),
-                "telemetry stores diverge at {threads} threads \
-                 ({} vs {} points)",
-                serial.store().point_count(),
-                threaded.store().point_count(),
-            );
-        }
-    }
-
-    #[test]
-    fn auto_thread_count_sizes_a_pool_and_still_runs() {
-        let mut engine = SimEngine::new(EngineConfig {
-            threads: 0, // auto: host-sized pool (CIMONE_THREADS honoured)
-            parallel_grain: 1,
-            ..EngineConfig::default()
-        });
-        engine.submit(synthetic(2, 5)).unwrap();
-        assert!(engine.run_until_idle(SimDuration::from_secs(60)));
-        assert!(engine.store().point_count() > 0);
-    }
-
-    #[test]
-    fn small_machines_fall_back_to_serial_stepping() {
-        // 8 nodes / 4 workers = 2 nodes per worker, below the default
-        // grain of 8: the pool must not engage.
-        let auto = SimEngine::new(EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        });
-        assert!(!auto.parallel_engaged(), "grain must gate the pool");
-        let forced = SimEngine::new(EngineConfig {
-            threads: 4,
-            parallel_grain: 1,
-            ..EngineConfig::default()
-        });
-        assert!(forced.parallel_engaged());
-        let serial = SimEngine::new(EngineConfig::default());
-        assert!(!serial.parallel_engaged());
     }
 
     #[test]

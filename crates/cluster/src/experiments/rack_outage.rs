@@ -127,7 +127,7 @@ pub struct RackOutageResult {
 
 /// Runs the combined switch + NFS + multi-rail plan through the three
 /// recovery postures. Fully deterministic for fixed arguments, and
-/// byte-identical across [`ClockMode`]s and worker-thread counts.
+/// byte-identical across [`ClockMode`]s.
 ///
 /// # Panics
 ///

@@ -652,7 +652,7 @@ struct RackBudget {
 /// exposes [`PowerCapGovernor::next_due`] and
 /// [`PowerCapGovernor::is_quiescent`] so the event-driven clock can
 /// aggregate its obligations — the whole path stays bit-identical across
-/// clock modes and thread counts.
+/// clock modes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerCapGovernor {
     config: PowerCapConfig,

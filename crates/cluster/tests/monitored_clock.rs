@@ -4,7 +4,7 @@
 //! detection, checkpoints, final clock — while replaying (not stepping)
 //! every observation-only tick. Stress axes: coprime/misaligned pmu and
 //! stats sampling combs, heartbeat intervals that don't divide the span,
-//! sensor dropout/stuck windows, switch outages, 1–4 worker threads.
+//! sensor dropout/stuck windows, switch outages.
 
 use proptest::prelude::*;
 
@@ -195,8 +195,8 @@ proptest! {
 
     /// Randomized sampling combs: coprime, misaligned pmu/stats periods
     /// and phases, heartbeat intervals that don't divide the span, three
-    /// grid steps and 1–4 worker threads. The event run must match the
-    /// serial fixed-dt reference bitwise in every drawn configuration.
+    /// grid steps. The event run must match the fixed-dt reference
+    /// bitwise in every drawn configuration.
     #[test]
     fn sampled_span_replay_is_bit_identical_for_any_cadence(
         pmu_period_ms in prop::sample::select(vec![300u64, 500, 700, 900, 1300]),
@@ -205,15 +205,12 @@ proptest! {
         stats_phase_ms in prop::sample::select(vec![0u64, 400, 900, 2300]),
         heartbeat_secs in prop::sample::select(vec![3u64, 5, 7, 11]),
         dt_ms in prop::sample::select(vec![500u64, 1000, 2000]),
-        threads in 1usize..=4,
         seed in 0u64..1000,
     ) {
-        let run = |clock: ClockMode, threads: usize| {
+        let run = |clock: ClockMode| {
             let mut engine = SimEngine::new(EngineConfig {
                 dt: SimDuration::from_millis(dt_ms),
                 seed,
-                threads,
-                parallel_grain: 1, // engage the pool despite only 8 nodes
                 recovery: Some(RecoveryConfig {
                     heartbeat_interval: SimDuration::from_secs(heartbeat_secs),
                     ..RecoveryConfig::detection_only()
@@ -231,8 +228,8 @@ proptest! {
             engine.run_for(SimDuration::from_secs(600));
             engine
         };
-        let fixed = run(ClockMode::FixedDt, 1);
-        let event = run(ClockMode::EventDriven, threads);
+        let fixed = run(ClockMode::FixedDt);
+        let event = run(ClockMode::EventDriven);
         assert_bit_identical(&fixed, &event, "random cadence");
         assert_tick_accounting(&fixed, &event, "random cadence");
         prop_assert!(

@@ -87,11 +87,11 @@ fn assert_bit_identical(reference: &SimEngine, other: &SimEngine, label: &str) {
 
 /// The tentpole identity requirement: a plan combining a switch outage, an
 /// NFS export failure (with a crash inside the window), and a machine-wide
-/// multi-rail brownout is byte-equal across clock modes and 1..=4 threads,
-/// with monitoring on (so the switch's telemetry suppression is exercised)
-/// and the spill-enabled recovery stack underneath.
+/// multi-rail brownout is byte-equal across clock modes, with monitoring
+/// on (so the switch's telemetry suppression is exercised) and the
+/// spill-enabled recovery stack underneath.
 #[test]
-fn combined_rack_plan_is_bit_identical_across_modes_and_threads() {
+fn combined_rack_plan_is_bit_identical_across_clock_modes() {
     let plan = || {
         FaultPlan::new()
             .with(
@@ -116,11 +116,9 @@ fn combined_rack_plan_is_bit_identical_across_modes_and_threads() {
                 },
             )
     };
-    let run = |clock: ClockMode, threads: usize| {
+    let run = |clock: ClockMode| {
         let mut engine = SimEngine::new(EngineConfig {
             dt: SimDuration::from_secs(1),
-            threads,
-            parallel_grain: 1, // force the pool despite only 8 nodes
             recovery: Some(spill_recovery(60)),
             clock,
             ..EngineConfig::default()
@@ -131,7 +129,7 @@ fn combined_rack_plan_is_bit_identical_across_modes_and_threads() {
         engine.run_for(SimDuration::from_secs(1500));
         engine
     };
-    let reference = run(ClockMode::FixedDt, 1);
+    let reference = run(ClockMode::FixedDt);
     let saw = |pred: fn(&EngineEvent) -> bool| reference.events().iter().any(pred);
     assert!(
         saw(|e| matches!(e, EngineEvent::PartitionSuspected { .. })),
@@ -153,19 +151,13 @@ fn combined_rack_plan_is_bit_identical_across_modes_and_threads() {
         saw(|e| matches!(e, EngineEvent::BladeCapped { .. })),
         "the rack brownout must engage the arbiter"
     );
-    for threads in 1..=4 {
-        let event = run(ClockMode::EventDriven, threads);
-        assert_bit_identical(
-            &reference,
-            &event,
-            &format!("combined rack plan at {threads} threads"),
-        );
-        assert_eq!(
-            reference.rack_peak_power().to_bits(),
-            event.rack_peak_power().to_bits(),
-            "rack peak-power accounting diverged at {threads} threads"
-        );
-    }
+    let event = run(ClockMode::EventDriven);
+    assert_bit_identical(&reference, &event, "combined rack plan");
+    assert_eq!(
+        reference.rack_peak_power().to_bits(),
+        event.rack_peak_power().to_bits(),
+        "rack peak-power accounting diverged"
+    );
 }
 
 /// A crash mid-job while `/ckpt` is away: the job resumes from the spill

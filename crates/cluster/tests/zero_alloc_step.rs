@@ -1,0 +1,89 @@
+//! Acceptance probe for the allocation-free engine tick: once warm, a
+//! full fixed-dt `step` with monitoring on and jobs running performs
+//! **zero** heap allocations — job advance, condition refresh, power,
+//! thermal, node advance, plugin sampling, the tick's one batch publish
+//! and collector ingest included.
+//!
+//! A counting global allocator makes the claim falsifiable. This file
+//! holds exactly one `#[test]` so no sibling test thread can allocate
+//! inside the measurement window.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use cimone_cluster::engine::{ClusterWorkload, EngineConfig, JobRequest, SimEngine};
+use cimone_soc::workload::Workload;
+
+/// Counts every allocation and reallocation served by the system
+/// allocator. Frees are not counted: releasing memory cannot grow the
+/// footprint.
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+fn job(name: &str, nodes: usize, workload: Workload) -> JobRequest {
+    JobRequest {
+        name: name.into(),
+        user: "ci".into(),
+        nodes,
+        workload: ClusterWorkload::Synthetic {
+            workload,
+            secs: 100_000, // outlives the probe: no job starts or ends in it
+        },
+    }
+}
+
+#[test]
+fn warm_monitored_step_allocates_nothing() {
+    const WARMUP_STEPS: u64 = 32;
+    const MEASURED_STEPS: u64 = 64;
+
+    let mut engine = SimEngine::new(EngineConfig::default());
+    engine.submit(job("hpl", 4, Workload::Hpl)).unwrap();
+    engine
+        .submit(job("stream", 2, Workload::StreamDdr))
+        .unwrap();
+    engine.submit(job("qe", 2, Workload::QeLax)).unwrap();
+    for _ in 0..WARMUP_STEPS {
+        engine.step();
+    }
+    assert_eq!(engine.scheduler().running().len(), 3, "three jobs must run");
+    // Warm-up created every series; give each room for the measured
+    // window so storing the points never regrows a column.
+    engine.reserve_store_points(MEASURED_STEPS as usize);
+
+    let points_before = engine.store().point_count();
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..MEASURED_STEPS {
+        engine.step();
+    }
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+
+    assert!(
+        engine.store().point_count() > points_before,
+        "the probe must actually ingest telemetry"
+    );
+    assert_eq!(
+        allocs, 0,
+        "warm monitored steps must not allocate ({allocs} allocations over {MEASURED_STEPS} steps)"
+    );
+}

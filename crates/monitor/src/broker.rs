@@ -716,143 +716,6 @@ impl Broker {
         reached
     }
 
-    /// Publishes a batch of messages with the subscriber fan-out spread
-    /// over `pool`, preserving [`publish`](Broker::publish) semantics
-    /// exactly: loss-injection RNG draws happen serially in message order
-    /// (the RNG stream is identical to publishing one by one), each
-    /// subscription is owned by exactly one task which walks the
-    /// surviving messages in order (per-subscription delivery order is
-    /// preserved), and dead subscriptions are pruned after the barrier.
-    /// Returns the total number of deliveries made.
-    pub fn publish_batch(
-        &self,
-        messages: Vec<(Topic, Payload)>,
-        pool: &cimone_kernels::pool::WorkerPool,
-    ) -> usize {
-        if messages.is_empty() {
-            return 0;
-        }
-        self.published
-            .fetch_add(messages.len() as u64, Ordering::Relaxed);
-        // Serial loss draws, in message order — one RNG consumption per
-        // message, exactly as a sequence of `publish` calls would make.
-        let survivors: Vec<(Topic, Payload)> = {
-            let mut loss = self.loss.lock();
-            match loss.as_mut() {
-                Some(inj) if inj.rate > 0.0 => {
-                    let rate = inj.rate;
-                    let mut kept = Vec::with_capacity(messages.len());
-                    let mut suppressed = 0u64;
-                    for msg in messages {
-                        if inj.rng.gen_bool(rate) {
-                            suppressed += 1;
-                        } else {
-                            kept.push(msg);
-                        }
-                    }
-                    self.suppressed.fetch_add(suppressed, Ordering::Relaxed);
-                    kept
-                }
-                _ => messages,
-            }
-        };
-        if survivors.is_empty() {
-            return 0;
-        }
-        let mut reached_total = 0usize;
-        let mut dropped_total = 0u64;
-        let mut dead: Vec<SubscriptionId> = Vec::new();
-        {
-            // Compile any missing routes up front under a short write
-            // lock, then fan out under the read lock. A concurrent
-            // (un)subscribe between the two can clear the cache again;
-            // tiles fall back to an uncached local route in that case.
-            let missing = {
-                let table = self.table.read();
-                survivors
-                    .iter()
-                    .any(|(topic, _)| !table.route_has(topic.id().as_u32()))
-            };
-            if missing {
-                let mut table = self.table.write();
-                for (topic, _) in &survivors {
-                    let tid = topic.id().as_u32();
-                    if !table.route_has(tid) {
-                        let route = table.compute_route(topic);
-                        table.route_insert(tid, route);
-                    }
-                }
-            }
-            let table = self.table.read();
-            let table: &SubTable = &table;
-            let subs = &table.subs[..];
-            let survivors = &survivors[..];
-            let tiles = pool.even_chunks(subs.len());
-            let mut results: Vec<(usize, u64, Vec<SubscriptionId>)> =
-                vec![Default::default(); tiles.len()];
-            pool.scope(|scope| {
-                for (&(s0, s1), result) in tiles.iter().zip(results.iter_mut()) {
-                    scope.spawn(move || {
-                        let (reached, dropped, dead) = result;
-                        let mut fallback: Vec<u32>;
-                        // Sub indices (within this tile) found dead during
-                        // the batch: the one-by-one publish sequence would
-                        // have pruned them, so later messages skip them.
-                        let mut tile_dead: Vec<u32> = Vec::new();
-                        for (topic, payload) in survivors {
-                            let route: &[u32] = match table.route_get(topic.id().as_u32()) {
-                                Some(route) => route,
-                                None => {
-                                    // Cache cleared by a concurrent
-                                    // (un)subscribe after compilation.
-                                    fallback = table.compute_route(topic);
-                                    &fallback
-                                }
-                            };
-                            // This task owns subs[s0..s1]; walk the slice
-                            // of the (ascending) route inside the tile.
-                            let lo = route.partition_point(|&i| (i as usize) < s0);
-                            for &i in &route[lo..] {
-                                if (i as usize) >= s1 {
-                                    break;
-                                }
-                                if tile_dead.contains(&i) {
-                                    continue;
-                                }
-                                let sub = &subs[i as usize];
-                                let msg = PublishedMessage {
-                                    topic: *topic,
-                                    payload: *payload,
-                                };
-                                match sub.queue.send(msg, sub.capacity) {
-                                    SendOutcome::Delivered => *reached += 1,
-                                    SendOutcome::Full => *dropped += 1,
-                                    SendOutcome::Dead => {
-                                        *dropped += 1;
-                                        dead.push(sub.id);
-                                        tile_dead.push(i);
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            for (reached, dropped, mut tile_dead) in results {
-                reached_total += reached;
-                dropped_total += dropped;
-                dead.append(&mut tile_dead);
-            }
-        }
-        if !dead.is_empty() {
-            self.prune(&mut dead);
-        }
-        self.delivered
-            .fetch_add(reached_total as u64, Ordering::Relaxed);
-        self.dropped.fetch_add(dropped_total, Ordering::Relaxed);
-        reached_total
-    }
-
     /// Removes dead subscriptions in one pass: sort + dedup the ids and
     /// binary-search during the retain, so pruning costs
     /// O((dead log dead) + subs log dead) instead of O(dead × subs).
@@ -1110,9 +973,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_batch_matches_sequential_publishes_exactly() {
-        use cimone_kernels::pool::WorkerPool;
-        let pool = WorkerPool::new(4);
+    fn publish_batch_serial_matches_sequential_publishes_exactly() {
         let messages: Vec<(Topic, Payload)> = (0..200)
             .map(|i| {
                 (
@@ -1138,7 +999,7 @@ mod tests {
             let some = broker.subscribe(f("node/3/+"));
             let bounded = broker.subscribe_bounded(f("#"), 10);
             broker.set_loss(0.3, 99);
-            broker.publish_batch(messages.clone(), &pool);
+            broker.publish_batch_serial(&mut messages.clone());
             (all.drain(), some.drain(), bounded.drain(), broker.stats())
         };
         let (sa, ss, sb, sst) = run_seq();
@@ -1150,17 +1011,15 @@ mod tests {
     }
 
     #[test]
-    fn publish_batch_prunes_dead_subscribers() {
-        use cimone_kernels::pool::WorkerPool;
-        let pool = WorkerPool::new(2);
+    fn publish_batch_serial_prunes_dead_subscribers() {
         let broker = Broker::new();
         let keeper = broker.subscribe(f("#"));
         let quitter = broker.subscribe(f("#"));
         drop(quitter);
-        let batch: Vec<(Topic, Payload)> = (0..5)
+        let mut batch: Vec<(Topic, Payload)> = (0..5)
             .map(|i| (t("x"), Payload::new(i as f64, SimTime::ZERO)))
             .collect();
-        let reached = broker.publish_batch(batch, &pool);
+        let reached = broker.publish_batch_serial(&mut batch);
         assert_eq!(reached, 5);
         assert_eq!(keeper.drain().len(), 5);
         assert_eq!(broker.subscription_count(), 1);

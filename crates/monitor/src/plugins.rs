@@ -458,9 +458,8 @@ impl<P: Plugin> PluginRunner<P> {
 
     /// Samples if the period has elapsed, returning the messages without
     /// publishing them; `None` when not due. Splitting compute from
-    /// publish lets the engine gather every node's messages first and
-    /// push them through [`Broker::publish_batch`] in one parallel
-    /// fan-out.
+    /// publish lets a caller gather every node's messages first and push
+    /// them through [`Broker::publish_batch_serial`] as one batch.
     pub fn due_messages(
         &mut self,
         now: SimTime,
