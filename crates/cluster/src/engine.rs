@@ -89,12 +89,14 @@ pub enum ClockMode {
     /// behaviour, and the reference the event-driven mode is held to).
     #[default]
     FixedDt,
-    /// Due-time scheduling: provably inert ticks are fast-forwarded with
-    /// only the thermal integrator advanced, and the engine wakes at the
-    /// next due event (fault, heartbeat, phi crossing, backoff release,
-    /// span expiry). Observable outputs — telemetry, events, TSDB
-    /// contents, final clock — are bit-identical to [`ClockMode::FixedDt`]
-    /// at the same `dt`.
+    /// Due-time scheduling: a tick whose only work is observation is
+    /// fast-forwarded with its decision phases masked — heartbeats,
+    /// sensor draws, plugin samples and the thermal integrator replay
+    /// exactly — and the engine wakes at the next due decision (fault,
+    /// span-fault window end, switch or export recovery, backoff
+    /// release) or just before a phi crossing. Observable outputs —
+    /// telemetry, events, TSDB contents, final clock — are bit-identical
+    /// to [`ClockMode::FixedDt`] at the same `dt`.
     EventDriven,
 }
 
@@ -435,16 +437,85 @@ struct RunningJob {
     sdc_factored: u32,
 }
 
-/// Outcome of one fast-forward microstep.
-enum Microstep {
-    /// Temperatures moved; keep microstepping.
-    Advanced,
-    /// The integrator is at its f64 fixed point: the remaining skippable
-    /// span can be jumped without further arithmetic.
-    Equilibrium,
-    /// Something beyond the integrator changed (trip, governor action,
-    /// watchdog threshold): resume full stepping.
-    Resume,
+/// The slices of a tick that [`SimEngine::tick`] can mask out. Heartbeat
+/// publication and the sensor draws are observation: they run on every
+/// tick.
+#[derive(Debug, Clone, Copy)]
+struct Phases {
+    /// Faults and window closes (0), the control plane's decisions (0b),
+    /// and the scheduler, jobs, checkpoints and power cap (1–3b). Masked,
+    /// the control plane only ingests heartbeat arrivals.
+    decide: bool,
+    /// Mean power, job energy and the thermal phase (4–5b).
+    plant: bool,
+    /// Node counters and plugin sampling (6).
+    advance: bool,
+    /// The collector pump into the store and the scrub drain (6).
+    ingest: bool,
+}
+
+impl Phases {
+    const ALL: Phases = Phases {
+        decide: true,
+        plant: true,
+        advance: true,
+        ingest: true,
+    };
+}
+
+/// What one tick did that a fast-forward must react to.
+struct Tick {
+    /// A heartbeat was due: detector state moved, so phi crossings move.
+    beat: bool,
+    /// A trip or a governor move changed state beyond the integrator.
+    changed: bool,
+}
+
+/// The effect of an open span-fault window, with the node, blade or node
+/// pair it covers. A payload corruption flips the sign bit of the node's
+/// published power samples on the wire, leaving the RNG draw untouched; a
+/// brownout is the crash-only one of a machine with no cap governor, whose
+/// boards return to service when the rail recovers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SpanFault {
+    SensorDropout { node: usize },
+    SensorStuck { node: usize },
+    PayloadCorruption { node: usize },
+    BrokerLoss,
+    CollectorOffline,
+    LinkDegrade { factor: f64 },
+    Partition { a: usize, b: usize },
+    NfsStall,
+    FanFailure { blade: usize },
+    Brownout { blade: usize },
+}
+
+impl SpanFault {
+    /// Kind, then scope. A later window with the same slot replaces the
+    /// open one (a fan failure keeps the later end), and windows close in
+    /// slot order. A link degradation or a partition has one machine-wide
+    /// slot: its factor or node pair is data, not scope.
+    fn slot(self) -> (u8, usize) {
+        match self {
+            SpanFault::SensorDropout { node } => (0, node),
+            SpanFault::SensorStuck { node } => (1, node),
+            SpanFault::PayloadCorruption { node } => (2, node),
+            SpanFault::BrokerLoss => (3, 0),
+            SpanFault::CollectorOffline => (4, 0),
+            SpanFault::LinkDegrade { .. } => (5, 0),
+            SpanFault::Partition { .. } => (6, 0),
+            SpanFault::NfsStall => (7, 0),
+            SpanFault::FanFailure { blade } => (8, blade),
+            SpanFault::Brownout { blade } => (9, blade),
+        }
+    }
+}
+
+/// One open span-fault window: its effect holds while `now < until`.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    fault: SpanFault,
+    until: SimTime,
 }
 
 /// The Monte Cimone simulation engine.
@@ -497,14 +568,10 @@ pub struct SimEngine {
     events: Vec<EngineEvent>,
     now: SimTime,
     rng: StdRng,
-    // Fault-injection state: the plan queue plus every active span effect.
+    // Fault-injection state: the plan queue plus every open span-fault
+    // window, kept sorted by [`SpanFault::slot`].
     faults: FaultQueue,
-    sensor_dropout_until: Vec<SimTime>,
-    sensor_stuck_until: Vec<SimTime>,
-    /// While `now < until`, a node's published power samples leave the NIC
-    /// with their sign bit flipped (a [`FaultKind::PayloadCorruption`]
-    /// span). The RNG draw is untouched — only the wire value changes.
-    payload_corrupt_until: Vec<SimTime>,
+    windows: Vec<Window>,
     /// Bit flips ABFT caught and rolled back to a checkpoint.
     sdc_detected: usize,
     /// Bit flips ABFT caught and repaired in place.
@@ -513,13 +580,6 @@ pub struct SimEngine {
     sdc_undetected: usize,
     /// Last published power per node, for stuck-at sensor faults.
     last_power: Vec<Option<f64>>,
-    broker_loss_until: Option<SimTime>,
-    collector_offline_until: Option<SimTime>,
-    degrade_factor: f64,
-    degrade_until: Option<SimTime>,
-    partitioned: Option<(usize, usize)>,
-    partition_until: Option<SimTime>,
-    nfs_stall_until: Option<SimTime>,
     /// The shared GbE management switch every node's heartbeat and
     /// telemetry path rides on; a [`FaultKind::SwitchOutage`] takes it
     /// down rack-wide.
@@ -528,11 +588,6 @@ pub struct SimEngine {
     layout: MachineLayout,
     /// The blade power-cap governor, when configured.
     power_cap: Option<PowerCapGovernor>,
-    /// Per-blade fan-failure expiry; airflow degradation winds down here.
-    fan_fault_until: Vec<Option<SimTime>>,
-    /// Per-blade brownout expiry in crash-only mode (no cap governor):
-    /// both boards return to service when the rail recovers.
-    brownout_until: Vec<Option<SimTime>>,
     /// Mean (noise-free) per-blade power of the last executed tick, watts.
     last_blade_power: Vec<f64>,
     /// Peak blade power observed while the blade was under an active
@@ -555,15 +610,19 @@ pub struct SimEngine {
     /// refills its buffer through `snapshot_into` without allocating once
     /// warm.
     snap_scratch: Vec<NodeSnapshot>,
-    /// Noise-free mean power per node, refilled every executed tick.
+    /// Noise-free mean power per node, refilled by every tick that runs
+    /// the plant.
     node_power: Vec<Power>,
     /// The tick's telemetry batch — power samples, then plugin messages
     /// in node order — drained by [`Broker::publish_batch_serial`].
     tick_batch: Vec<(Topic, Payload)>,
+    /// Per-node temperatures before a fast-forwarded tick, reused so a
+    /// warm span allocates nothing.
+    prev_temps: Vec<Celsius>,
     /// Ticks executed through the full step pipeline.
     ticks_stepped: u64,
-    /// Ticks fast-forwarded by the event-driven clock (thermal-only
-    /// microsteps and equilibrium jumps).
+    /// Ticks fast-forwarded by the event-driven clock (masked ticks and
+    /// equilibrium jumps).
     ticks_skipped: u64,
 }
 
@@ -600,8 +659,7 @@ impl SimEngine {
         let nodes: Vec<ComputeNode> = (0..8).map(ComputeNode::new).collect();
         let schema = ExamonSchema::monte_cimone();
         let broker = Broker::new();
-        let collector = Collector::attach(&broker, "#".parse().expect("valid filter"))
-            .with_scrub(ScrubPolicy::monte_cimone());
+        let collector = config.monitoring.then(|| attach_collector(&broker));
         // The engine's power samples already include temperature-dependent
         // leakage, so the thermal model's own feedback term is disabled to
         // avoid double-counting the runaway loop.
@@ -672,7 +730,7 @@ impl SimEngine {
             workloads: HashMap::new(),
             accounting: AccountingLog::new(),
             broker,
-            collector: Some(collector),
+            collector,
             store: TimeSeriesStore::new(),
             pmu,
             stats,
@@ -683,27 +741,16 @@ impl SimEngine {
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(config.seed),
             faults: FaultQueue::default(),
-            sensor_dropout_until: vec![SimTime::ZERO; n],
-            sensor_stuck_until: vec![SimTime::ZERO; n],
-            payload_corrupt_until: vec![SimTime::ZERO; n],
+            windows: Vec::new(),
             sdc_detected: 0,
             sdc_corrected: 0,
             sdc_undetected: 0,
             last_power: vec![None; n],
-            broker_loss_until: None,
-            collector_offline_until: None,
-            degrade_factor: 1.0,
-            degrade_until: None,
-            partitioned: None,
-            partition_until: None,
-            nfs_stall_until: None,
             switch: MgmtSwitch::monte_cimone(),
             layout,
             power_cap: config
                 .power_cap
                 .map(|pc| PowerCapGovernor::new(pc, blade_count, opp_count)),
-            fan_fault_until: vec![None; blade_count],
-            brownout_until: vec![None; blade_count],
             last_blade_power: vec![0.0; blade_count],
             brownout_peak_power: vec![0.0; blade_count],
             rack_peak_power: 0.0,
@@ -714,6 +761,7 @@ impl SimEngine {
             snap_scratch: (0..n).map(|_| NodeSnapshot::default()).collect(),
             node_power: Vec::with_capacity(n),
             tick_batch: Vec::new(),
+            prev_temps: Vec::with_capacity(n),
             ticks_stepped: 0,
             ticks_skipped: 0,
         }
@@ -915,7 +963,7 @@ impl SimEngine {
                 .power_cap
                 .as_ref()
                 .is_some_and(|gov| gov.active_budget_watts(blade).is_some())
-                || self.brownout_until[blade].is_some();
+                || self.open_until(SpanFault::Brownout { blade }).is_some();
             if budgeted && watts > self.brownout_peak_power[blade] {
                 self.brownout_peak_power[blade] = watts;
             }
@@ -947,11 +995,7 @@ impl SimEngine {
     /// heartbeating and the control plane unfences it once suspicion
     /// clears.
     pub fn resume_node(&mut self, node_index: usize) {
-        if self.recovery.is_some() {
-            self.physical_up(node_index);
-        } else {
-            self.node_recovered(node_index);
-        }
+        self.bring_up(node_index);
     }
 
     /// Whether the recovery subsystem is active.
@@ -1020,8 +1064,8 @@ impl SimEngine {
         self.ticks_stepped
     }
 
-    /// Ticks the event-driven clock fast-forwarded (thermal-only
-    /// microsteps plus equilibrium jumps). Zero under
+    /// Ticks the event-driven clock fast-forwarded (masked ticks plus
+    /// equilibrium jumps). Zero under
     /// [`ClockMode::FixedDt`].
     pub fn ticks_skipped(&self) -> u64 {
         self.ticks_skipped
@@ -1077,17 +1121,83 @@ impl SimEngine {
 
     /// Advances one step.
     pub fn step(&mut self) {
-        let dt = self.config.dt;
+        self.tick(Phases::ALL);
+        self.ticks_stepped += 1;
+    }
 
-        // 0. Fire any faults the clock has reached, expire span effects.
-        self.apply_due_faults();
+    /// Runs one tick of the pipeline, in its fixed phase order, with the
+    /// masked-out `phases` skipped, then advances the clock one `dt`.
+    /// [`SimEngine::step`] runs every phase; a fast-forward masks the
+    /// phases its entry predicate proved inert.
+    fn tick(&mut self, phases: Phases) -> Tick {
+        // 0. Fire any faults the clock has reached, close expired windows.
+        if phases.decide {
+            self.apply_due_faults();
+        }
 
         // 0b. Recovery: heartbeats out through the broker, then the
         //     control plane turns their absence into fencing decisions.
+        let mut beat = false;
         if self.recovery.is_some() {
-            self.publish_heartbeats();
-            self.control_plane_tick();
+            beat = self.publish_heartbeats();
+            if phases.decide {
+                self.control_plane_tick();
+            } else if beat {
+                let rec = self.recovery.as_mut().expect("recovery mode");
+                rec.control.pump_arrivals();
+            }
         }
+
+        // 1–3b. Scheduler, jobs, checkpoints and the power cap.
+        if phases.decide {
+            self.decide_jobs();
+        }
+
+        // 4. Power and energy. The thermal and energy integrators consume
+        //    the noise-free *mean* power; the noisy sample is drawn only
+        //    for a reading that is actually published. Neither reads
+        //    what the other writes.
+        let dt = self.config.dt;
+        let observe = self.observing();
+        let mut batch = std::mem::take(&mut self.tick_batch);
+        self.sample_power_into(observe, &mut batch);
+        let mut changed = false;
+        if phases.plant {
+            let mut node_power = std::mem::take(&mut self.node_power);
+            self.mean_power_into(&mut node_power);
+            for job in self.running.values_mut() {
+                let p: Power = job.node_indices.iter().map(|&i| node_power[i]).sum();
+                job.energy += p.energy_over(dt);
+            }
+            // 5. Thermal step, trip handling and the thermal governor.
+            changed = self.thermal_phase(&node_power);
+            self.node_power = node_power;
+        }
+
+        // 6. Node execution and plugin sampling (node.advance reads only
+        //    the conditions and DVFS state fixed in earlier phases, so
+        //    running it after power/thermal is equivalent). The tick's
+        //    messages then go out as one serial batch: power samples
+        //    first, then plugins in node order — the order per-message
+        //    publishing would produce.
+        if phases.advance {
+            self.advance_and_sample_into(observe, &mut batch);
+        }
+        self.broker.publish_batch_serial(&mut batch);
+        self.tick_batch = batch;
+        if phases.ingest {
+            self.ingest();
+        }
+
+        self.now += dt;
+        Tick { beat, changed }
+    }
+
+    /// Phases 1–3b: start what the scheduler releases, advance and finish
+    /// jobs, run their checkpoints, refresh node conditions and evaluate
+    /// the blade power cap.
+    fn decide_jobs(&mut self) {
+        let dt = self.config.dt;
 
         // 1. Start whatever the scheduler releases.
         for id in self.scheduler.schedule(self.now) {
@@ -1097,11 +1207,14 @@ impl SimEngine {
         // 2. Advance job progress (gated by the slowest allocated node's
         //    DVFS state — HPL is bulk-synchronous — and by any active
         //    filesystem / interconnect fault) and complete finished jobs.
-        let nfs_stalled = self.nfs_stall_until.is_some_and(|t| self.now < t);
-        let degrade = match self.degrade_until {
-            Some(t) if self.now < t => self.degrade_factor,
-            _ => 1.0,
-        };
+        let nfs_stalled = self.open_until(SpanFault::NfsStall).is_some();
+        let degrade = self
+            .open_windows()
+            .find_map(|w| match w.fault {
+                SpanFault::LinkDegrade { factor } => Some(factor),
+                _ => None,
+            })
+            .unwrap_or(1.0);
         let partitioned = self.active_partition();
         for job in self.running.values_mut() {
             let mut speed = job
@@ -1248,42 +1361,6 @@ impl SimEngine {
         //     governor predicted, and the ≤-budget invariant holds at
         //     every tick rather than only in steady state.
         self.evaluate_power_cap();
-
-        // 4. Power and energy. The thermal and energy integrators consume
-        //    the noise-free *mean* power; the noisy sample is drawn only
-        //    for a reading that is actually published.
-        let observe = self.observing();
-        let mut node_power = std::mem::take(&mut self.node_power);
-        let mut batch = std::mem::take(&mut self.tick_batch);
-        self.mean_power_into(&mut node_power);
-        self.sample_power_into(observe, &mut batch);
-        for job in self.running.values_mut() {
-            let p: Power = job.node_indices.iter().map(|&i| node_power[i]).sum();
-            job.energy += p.energy_over(dt);
-        }
-
-        // 5. Thermal step, trip handling and the thermal governor.
-        self.thermal_phase(&node_power);
-        self.node_power = node_power;
-
-        // 6. Node execution and plugin sampling (node.advance reads only
-        //    the conditions and DVFS state fixed in earlier phases, so
-        //    running it after power/thermal is equivalent). The tick's
-        //    messages then go out as one serial batch: power samples
-        //    first, then plugins in node order — the order per-message
-        //    publishing would produce.
-        self.advance_and_sample_into(observe, &mut batch);
-        self.broker.publish_batch_serial(&mut batch);
-        self.tick_batch = batch;
-        if self.config.monitoring {
-            if let Some(collector) = &mut self.collector {
-                collector.pump(&mut self.store);
-            }
-            self.drain_scrub_quarantine();
-        }
-
-        self.ticks_stepped += 1;
-        self.now += dt;
     }
 
     /// Whether telemetry leaves the nodes this tick: monitoring is on and
@@ -1320,10 +1397,15 @@ impl SimEngine {
             return;
         }
         for i in 0..self.nodes.len() {
-            if self.now < self.sensor_dropout_until[i] {
+            if self
+                .open_until(SpanFault::SensorDropout { node: i })
+                .is_some()
+            {
                 continue; // dropped out: no draw, no message
             }
-            let stuck = self.now < self.sensor_stuck_until[i];
+            let stuck = self
+                .open_until(SpanFault::SensorStuck { node: i })
+                .is_some();
             let node = &self.nodes[i];
             let measured = self
                 .power
@@ -1339,7 +1421,10 @@ impl SimEngine {
                 (true, Some(frozen)) => frozen,
                 _ => measured,
             };
-            let watts = if self.now < self.payload_corrupt_until[i] {
+            let watts = if self
+                .open_until(SpanFault::PayloadCorruption { node: i })
+                .is_some()
+            {
                 f64::from_bits(watts.to_bits() ^ (1u64 << 63))
             } else {
                 watts
@@ -1383,7 +1468,11 @@ impl SimEngine {
         let now = self.now;
         for i in 0..self.nodes.len() {
             self.nodes[i].advance(dt);
-            if !observe || now < self.sensor_dropout_until[i] {
+            if !observe
+                || self
+                    .open_until(SpanFault::SensorDropout { node: i })
+                    .is_some()
+            {
                 continue; // silent, switch dark, or monitoring off
             }
             if now < self.pmu[i].next_due() && now < self.stats[i].next_due() {
@@ -1396,15 +1485,17 @@ impl SimEngine {
         }
     }
 
-    /// Turns every sample the ingestion scrub quarantined since the last
+    /// Phase 6 ingest: pumps the collector's queue into the store, then
+    /// turns every sample the ingestion scrub quarantined since the last
     /// drain into an [`EngineEvent::SdcSuspected`], in arrival order. The
-    /// event carries the sample's own timestamp, so the one span-end pump
-    /// of the monitored fast-forward yields the same events as per-tick
-    /// pumping.
-    fn drain_scrub_quarantine(&mut self) {
+    /// event carries the sample's own timestamp, so the one span-end
+    /// ingest of a fast-forward yields the same events as per-tick
+    /// ingest.
+    fn ingest(&mut self) {
         let Some(collector) = self.collector.as_mut() else {
             return;
         };
+        collector.pump(&mut self.store);
         for (topic, payload) in collector.take_quarantined() {
             let node = topic
                 .segments()
@@ -1597,72 +1688,19 @@ impl SimEngine {
         SimTime::from_micros(now + (target - now).div_ceil(dt) * dt)
     }
 
-    /// Whether executing `step()` at the current tick would mutate
-    /// nothing but the thermal integrator (and its trip latch). `false`
-    /// is conservative: the tick is stepped in full.
-    ///
-    /// Monitoring must be off — the monitored counterpart is
-    /// [`SimEngine::tick_is_observation_only`], whose replay loop handles
-    /// due heartbeats and samples inline instead of treating them as
-    /// actions.
-    fn tick_is_quiescent(&self) -> bool {
-        if self.config.monitoring {
-            return false;
-        }
-        if !self.tick_is_observation_only() {
-            return false;
-        }
-        // With telemetry off nothing replays heartbeats, so one due now
-        // is an action the full step must publish.
-        if let Some(rec) = &self.recovery {
-            let partition = self.active_partition();
-            for i in 0..self.nodes.len() {
-                let cut = partition.is_some_and(|(a, b)| a == i || b == i);
-                if rec.node_alive[i] && !cut && self.now >= rec.next_heartbeat[i] {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Whether the *only* activity `step()` would perform at the current
-    /// tick is periodic observation — sensor draws, plugin samples,
-    /// heartbeat publication/ingestion — plus pure thermal relaxation.
-    /// Everything the full quiescence predicate demands holds, except
-    /// that monitoring may be on and due samples/heartbeats do not block
-    /// (the monitored fast-forward replays them exactly). A phi crossing
-    /// *at this tick* still blocks: it fences, which only a full step
-    /// applies. `false` is conservative.
+    /// Whether the only work [`SimEngine::step`] has at the current tick
+    /// is observation — heartbeats, sensor draws, plugin samples and
+    /// their ingest — plus plant physics: nothing running, the scheduler
+    /// provably starting nothing, nothing due at or before now, and the
+    /// control plane, power-cap governor and DVFS governor all idle.
+    /// `false` is conservative: the tick is stepped in full.
     fn tick_is_observation_only(&self) -> bool {
-        if !self.running.is_empty() {
-            return false;
-        }
         // `would_start_any == false` is a proof schedule() is a no-op.
-        if self.scheduler.would_start_any(self.now) {
-            return false;
-        }
-        if self.faults.next_due().is_some_and(|t| t <= self.now) {
-            return false;
-        }
-        // Span side-effects that expire *at* this tick mutate state
-        // (broker loss reset, collector reattach).
-        if self.broker_loss_until.is_some_and(|t| self.now >= t) {
-            return false;
-        }
-        if self.collector_offline_until.is_some_and(|t| self.now >= t) {
-            return false;
-        }
-        // A switch restoration or export recovery due now mutates state
-        // (restore acknowledgement, spill flush).
-        if self.switch.restore_due(self.now) {
-            return false;
-        }
-        if self.recovery.as_ref().is_some_and(|rec| {
-            rec.store
-                .export_offline_until()
-                .is_some_and(|t| self.now >= t)
-        }) {
+        if !self.running.is_empty()
+            || self.scheduler.would_start_any(self.now)
+            || self.next_due(self.now).is_some()
+            || self.control_plane_busy()
+        {
             return false;
         }
         // A non-quiescent power-cap governor (active budget, pending ramp,
@@ -1674,340 +1712,143 @@ impl SimEngine {
         {
             return false;
         }
-        // Fan-failure or crash-only-brownout spans expiring at this tick
-        // mutate state (airflow restoration, board power-on).
-        if self
-            .fan_fault_until
-            .iter()
-            .chain(&self.brownout_until)
-            .any(|u| u.is_some_and(|t| self.now >= t))
-        {
-            return false;
-        }
         // Under a governor the skip is only provable when every node is
         // at nominal (StepUp is a no-op there) and none is hot enough to
         // be stepped down.
-        if let Some(governor) = self.config.governor {
-            for i in 0..self.nodes.len() {
-                if !self.nodes[i].cpufreq().is_nominal() {
-                    return false;
-                }
-                if matches!(
-                    governor.decide(self.thermal.temperature(i)),
-                    GovernorAction::StepDown
-                ) {
-                    return false;
-                }
-            }
-        }
-        if self.control_plane_busy() {
-            return false;
-        }
-        if let Some(rec) = &self.recovery {
-            let dt = self.config.dt;
-            for i in 0..self.nodes.len() {
-                // A phi threshold crossing now fences a node.
-                if rec
-                    .control
-                    .next_suspicion_due(i, self.now, self.now, dt)
-                    .is_some()
-                {
-                    return false;
-                }
-            }
-        }
-        true
+        self.config.governor.is_none_or(|governor| {
+            (0..self.nodes.len()).all(|i| {
+                self.nodes[i].cpufreq().is_nominal()
+                    && governor.decide(self.thermal.temperature(i)) != GovernorAction::StepDown
+            })
+        })
     }
 
-    /// Earliest instant strictly after `now` (and no later than
-    /// `horizon`) at which any subsystem needs a full step: the next
-    /// fault, span expiry, heartbeat, phi threshold crossing, scheduler
-    /// release or estimated completion, checkpoint transition, or plugin
-    /// sample. `None` means nothing is due inside the horizon.
-    pub fn next_due(&self, horizon: SimTime) -> Option<SimTime> {
-        self.next_due_inner(horizon, true)
-    }
-
-    /// [`SimEngine::next_due`] with observation events — plugin samples,
-    /// heartbeats and phi crossings — optionally excluded. The monitored
-    /// fast-forward replays those inline, so its wake-up must come only
-    /// from events that genuinely need the full pipeline.
-    fn next_due_inner(&self, horizon: SimTime, include_observation: bool) -> Option<SimTime> {
-        let now = self.now;
-        let add = |due: &mut Option<SimTime>, t: SimTime| {
-            if t > now && t <= horizon && due.is_none_or(|d| t < d) {
-                *due = Some(t);
-            }
-        };
-        let mut due: Option<SimTime> = None;
-        if let Some(t) = self.faults.next_due() {
-            add(&mut due, t);
-        }
-        for t in [
-            self.broker_loss_until,
-            self.collector_offline_until,
-            self.partition_until,
+    /// Earliest instant no later than `cap` at which a decision phase has
+    /// work: the next planned fault, span-fault window end, switch
+    /// restore, export recovery or scheduler release. Anything due at or
+    /// before now keeps [`SimEngine::tick_is_observation_only`] false;
+    /// anything later wakes a fast-forward. Heartbeats, phi crossings
+    /// and plugin samples are observation, replayed rather than woken
+    /// for.
+    fn next_due(&self, cap: SimTime) -> Option<SimTime> {
+        let export = self
+            .recovery
+            .as_ref()
+            .and_then(|rec| rec.store.export_offline_until());
+        [
+            self.faults.next_due(),
             self.switch.next_due(),
-            self.recovery
-                .as_ref()
-                .and_then(|rec| rec.store.export_offline_until()),
+            export,
+            self.scheduler.next_due(self.now),
         ]
         .into_iter()
         .flatten()
-        {
-            add(&mut due, t);
-        }
-        for t in self
-            .fan_fault_until
-            .iter()
-            .chain(&self.brownout_until)
-            .copied()
-            .flatten()
-        {
-            add(&mut due, t);
-        }
-        if let Some(t) = self.power_cap.as_ref().and_then(|gov| gov.next_due()) {
-            add(&mut due, t);
-        }
-        if let Some(t) = self.scheduler.next_due(self.now) {
-            add(&mut due, t);
-        }
-        for run in self.running.values() {
-            if let Some(t) = run.ckpt.next_due() {
-                add(&mut due, t);
-            }
-            if let Ok(job) = self.scheduler.job(run.id) {
-                add(&mut due, run.started + job.spec().time_limit);
-            }
-        }
-        if include_observation && self.config.monitoring {
-            for runner in &self.pmu {
-                add(&mut due, runner.next_due());
-            }
-            for runner in &self.stats {
-                add(&mut due, runner.next_due());
-            }
-        }
-        if let Some(rec) = self.recovery.as_ref().filter(|_| include_observation) {
-            let partition = self.active_partition();
-            for i in 0..self.nodes.len() {
-                let cut = partition.is_some_and(|(a, b)| a == i || b == i);
-                if rec.node_alive[i] && !cut {
-                    add(&mut due, rec.next_heartbeat[i]);
-                }
-            }
-            // Phi crossings are searched on the clock grid up to the
-            // earliest due found so far (a crossing past it cannot win),
-            // which keeps the binary search's span tight.
-            let dt = self.config.dt;
-            let span_end = due.unwrap_or(horizon);
-            for i in 0..self.nodes.len() {
-                if let Some(t) = rec
-                    .control
-                    .next_suspicion_due(i, self.now + dt, span_end, dt)
-                {
-                    add(&mut due, t);
-                }
-            }
-        }
-        due
+        .chain(self.windows.iter().map(|w| w.until))
+        .filter(|&t| t <= cap)
+        .min()
     }
 
-    /// Fast-forwards from the current tick towards `cap` (a grid tick),
-    /// dispatching on the monitoring mode: with telemetry off, skipped
-    /// ticks advance only the thermal integrator; with telemetry on, the
-    /// sampled-span replay (DESIGN.md §16) performs exactly the
-    /// observation slice of each tick. Returns whether the clock advanced
-    /// at all (`false` ⇒ the caller must run a full step).
-    fn fast_forward_to(&mut self, cap: SimTime) -> bool {
-        if self.config.monitoring {
-            self.monitored_fast_forward(cap)
-        } else {
-            self.unmonitored_fast_forward(cap)
-        }
-    }
-
-    /// The telemetry-off fast-forward: each skipped tick advances only
-    /// the thermal integrator with the exact arithmetic of a full step,
-    /// and once the integrator reaches its f64 fixed point the remaining
-    /// span is jumped in O(1). Stops early at the next due event, a
-    /// thermal trip, a governor or watchdog threshold crossing.
-    fn unmonitored_fast_forward(&mut self, cap: SimTime) -> bool {
-        if cap <= self.now || !self.tick_is_quiescent() {
-            return false;
-        }
-        let dt = self.config.dt;
-        let wake = match self.next_due(cap) {
-            Some(due) => cap.min(self.grid_align_up(due)),
-            None => cap,
-        };
-        let start = self.now;
-        while self.now < wake {
-            match self.thermal_microstep() {
-                Microstep::Advanced => {}
-                Microstep::Equilibrium => {
-                    // Thermally settled: every remaining tick is bitwise
-                    // the same no-op, so jump the clock.
-                    self.ticks_skipped +=
-                        (wake.as_micros() - self.now.as_micros()) / dt.as_micros().max(1);
-                    self.now = wake;
-                    break;
-                }
-                Microstep::Resume => break,
-            }
-        }
-        self.now > start
-    }
-
-    /// The sampled-span replay (DESIGN.md §16): fast-forwards a
-    /// *monitored* observation-only span towards `cap`. Every replayed
-    /// tick runs exactly the observable slice of a full step, through the
-    /// full step's own phase helpers and in its order — heartbeat
-    /// publication and same-tick ingestion, [`SimEngine::mean_power_into`]
-    /// and [`SimEngine::sample_power_into`] (sensor draws serially in node
-    /// order, so the RNG stream is identical), [`SimEngine::thermal_phase`],
-    /// [`SimEngine::advance_and_sample_into`] and one serial batch publish
-    /// per tick, with collector pumping deferred to the span end — while
-    /// the phases proven inert for the whole span (scheduler probe, job
-    /// walk, condition refresh, power-cap evaluation) are skipped. Once
-    /// the thermal integrator reaches its f64 fixed point the mean-power
-    /// and thermal phases are frozen and skipped under the same
-    /// equilibrium argument as the §13 jump.
+    /// Fast-forwards from the current tick towards `cap`, a grid tick
+    /// (DESIGN.md §13, §16). Entered when
+    /// [`SimEngine::tick_is_observation_only`] holds, it wakes at
+    /// [`SimEngine::next_due`]. Every fast-forwarded tick is a
+    /// [`SimEngine::tick`] with the decision and ingest phases masked —
+    /// and node advance too when monitoring is off, since nothing then
+    /// reads the counters — so heartbeats, sensor draws, plugin samples
+    /// and the plant replay exactly. Once the temperatures reach their
+    /// f64 fixed point the plant is masked as well; if nothing is
+    /// observed either, the clock jumps straight to the next heartbeat,
+    /// phi crossing or wake.
     ///
     /// Phi-accrual suspicion is scheduled, not polled: between heartbeat
-    /// ingestions a detector's state is frozen and phi is monotone in
+    /// arrivals a detector's state is frozen and phi is monotone in
     /// silence, so the binary-searched first crossing is exact until the
-    /// node's next arrival (after which it is recomputed on the
-    /// post-arrival state). A tick with a crossing due must fence, which
-    /// only the full pipeline applies, so the replay stops just before
-    /// it; likewise a thermal trip, governor move or watchdog arming
-    /// finishes its tick exactly and then resumes full stepping.
-    ///
-    /// Replayed ticks count as *skipped* — they bypass the full pipeline
-    /// — which makes the dense monitored scenario's tick ratio the same
-    /// deterministic speedup metric the sparse path reports.
-    fn monitored_fast_forward(&mut self, cap: SimTime) -> bool {
+    /// next arrival, after which it is searched again from the following
+    /// tick. A crossing fences, which only a full step applies, so the
+    /// span stops just before it; a trip, governor move or watchdog
+    /// arming finishes its tick, then stops the span. The collector is
+    /// pumped once, at the span end: nothing reads the store mid-span
+    /// and the queue keeps each series' order. Fast-forwarded ticks count
+    /// as skipped. Returns whether the clock advanced (`false` ⇒ the
+    /// caller steps).
+    fn fast_forward_to(&mut self, cap: SimTime) -> bool {
         if cap <= self.now || !self.tick_is_observation_only() {
             return false;
         }
         let dt = self.config.dt;
         let n = self.nodes.len();
-        // Wake at the earliest non-observation event; samples, heartbeats
-        // and phi crossings inside the span are replayed, not woken for.
-        let wake = match self.next_due_inner(cap, false) {
-            Some(due) => cap.min(self.grid_align_up(due)),
-            None => cap,
-        };
+        let wake = self
+            .next_due(cap)
+            .map_or(cap, |due| cap.min(self.grid_align_up(due)));
         let start = self.now;
-        let mut crossings: Vec<Option<SimTime>> = vec![None; n];
-        if let Some(rec) = &self.recovery {
-            for (i, slot) in crossings.iter_mut().enumerate() {
-                *slot = rec.control.next_suspicion_due(i, self.now + dt, wake, dt);
-            }
-        }
-        let mut equilibrium = false;
-        let mut node_power = std::mem::take(&mut self.node_power);
-        let mut prev_temps: Vec<Celsius> = Vec::with_capacity(n);
-        while self.now < wake {
-            if crossings.iter().flatten().any(|&t| t <= self.now) {
-                break; // a suspicion crossing fences: full step handles it
-            }
-            // Phase 0b: heartbeats on their exact cadence, ingested the
-            // same tick — `publish_heartbeats` IS the fixed-dt publisher.
-            if self.recovery.is_some() {
-                let due_any = {
-                    let partition = self.active_partition();
-                    let rec = self.recovery.as_ref().expect("recovery mode");
-                    (0..n).any(|i| {
-                        rec.node_alive[i]
-                            && !partition.is_some_and(|(a, b)| a == i || b == i)
-                            && self.now >= rec.next_heartbeat[i]
-                    })
-                };
-                self.publish_heartbeats();
-                if due_any {
-                    let rec = self.recovery.as_mut().expect("recovery mode");
-                    rec.control.pump_arrivals();
-                    // Detector state moved: refresh every crossing.
-                    for (i, slot) in crossings.iter_mut().enumerate() {
-                        *slot = rec.control.next_suspicion_due(i, self.now + dt, wake, dt);
-                    }
+        let mut phases = Phases {
+            decide: false,
+            plant: true,
+            advance: self.config.monitoring,
+            ingest: false,
+        };
+        self.set_expected_scales();
+        let mut crossing = self.next_crossing(wake);
+        let mut prev_temps = std::mem::take(&mut self.prev_temps);
+        while self.now < wake && crossing.is_none_or(|t| t > self.now) {
+            if !phases.plant && !phases.advance {
+                // Settled and unobserved: every tick before the next
+                // heartbeat is bitwise the same no-op.
+                let to = [self.next_heartbeat(), crossing]
+                    .into_iter()
+                    .flatten()
+                    .fold(wake, SimTime::min);
+                if to > self.now {
+                    self.ticks_skipped +=
+                        (to.as_micros() - self.now.as_micros()) / dt.as_micros().max(1);
+                    self.now = to;
+                    continue;
                 }
             }
-            // Phase 4: the full step's power helpers. The noise-free mean
-            // feeding the thermal model is frozen once the integrator
-            // settles; the sensor draws never are.
-            let observe = self.observing();
-            if !equilibrium {
-                self.mean_power_into(&mut node_power);
+            if phases.plant {
                 prev_temps.clear();
                 prev_temps.extend((0..n).map(|i| self.thermal.temperature(i)));
             }
-            let mut batch = std::mem::take(&mut self.tick_batch);
-            self.sample_power_into(observe, &mut batch);
-            // Phases 5/5b: a trip, governor move or watchdog arming
-            // finishes this tick exactly as the full step would, then
-            // resumes full stepping.
-            let mut resume = false;
-            if !equilibrium {
-                resume = self.thermal_phase(&node_power) || self.control_plane_busy();
-                if !resume {
-                    equilibrium = (0..n).all(|i| self.thermal.temperature(i) == prev_temps[i]);
-                }
-            }
-            // Phase 6: counters advance every tick; plugins sample at
-            // their due ticks. The tick's messages go out as ONE serial
-            // batch, exactly as the full step publishes them.
-            self.advance_and_sample_into(observe, &mut batch);
-            self.broker.publish_batch_serial(&mut batch);
-            self.tick_batch = batch;
+            let tick = self.tick(phases);
             self.ticks_skipped += 1;
-            self.now += dt;
-            if resume {
-                break;
+            if phases.plant {
+                if tick.changed || self.control_plane_busy() {
+                    break;
+                }
+                phases.plant = (0..n).any(|i| self.thermal.temperature(i) != prev_temps[i]);
+            }
+            if tick.beat {
+                crossing = self.next_crossing(wake);
             }
         }
-        self.node_power = node_power;
-        // One collector pump for the whole span. Nothing reads the store
-        // mid-span (the engine only writes it through this pump; external
-        // readers see state between `run_for` calls), per-series message
-        // order is preserved by the queue, and the engine's collector is
-        // unbounded — so deferring ingestion to the span boundary yields
-        // a byte-identical store at a fraction of the lock traffic.
+        self.prev_temps = prev_temps;
         if self.now > start {
-            if let Some(collector) = &mut self.collector {
-                collector.pump(&mut self.store);
-            }
-            self.drain_scrub_quarantine();
+            self.ingest();
         }
         self.now > start
     }
 
-    /// Executes the only physically active slice of a quiescent tick —
-    /// mean power, thermal integration, trip latch, governor — with the
-    /// exact arithmetic and ordering of the full step, then advances the
-    /// clock one `dt`.
-    fn thermal_microstep(&mut self) -> Microstep {
-        let n = self.nodes.len();
-        let prev_temps: Vec<Celsius> = (0..n).map(|i| self.thermal.temperature(i)).collect();
-        let mut node_power = std::mem::take(&mut self.node_power);
-        self.mean_power_into(&mut node_power);
-        let changed = self.thermal_phase(&node_power);
-        self.node_power = node_power;
-        self.ticks_skipped += 1;
-        self.now += self.config.dt;
-        // State beyond the integrator changed, or the *next* tick's
-        // control plane would act on the temperatures just set: resume
-        // full stepping.
-        if changed || self.control_plane_busy() {
-            return Microstep::Resume;
-        }
-        let settled = (0..n).all(|i| self.thermal.temperature(i) == prev_temps[i]);
-        if settled {
-            Microstep::Equilibrium
-        } else {
-            Microstep::Advanced
-        }
+    /// The first grid tick from now to `to` at which some node's phi would
+    /// cross the suspicion threshold if no heartbeat arrived first.
+    fn next_crossing(&self, to: SimTime) -> Option<SimTime> {
+        let rec = self.recovery.as_ref()?;
+        (0..self.nodes.len())
+            .filter_map(|i| {
+                rec.control
+                    .next_suspicion_due(i, self.now, to, self.config.dt)
+            })
+            .min()
+    }
+
+    /// The first grid tick at which an alive node the partition leaves
+    /// connected is due to heartbeat.
+    fn next_heartbeat(&self) -> Option<SimTime> {
+        let rec = self.recovery.as_ref()?;
+        let partition = self.active_partition();
+        (0..self.nodes.len())
+            .filter(|&i| rec.node_alive[i] && !partition.is_some_and(|(a, b)| a == i || b == i))
+            .map(|i| self.grid_align_up(rec.next_heartbeat[i]))
+            .min()
     }
 
     /// Whether the recovery control plane has work at the current
@@ -2016,19 +1857,48 @@ impl SimEngine {
     /// fast-forwarded.
     fn control_plane_busy(&self) -> bool {
         self.recovery.as_ref().is_some_and(|rec| {
-            let temps: Vec<Celsius> = (0..self.nodes.len())
-                .map(|i| self.thermal.temperature(i))
-                .collect();
-            !rec.control.is_quiescent(&temps)
+            !rec.control
+                .is_quiescent((0..self.nodes.len()).map(|i| self.thermal.temperature(i)))
         })
+    }
+
+    /// Open span-fault windows: their effect holds while `now < until`.
+    fn open_windows(&self) -> impl Iterator<Item = &Window> {
+        self.windows.iter().filter(|w| self.now < w.until)
+    }
+
+    /// When the open window in `fault`'s slot ends, if one is open.
+    fn open_until(&self, fault: SpanFault) -> Option<SimTime> {
+        self.open_windows()
+            .find(|w| w.fault.slot() == fault.slot())
+            .map(|w| w.until)
+    }
+
+    /// Opens a span-fault window until `until`. A window already open in
+    /// the same slot is replaced, even by a shorter one — except that a
+    /// fan failure keeps the later end.
+    fn open_window(&mut self, fault: SpanFault, until: SimTime) {
+        let window = Window { fault, until };
+        match self
+            .windows
+            .binary_search_by_key(&fault.slot(), |w| w.fault.slot())
+        {
+            Ok(i) => {
+                let open = &mut self.windows[i];
+                if !matches!(fault, SpanFault::FanFailure { .. }) || open.until < until {
+                    *open = window;
+                }
+            }
+            Err(i) => self.windows.insert(i, window),
+        }
     }
 
     /// The partition cutting the management network right now, if any.
     fn active_partition(&self) -> Option<(usize, usize)> {
-        match self.partition_until {
-            Some(t) if self.now < t => self.partitioned,
+        self.open_windows().find_map(|w| match w.fault {
+            SpanFault::Partition { a, b } => Some((a, b)),
             _ => None,
-        }
+        })
     }
 
     fn start_job(&mut self, id: JobId) {
@@ -2197,32 +2067,16 @@ impl SimEngine {
             at: self.now,
             temperature,
         });
-        if self.recovery.is_some() {
-            // The hardware shut itself off; heartbeats stop and the
-            // failure detector does the rest.
-            self.physical_down(node_index);
-        } else {
-            self.node_failed(node_index);
-        }
+        // With recovery the hardware shut itself off; heartbeats stop and
+        // the failure detector does the rest.
+        self.take_down(node_index);
     }
 
-    /// Fires every planned fault the clock has reached and winds down
-    /// span effects whose window has closed.
+    /// Fires every planned fault the clock has reached, then closes the
+    /// span-fault windows that have expired.
     fn apply_due_faults(&mut self) {
         while let Some(event) = self.faults.pop_due(self.now) {
             self.apply_fault(event.kind);
-        }
-        if self.broker_loss_until.is_some_and(|t| self.now >= t) {
-            self.broker.set_loss(0.0, 0);
-            self.broker_loss_until = None;
-        }
-        if self.collector_offline_until.is_some_and(|t| self.now >= t) {
-            // Reconnect ingestion; everything published meanwhile is gone.
-            self.collector = Some(
-                Collector::attach(&self.broker, "#".parse().expect("valid filter"))
-                    .with_scrub(ScrubPolicy::monte_cimone()),
-            );
-            self.collector_offline_until = None;
         }
         if self.switch.restore_due(self.now) {
             self.switch.restore();
@@ -2256,24 +2110,26 @@ impl SimEngine {
                 });
             }
         }
-        for blade in 0..self.layout.blades().len() {
-            if self.fan_fault_until[blade].is_some_and(|t| self.now >= t) {
+        // The table is sorted by slot, so windows close kind by kind and,
+        // within a kind, in node or blade order.
+        while let Some(i) = self.windows.iter().position(|w| w.until <= self.now) {
+            match self.windows.remove(i).fault {
+                SpanFault::BrokerLoss => self.broker.set_loss(0.0, 0),
+                // Reconnect ingestion; everything published meanwhile is
+                // gone.
+                SpanFault::CollectorOffline if self.config.monitoring => {
+                    self.collector = Some(attach_collector(&self.broker));
+                }
                 // The fan is repaired: the blade and its shadow regain
                 // their airflow (unless another failure still covers them).
-                self.fan_fault_until[blade] = None;
-                self.refresh_airflow_degradation();
-            }
-            if self.brownout_until[blade].is_some_and(|t| self.now >= t) {
-                // Crash-only brownout over: both boards return.
-                self.brownout_until[blade] = None;
-                let nodes = self.layout.blades()[blade].node_indices;
-                for node in nodes {
-                    if self.recovery.is_some() {
-                        self.physical_up(node);
-                    } else {
-                        self.node_recovered(node);
+                SpanFault::FanFailure { .. } => self.refresh_airflow_degradation(),
+                SpanFault::Brownout { blade } => {
+                    // Crash-only brownout over: both boards return.
+                    for node in self.layout.blades()[blade].node_indices {
+                        self.bring_up(node);
                     }
                 }
+                _ => {}
             }
         }
     }
@@ -2287,65 +2143,41 @@ impl SimEngine {
             at: self.now,
             kind: kind.clone(),
         });
+        let now = self.now;
         match kind {
-            FaultKind::NodeCrash { node } => {
-                if self.recovery.is_some() {
-                    self.physical_down(node);
-                } else {
-                    return self.node_failed(node);
-                }
-            }
-            FaultKind::NodeRecover { node } => {
-                if self.recovery.is_some() {
-                    self.physical_up(node);
-                } else {
-                    self.node_recovered(node);
-                }
-            }
+            FaultKind::NodeCrash { node } => return self.take_down(node),
+            FaultKind::NodeRecover { node } => self.bring_up(node),
             FaultKind::SensorDropout { node, span } => {
-                self.sensor_dropout_until[node] = self.now + span;
+                self.open_window(SpanFault::SensorDropout { node }, now + span);
             }
             FaultKind::SensorStuck { node, span } => {
-                self.sensor_stuck_until[node] = self.now + span;
+                self.open_window(SpanFault::SensorStuck { node }, now + span);
             }
             FaultKind::BrokerMessageLoss { rate, span } => {
                 // Seeded off the engine seed so runs stay reproducible.
                 self.broker.set_loss(rate, self.config.seed ^ 0x6c6f_7373);
-                self.broker_loss_until = Some(self.now + span);
+                self.open_window(SpanFault::BrokerLoss, now + span);
             }
             FaultKind::SubscriberDisconnect { span } => {
                 // Dropping the collector closes its subscription; the
                 // broker prunes it and accounts the missed messages.
                 self.collector = None;
-                self.collector_offline_until = Some(self.now + span);
+                self.open_window(SpanFault::CollectorOffline, now + span);
             }
             FaultKind::LinkDegrade { factor, span } => {
-                self.degrade_factor = factor.max(1.0);
-                self.degrade_until = Some(self.now + span);
+                let factor = factor.max(1.0);
+                self.open_window(SpanFault::LinkDegrade { factor }, now + span);
             }
             FaultKind::Partition { a, b, span } => {
-                self.partitioned = Some((a.min(b), a.max(b)));
-                self.partition_until = Some(self.now + span);
+                let (a, b) = (a.min(b), a.max(b));
+                self.open_window(SpanFault::Partition { a, b }, now + span);
             }
             FaultKind::NfsStall { span } => {
-                self.nfs_stall_until = Some(self.now + span);
+                self.open_window(SpanFault::NfsStall, now + span);
             }
             FaultKind::SpuriousThermalTrip { node } => self.handle_trip(node),
-            FaultKind::PsuFailure { blade } => {
-                // One supply feeds both boards: a correlated dual crash.
-                let nodes = self.layout.blades()[blade].node_indices;
-                if self.recovery.is_some() {
-                    for node in nodes {
-                        self.physical_down(node);
-                    }
-                } else {
-                    let mut victims = Vec::new();
-                    for node in nodes {
-                        victims.extend(self.node_failed(node));
-                    }
-                    return victims;
-                }
-            }
+            // One supply feeds both boards: a correlated dual crash.
+            FaultKind::PsuFailure { blade } => return self.take_down_blade(blade),
             FaultKind::RailBrownout {
                 blade,
                 budget_frac,
@@ -2358,19 +2190,8 @@ impl SimEngine {
                 } else {
                     // Crash-only machine: the rail cannot carry the boards
                     // at any operating point it is willing to risk.
-                    self.brownout_until[blade] = Some(self.now + span);
-                    let nodes = self.layout.blades()[blade].node_indices;
-                    if self.recovery.is_some() {
-                        for node in nodes {
-                            self.physical_down(node);
-                        }
-                    } else {
-                        let mut victims = Vec::new();
-                        for node in nodes {
-                            victims.extend(self.node_failed(node));
-                        }
-                        return victims;
-                    }
+                    self.open_window(SpanFault::Brownout { blade }, now + span);
+                    return self.take_down_blade(blade);
                 }
             }
             FaultKind::SwitchOutage { span } => {
@@ -2399,27 +2220,15 @@ impl SimEngine {
                     // Crash-only machine: the feed cannot carry any blade.
                     let mut victims = Vec::new();
                     for blade in 0..self.layout.blades().len() {
-                        self.brownout_until[blade] = Some(self.now + span);
-                        let nodes = self.layout.blades()[blade].node_indices;
-                        if self.recovery.is_some() {
-                            for node in nodes {
-                                self.physical_down(node);
-                            }
-                        } else {
-                            for node in nodes {
-                                victims.extend(self.node_failed(node));
-                            }
-                        }
+                        self.open_window(SpanFault::Brownout { blade }, now + span);
+                        victims.extend(self.take_down_blade(blade));
                     }
                     return victims;
                 }
             }
             FaultKind::FanFailure { blade, span } => {
-                let until = self.now + span;
                 // Overlapping failures keep the longer window.
-                if self.fan_fault_until[blade].is_none_or(|t| t < until) {
-                    self.fan_fault_until[blade] = Some(until);
-                }
+                self.open_window(SpanFault::FanFailure { blade }, now + span);
                 self.refresh_airflow_degradation();
             }
             FaultKind::BitFlip { node, target, .. } => {
@@ -2461,7 +2270,7 @@ impl SimEngine {
                 // chain and the CRC fails.
             }
             FaultKind::PayloadCorruption { node, span } => {
-                self.payload_corrupt_until[node] = self.now + span;
+                self.open_window(SpanFault::PayloadCorruption { node }, now + span);
             }
         }
         Vec::new()
@@ -2472,7 +2281,7 @@ impl SimEngine {
     /// un-moved hot air under the blade above it (its airflow shadow).
     fn refresh_airflow_degradation(&mut self) {
         let blade_count = self.layout.blades().len();
-        let active = |blade: usize| self.fan_fault_until[blade].is_some_and(|t| self.now < t);
+        let active = |blade: usize| self.open_until(SpanFault::FanFailure { blade }).is_some();
         let mut states = vec![AirflowDegradation::None; blade_count];
         for (blade, state) in states.iter_mut().enumerate() {
             if active(blade) {
@@ -2604,6 +2413,35 @@ impl SimEngine {
         self.accounting.record_events(self.scheduler.take_events());
     }
 
+    /// Takes a node out of service: physically only with recovery (the
+    /// failure detector finds it), through the oracle outage path
+    /// without. Returns the victim jobs, empty with recovery.
+    fn take_down(&mut self, node_index: usize) -> Vec<JobId> {
+        if self.recovery.is_some() {
+            self.physical_down(node_index);
+            Vec::new()
+        } else {
+            self.node_failed(node_index)
+        }
+    }
+
+    /// [`SimEngine::take_down`] for both boards of a blade.
+    fn take_down_blade(&mut self, blade: usize) -> Vec<JobId> {
+        let nodes = self.layout.blades()[blade].node_indices;
+        nodes.into_iter().flat_map(|i| self.take_down(i)).collect()
+    }
+
+    /// Returns a node to service: physically with recovery (the control
+    /// plane unfences it once suspicion clears), through the oracle
+    /// recovery path without.
+    fn bring_up(&mut self, node_index: usize) {
+        if self.recovery.is_some() {
+            self.physical_up(node_index);
+        } else {
+            self.node_recovered(node_index);
+        }
+    }
+
     /// A node's hardware stops: heartbeats cease and its jobs stall, but
     /// the scheduler is told nothing — detection is the control plane's
     /// job. (Recovery mode only.)
@@ -2680,22 +2518,35 @@ impl SimEngine {
         });
     }
 
+    /// Tells the failure detector each node's heartbeat cadence scale. A
+    /// DVFS-capped or throttled board runs its management daemon slower
+    /// too: its heartbeat cadence stretches by the inverse performance
+    /// scale, and the detector is told so slowness is not mistaken for
+    /// death (gated by [`RecoveryConfig::cap_aware_suspicion`]).
+    fn set_expected_scales(&mut self) {
+        let Some(rec) = self.recovery.as_mut() else {
+            return;
+        };
+        for (i, node) in self.nodes.iter().enumerate() {
+            let perf = node.cpufreq().performance_scale();
+            rec.control.set_expected_interval_scale(i, 1.0 / perf);
+        }
+    }
+
     /// Publishes heartbeats for every physically alive node whose cadence
-    /// is due. A partition cuts both endpoints off the management network,
-    /// so their heartbeats are suppressed (a source of false suspicion);
-    /// seeded broker loss drops beats inside the broker itself.
-    fn publish_heartbeats(&mut self) {
+    /// is due, after refreshing the detector's cadence scales. A partition
+    /// cuts both endpoints off the management network, so their heartbeats
+    /// are suppressed (a source of false suspicion); seeded broker loss
+    /// drops beats inside the broker itself. Returns whether any beat was
+    /// due.
+    fn publish_heartbeats(&mut self) -> bool {
+        self.set_expected_scales();
         let partitioned = self.active_partition();
         let switch_up = self.switch.is_up(self.now);
         let rec = self.recovery.as_mut().expect("recovery mode");
+        let mut due = false;
         for i in 0..self.nodes.len() {
-            // A DVFS-capped or throttled board runs its management daemon
-            // slower too: its heartbeat cadence stretches by the inverse
-            // performance scale. The failure detector is told the scale so
-            // slowness is not mistaken for death (gated by
-            // [`RecoveryConfig::cap_aware_suspicion`]).
             let perf = self.nodes[i].cpufreq().performance_scale();
-            rec.control.set_expected_interval_scale(i, 1.0 / perf);
             if !rec.node_alive[i] {
                 continue;
             }
@@ -2703,6 +2554,7 @@ impl SimEngine {
                 continue;
             }
             if self.now >= rec.next_heartbeat[i] {
+                due = true;
                 // A rack-wide switch outage drops every beat on the floor,
                 // but the cadence keeps advancing exactly as if it were
                 // published — the daemon doesn't know its frames go
@@ -2717,6 +2569,7 @@ impl SimEngine {
                     );
             }
         }
+        due
     }
 
     /// One control-plane decision tick: suspicion, fencing, unfencing and
@@ -2814,7 +2667,7 @@ impl SimEngine {
     /// is abandoned.
     fn advance_checkpoints(&mut self) {
         let now = self.now;
-        let nfs_stalled_until = self.nfs_stall_until.filter(|&t| now < t);
+        let nfs_stalled_until = self.open_until(SpanFault::NfsStall);
         let Some(rec) = self.recovery.as_mut() else {
             return;
         };
@@ -2915,6 +2768,14 @@ impl SimEngine {
             });
         }
     }
+}
+
+/// The engine's ingestion subscriber: every topic, into the store, through
+/// the range scrub. Only a monitored engine has one — nothing else would
+/// ever drain its queue.
+fn attach_collector(broker: &Broker) -> Collector {
+    Collector::attach(broker, "#".parse().expect("valid filter"))
+        .with_scrub(ScrubPolicy::monte_cimone())
 }
 
 /// The ExaMon-style topic a node's power samples ride on.

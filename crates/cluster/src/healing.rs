@@ -353,7 +353,7 @@ impl ControlPlane {
     /// Under these conditions the only state `tick` could mutate is
     /// driven by arrivals or crossings, both of which a due-time clock
     /// schedules explicitly — so skipping the call is exact.
-    pub fn is_quiescent(&self, temperatures: &[Celsius]) -> bool {
+    pub fn is_quiescent(&self, temperatures: impl IntoIterator<Item = Celsius>) -> bool {
         if self.any_fenced() {
             return false;
         }
@@ -368,8 +368,8 @@ impl ControlPlane {
                 self.hot_since.iter().all(Option::is_none)
                     && self.throttle_depth.iter().all(|&d| d == 0)
                     && temperatures
-                        .iter()
-                        .all(|&t| t < w.throttle_above && t < w.fence_above)
+                        .into_iter()
+                        .all(|t| t < w.throttle_above && t < w.fence_above)
             }
         }
     }
@@ -1135,7 +1135,7 @@ mod tests {
         ));
         assert!(cp.is_partitioned());
         assert!(!cp.is_fenced(0) && !cp.is_fenced(1), "nobody fenced");
-        assert!(!cp.is_quiescent(&cool()), "partitioned plane stays busy");
+        assert!(!cp.is_quiescent(cool()), "partitioned plane stays busy");
         // The switch comes back: both streams resume, the partition heals,
         // and — the acceptance bar — not one false suspicion ever fires.
         for host in hosts() {
@@ -1286,7 +1286,7 @@ mod tests {
             broker.publish(&topic, Payload::new(1.0, SimTime::from_secs(s)));
         }
         assert!(cp.tick(SimTime::from_secs(60), &cool()).is_empty());
-        assert!(cp.is_quiescent(&cool()));
+        assert!(cp.is_quiescent(cool()));
         // Predict the fence tick, then replay tick-by-tick and compare.
         let step = SimDuration::from_secs(1);
         let from = SimTime::from_secs(61);
@@ -1308,7 +1308,7 @@ mod tests {
         assert_eq!(due, fenced_at);
         // A fence is a standing obligation: no longer quiescent, and the
         // fenced node no longer has a suspicion due-time.
-        assert!(!cp.is_quiescent(&cool()));
+        assert!(!cp.is_quiescent(cool()));
         assert_eq!(
             cp.next_suspicion_due(0, t, SimTime::from_secs(800), step),
             None
@@ -1323,15 +1323,15 @@ mod tests {
             ..RecoveryConfig::detection_only()
         };
         let mut cp = ControlPlane::new(&broker, config, hosts());
-        assert!(cp.is_quiescent(&cool()));
+        assert!(cp.is_quiescent(cool()));
         // Hot air alone breaks quiescence before any action is taken.
         let hot = vec![Celsius::new(96.0), Celsius::new(50.0)];
-        assert!(!cp.is_quiescent(&hot));
+        assert!(!cp.is_quiescent(hot.clone()));
         // An outstanding throttle keeps the plane busy even once cool.
         cp.tick(SimTime::from_secs(10), &hot);
-        assert!(!cp.is_quiescent(&cool()));
+        assert!(!cp.is_quiescent(cool()));
         cp.tick(SimTime::from_secs(20), &cool()); // RelaxCool drains it
-        assert!(cp.is_quiescent(&cool()));
+        assert!(cp.is_quiescent(cool()));
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! full fixed-dt `step` with monitoring on and jobs running performs
 //! **zero** heap allocations — job advance, condition refresh, power,
 //! thermal, node advance, plugin sampling, the tick's one batch publish
-//! and collector ingest included.
+//! and collector ingest included. So does a warm event-driven
+//! fast-forward span of a monitored idle machine with recovery on:
+//! heartbeats, phi bookkeeping, sensor draws, plugin samples and the
+//! span-end ingest.
 //!
 //! A counting global allocator makes the claim falsifiable. This file
 //! holds exactly one `#[test]` so no sibling test thread can allocate
@@ -11,7 +14,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cimone_cluster::engine::{ClusterWorkload, EngineConfig, JobRequest, SimEngine};
+use cimone_cluster::engine::{ClockMode, ClusterWorkload, EngineConfig, JobRequest, SimEngine};
+use cimone_cluster::healing::RecoveryConfig;
+use cimone_soc::units::SimDuration;
 use cimone_soc::workload::Workload;
 
 /// Counts every allocation and reallocation served by the system
@@ -85,5 +90,37 @@ fn warm_monitored_step_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "warm monitored steps must not allocate ({allocs} allocations over {MEASURED_STEPS} steps)"
+    );
+
+    // The second probe: one warm hour of an idle, monitored machine with
+    // the failure detector on, fast-forwarded by the event clock.
+    const SPAN: SimDuration = SimDuration::from_secs(3600);
+    let config = EngineConfig {
+        dt: SimDuration::from_secs(2),
+        clock: ClockMode::EventDriven,
+        recovery: Some(RecoveryConfig::detection_only()),
+        ..EngineConfig::default()
+    };
+    let mut engine = SimEngine::new(config);
+    engine.run_for(SPAN);
+    engine.reserve_store_points((SPAN.as_micros() / config.dt.as_micros()) as usize);
+
+    let points_before = engine.store().point_count();
+    let skipped_before = engine.ticks_skipped();
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    engine.run_for(SPAN);
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+
+    assert!(
+        engine.store().point_count() > points_before,
+        "the span must actually ingest telemetry"
+    );
+    assert!(
+        engine.ticks_skipped() > skipped_before,
+        "the span must fast-forward"
+    );
+    assert_eq!(
+        allocs, 0,
+        "a warm fast-forward span must not allocate ({allocs} allocations over {SPAN})"
     );
 }

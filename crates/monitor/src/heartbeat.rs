@@ -409,11 +409,13 @@ impl HeartbeatMonitor {
     /// if the node has not been heard from yet, so the scale applies from
     /// its first arrival.
     pub fn set_expected_scale(&mut self, node: &str, scale: f64) {
-        let window = self.window;
-        self.detectors
-            .entry(node.to_string())
-            .or_insert_with(|| PhiAccrualDetector::new(window))
-            .set_expected_scale(scale);
+        if let Some(det) = self.detectors.get_mut(node) {
+            det.set_expected_scale(scale);
+        } else {
+            let mut det = PhiAccrualDetector::new(self.window);
+            det.set_expected_scale(scale);
+            self.detectors.insert(node.to_string(), det);
+        }
     }
 
     /// Moves `node`'s silence reference to `at` without recording an

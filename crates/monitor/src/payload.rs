@@ -3,7 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use bytes::Bytes;
 use cimone_soc::units::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -25,8 +24,8 @@ impl Payload {
     /// Encodes to the `<value>;<timestamp>` wire form. Timestamps are in
     /// seconds with microsecond resolution, as ExaMon publishes epoch
     /// seconds with fractional part.
-    pub fn encode(&self) -> Bytes {
-        Bytes::from(self.to_string().into_bytes())
+    pub fn encode(&self) -> Vec<u8> {
+        self.to_string().into_bytes()
     }
 
     /// Decodes the wire form.
