@@ -616,9 +616,10 @@ pub struct SimEngine {
     /// The tick's telemetry batch — power samples, then plugin messages
     /// in node order — drained by [`Broker::publish_batch_serial`].
     tick_batch: Vec<(Topic, Payload)>,
-    /// Per-node temperatures before a fast-forwarded tick, reused so a
-    /// warm span allocates nothing.
-    prev_temps: Vec<Celsius>,
+    /// Per-node temperatures, reused so a warm tick allocates nothing:
+    /// the control plane's input on a full step, and the pre-tick
+    /// snapshot in a fast-forward.
+    temps: Vec<Celsius>,
     /// Ticks executed through the full step pipeline.
     ticks_stepped: u64,
     /// Ticks fast-forwarded by the event-driven clock (masked ticks and
@@ -761,7 +762,7 @@ impl SimEngine {
             snap_scratch: (0..n).map(|_| NodeSnapshot::default()).collect(),
             node_power: Vec::with_capacity(n),
             tick_batch: Vec::new(),
-            prev_temps: Vec::with_capacity(n),
+            temps: Vec::with_capacity(n),
             ticks_stepped: 0,
             ticks_skipped: 0,
         }
@@ -1762,9 +1763,8 @@ impl SimEngine {
     ///
     /// Phi-accrual suspicion is scheduled, not polled: between heartbeat
     /// arrivals a detector's state is frozen and phi is monotone in
-    /// silence, so the binary-searched first crossing is exact until the
-    /// next arrival, after which it is searched again from the following
-    /// tick. A crossing fences, which only a full step applies, so the
+    /// silence, so the solved first crossing is exact until the next
+    /// arrival, after which it is solved again from the following tick. A crossing fences, which only a full step applies, so the
     /// span stops just before it; a trip, governor move or watchdog
     /// arming finishes its tick, then stops the span. The collector is
     /// pumped once, at the span end: nothing reads the store mid-span
@@ -1789,7 +1789,7 @@ impl SimEngine {
         };
         self.set_expected_scales();
         let mut crossing = self.next_crossing(wake);
-        let mut prev_temps = std::mem::take(&mut self.prev_temps);
+        let mut prev_temps = std::mem::take(&mut self.temps);
         while self.now < wake && crossing.is_none_or(|t| t > self.now) {
             if !phases.plant && !phases.advance {
                 // Settled and unobserved: every tick before the next
@@ -1821,7 +1821,7 @@ impl SimEngine {
                 crossing = self.next_crossing(wake);
             }
         }
-        self.prev_temps = prev_temps;
+        self.temps = prev_temps;
         if self.now > start {
             self.ingest();
         }
@@ -2575,12 +2575,12 @@ impl SimEngine {
     /// One control-plane decision tick: suspicion, fencing, unfencing and
     /// the thermal watchdog.
     fn control_plane_tick(&mut self) {
-        let temps: Vec<Celsius> = (0..self.nodes.len())
-            .map(|i| self.thermal.temperature(i))
-            .collect();
+        self.temps.clear();
+        self.temps
+            .extend((0..self.nodes.len()).map(|i| self.thermal.temperature(i)));
         let actions = {
             let rec = self.recovery.as_mut().expect("recovery mode");
-            rec.control.tick(self.now, &temps)
+            rec.control.tick(self.now, &self.temps)
         };
         for action in actions {
             match action {

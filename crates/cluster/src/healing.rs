@@ -238,7 +238,8 @@ pub enum ControlAction {
 pub struct ControlPlane {
     monitor: HeartbeatMonitor,
     config: RecoveryConfig,
-    hostnames: Vec<String>,
+    /// Each node's detector slot in `monitor`, resolved once.
+    slots: Vec<usize>,
     /// Which nodes this control plane has fenced.
     fenced: Vec<bool>,
     /// When each node crossed the watchdog's fence line, if it is over it.
@@ -255,7 +256,7 @@ impl ControlPlane {
     /// Attaches the control plane to `broker`, watching heartbeats of the
     /// given nodes (in index order).
     pub fn new(broker: &Broker, config: RecoveryConfig, hostnames: Vec<String>) -> Self {
-        let monitor = HeartbeatMonitor::attach(
+        let mut monitor = HeartbeatMonitor::attach(
             broker,
             "org/unibo/cluster/cimone/node/+/plugin/health_pub/chnl/data/heartbeat"
                 .parse()
@@ -263,10 +264,11 @@ impl ControlPlane {
             config.phi_threshold,
         );
         let n = hostnames.len();
+        let slots = hostnames.iter().map(|h| monitor.register(h)).collect();
         ControlPlane {
             monitor,
             config,
-            hostnames,
+            slots,
             fenced: vec![false; n],
             hot_since: vec![None; n],
             throttle_depth: vec![0; n],
@@ -307,7 +309,8 @@ impl ControlPlane {
     pub fn set_expected_interval_scale(&mut self, node: usize, scale: f64) {
         if self.config.cap_aware_suspicion {
             self.monitor
-                .set_expected_scale(&self.hostnames[node], scale);
+                .slot_mut(self.slots[node])
+                .set_expected_scale(scale);
         }
     }
 
@@ -335,12 +338,11 @@ impl ControlPlane {
     /// evidence that separates "one node died" (peers still beating) from
     /// "the shared switch died" (nobody beating).
     fn recently_heard_any(&self, now: SimTime) -> bool {
-        self.hostnames.iter().any(|host| {
-            self.monitor.detector(host).is_some_and(|d| {
-                d.last_heard().is_some_and(|t| {
-                    now.saturating_since(t).as_secs_f64()
-                        < self.config.heartbeat_interval.as_secs_f64() * 2.0 * d.expected_scale()
-                })
+        self.slots.iter().any(|&slot| {
+            let d = self.monitor.slot(slot);
+            d.last_heard().is_some_and(|t| {
+                now.saturating_since(t).as_secs_f64()
+                    < self.config.heartbeat_interval.as_secs_f64() * 2.0 * d.expected_scale()
             })
         })
     }
@@ -388,8 +390,12 @@ impl ControlPlane {
         if !self.config.fence_on_suspicion || self.fenced[node] {
             return None;
         }
-        self.monitor
-            .next_suspicion_due(&self.hostnames[node], from, to, step)
+        self.monitor.slot(self.slots[node]).first_crossing(
+            self.config.phi_threshold,
+            from,
+            to,
+            step,
+        )
     }
 
     /// One decision tick: ingest heartbeats, evaluate suspicion for every
@@ -420,10 +426,10 @@ impl ControlPlane {
                     }
                 }
                 None => {
-                    let silent = (0..self.hostnames.len())
+                    let silent = (0..self.slots.len())
                         .filter(|&n| {
                             !self.fenced[n]
-                                && self.monitor.phi(&self.hostnames[n], now)
+                                && self.monitor.slot(self.slots[n]).phi(now)
                                     >= self.config.phi_threshold
                         })
                         .count();
@@ -432,9 +438,9 @@ impl ControlPlane {
                     // no differential evidence, and a lone silent node is
                     // just a dead node.
                     let heard = self
-                        .hostnames
+                        .slots
                         .iter()
-                        .filter(|h| self.monitor.last_heard(h).is_some())
+                        .filter(|&&slot| self.monitor.slot(slot).last_heard().is_some())
                         .count();
                     if silent > 0 && !fresh && heard >= 2 {
                         // A node crossed the line while *nobody* in the
@@ -442,19 +448,18 @@ impl ControlPlane {
                         // not the node. Defer everyone's suspicion.
                         self.partitioned_since = Some(now);
                         actions.push(ControlAction::PartitionSuspected { silent });
-                        for node in 0..self.hostnames.len() {
+                        for node in 0..self.slots.len() {
                             if !self.fenced[node] {
-                                let host = self.hostnames[node].clone();
-                                self.monitor.rebaseline(&host, now);
+                                self.monitor.rebaseline_slot(self.slots[node], now);
                             }
                         }
                     }
                 }
             }
         }
-        for node in 0..self.hostnames.len() {
-            let host = &self.hostnames[node];
-            let phi = self.monitor.phi(host, now);
+        for node in 0..self.slots.len() {
+            let detector = self.monitor.slot(self.slots[node]);
+            let phi = detector.phi(now);
             if !self.fenced[node] {
                 if self.config.fence_on_suspicion
                     && self.partitioned_since.is_none()
@@ -471,10 +476,8 @@ impl ControlPlane {
                 // fresh arrival and suspicion back under half the line.
                 // A thermally fenced node keeps heartbeating, so it must
                 // additionally have cooled below the release line.
-                let resumed = self
-                    .monitor
-                    .detector(host)
-                    .and_then(|d| d.last_heard())
+                let resumed = detector
+                    .last_heard()
                     .is_some_and(|t| now.saturating_since(t) < self.config.heartbeat_interval * 2);
                 let cooled = self
                     .config

@@ -5,7 +5,9 @@
 //! and collector ingest included. So does a warm event-driven
 //! fast-forward span of a monitored idle machine with recovery on:
 //! heartbeats, phi bookkeeping, sensor draws, plugin samples and the
-//! span-end ingest.
+//! span-end ingest. So does a warm fixed-dt step with recovery on and the
+//! same jobs running: heartbeats, the control plane's suspicion and
+//! partition checks, and everything a plain step does.
 //!
 //! A counting global allocator makes the claim falsifiable. This file
 //! holds exactly one `#[test]` so no sibling test thread can allocate
@@ -16,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cimone_cluster::engine::{ClockMode, ClusterWorkload, EngineConfig, JobRequest, SimEngine};
 use cimone_cluster::healing::RecoveryConfig;
+use cimone_monitor::heartbeat::DEFAULT_WINDOW;
 use cimone_soc::units::SimDuration;
 use cimone_soc::workload::Workload;
 
@@ -45,6 +48,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// An engine running the probe's three jobs across all eight nodes.
+fn three_jobs(config: EngineConfig) -> SimEngine {
+    let mut engine = SimEngine::new(config);
+    engine.submit(job("hpl", 4, Workload::Hpl)).unwrap();
+    engine
+        .submit(job("stream", 2, Workload::StreamDdr))
+        .unwrap();
+    engine.submit(job("qe", 2, Workload::QeLax)).unwrap();
+    engine
+}
+
 fn job(name: &str, nodes: usize, workload: Workload) -> JobRequest {
     JobRequest {
         name: name.into(),
@@ -62,12 +76,7 @@ fn warm_monitored_step_allocates_nothing() {
     const WARMUP_STEPS: u64 = 32;
     const MEASURED_STEPS: u64 = 64;
 
-    let mut engine = SimEngine::new(EngineConfig::default());
-    engine.submit(job("hpl", 4, Workload::Hpl)).unwrap();
-    engine
-        .submit(job("stream", 2, Workload::StreamDdr))
-        .unwrap();
-    engine.submit(job("qe", 2, Workload::QeLax)).unwrap();
+    let mut engine = three_jobs(EngineConfig::default());
     for _ in 0..WARMUP_STEPS {
         engine.step();
     }
@@ -122,5 +131,39 @@ fn warm_monitored_step_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "a warm fast-forward span must not allocate ({allocs} allocations over {SPAN})"
+    );
+
+    // The third probe: a warm fixed-dt recovery step. Warm-up runs past a
+    // full phi window (128 intervals of the 5 s heartbeat at dt 0.5 s),
+    // so no detector's window is still growing.
+    const RECOVERY_WARMUP_STEPS: u64 = 1_400;
+    let mut engine = three_jobs(EngineConfig {
+        recovery: Some(RecoveryConfig::detection_only()),
+        ..EngineConfig::default()
+    });
+    for _ in 0..RECOVERY_WARMUP_STEPS {
+        engine.step();
+    }
+    assert_eq!(engine.scheduler().running().len(), 3, "three jobs must run");
+    let monitor = engine.control_plane().expect("recovery is on").monitor();
+    assert!(
+        monitor
+            .nodes()
+            .iter()
+            .all(|node| monitor.detector(node).unwrap().samples() == DEFAULT_WINDOW + 1),
+        "warm-up must fill every phi window"
+    );
+    engine.reserve_store_points(MEASURED_STEPS as usize);
+
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..MEASURED_STEPS {
+        engine.step();
+    }
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+
+    assert_eq!(engine.fence_count(), 0, "no node may be fenced");
+    assert_eq!(
+        allocs, 0,
+        "warm recovery steps must not allocate ({allocs} allocations over {MEASURED_STEPS} steps)"
     );
 }

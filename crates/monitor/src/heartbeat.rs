@@ -100,6 +100,11 @@ pub struct PhiAccrualDetector {
     /// deferred silence, not a real cadence gap, so it is dropped instead
     /// of polluting the fitted window.
     skip_next_sample: bool,
+    /// The normal fit `(mean, sigma)` of the window, refreshed whenever
+    /// [`PhiAccrualDetector::record`] changes the window; `None` until
+    /// [`MIN_SAMPLES`] intervals are in it. Every `phi` reads it, so a
+    /// query costs O(1) instead of a pass over the window.
+    fit: Option<(f64, f64)>,
 }
 
 impl PhiAccrualDetector {
@@ -117,6 +122,7 @@ impl PhiAccrualDetector {
             expected_scale: 1.0,
             last_heard: None,
             skip_next_sample: false,
+            fit: None,
         }
     }
 
@@ -159,10 +165,32 @@ impl PhiAccrualDetector {
                 }
                 self.intervals
                     .push_back(at.saturating_since(last).as_secs_f64() / self.expected_scale);
+                self.refit();
             }
         }
         self.last_arrival = Some(at);
         self.last_heard = Some(at);
+    }
+
+    /// Refits the normal distribution to the window. The fitted standard
+    /// deviation is floored at a quarter of the mean interval so a
+    /// metronomic stream (σ → 0) does not make a single lost heartbeat
+    /// look like a crash: with the floor, one missed beat reaches
+    /// phi ≈ 4.5 and two missed beats ≈ 15, bracketing the default
+    /// threshold of 8.
+    fn refit(&mut self) {
+        if self.intervals.len() < MIN_SAMPLES {
+            return;
+        }
+        let mean = self.mean_interval().expect("window is non-empty");
+        let var = self
+            .intervals
+            .iter()
+            .map(|x| (x - mean) * (x - mean))
+            .sum::<f64>()
+            / self.intervals.len() as f64;
+        let sigma = var.sqrt().max(0.25 * mean).max(1e-6);
+        self.fit = Some((mean, sigma));
     }
 
     /// Moves the silence reference to `at` without recording an arrival:
@@ -207,29 +235,14 @@ impl PhiAccrualDetector {
         Some(self.intervals.iter().sum::<f64>() / self.intervals.len() as f64)
     }
 
-    /// The suspicion level at `now`: `-log10 P(heartbeat arrives later)`.
+    /// The suspicion level at `now`: `-log10 P(heartbeat arrives later)`
+    /// under the window's normal fit (see [`PhiAccrualDetector::record`]).
     ///
-    /// Returns `0.0` until [`MIN_SAMPLES`] intervals are observed. The
-    /// fitted standard deviation is floored at a quarter of the mean
-    /// interval so a metronomic stream (σ → 0) does not make a single
-    /// lost heartbeat look like a crash: with the floor, one missed beat
-    /// reaches phi ≈ 4.5 and two missed beats ≈ 15, bracketing the
-    /// default threshold of 8.
+    /// Returns `0.0` until [`MIN_SAMPLES`] intervals are observed.
     pub fn phi(&self, now: SimTime) -> f64 {
-        let Some(last) = self.last_arrival else {
+        let (Some(last), Some((mean, sigma))) = (self.last_arrival, self.fit) else {
             return 0.0;
         };
-        if self.intervals.len() < MIN_SAMPLES {
-            return 0.0;
-        }
-        let mean = self.mean_interval().expect("window is non-empty");
-        let var = self
-            .intervals
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / self.intervals.len() as f64;
-        let sigma = var.sqrt().max(0.25 * mean).max(1e-6);
         let elapsed = now.saturating_since(last).as_secs_f64() / self.expected_scale;
         let z = (elapsed - mean) / sigma;
         // P(X > elapsed) for X ~ N(mean, sigma²).
@@ -241,15 +254,20 @@ impl PhiAccrualDetector {
     }
 
     /// The first grid tick at which phi reaches `threshold`, assuming no
-    /// further arrivals: scans the ticks `from + k·step` for `k ≥ 0` up to
-    /// and including the last one ≤ `to`, and returns the smallest whose
-    /// phi is ≥ `threshold` (`None` if none crosses within the horizon).
+    /// further arrivals: of the ticks `from + k·step` for `k ≥ 0` up to
+    /// and including the last one ≤ `to`, the smallest whose phi is
+    /// ≥ `threshold` (`None` if none crosses within the horizon).
     ///
     /// With the detector state frozen, `phi` is monotone non-decreasing in
-    /// `now` (longer silence is never less suspicious), so a binary search
-    /// over the grid finds the exact tick a fixed-dt loop would flag —
-    /// this is what lets a due-time clock treat suspicion as an event
-    /// instead of re-evaluating phi every tick.
+    /// `now` (longer silence is never less suspicious), so the crossing is
+    /// solved rather than searched: the fit's normal quantile for
+    /// `p = 10^-threshold` guesses the tick, and the exact predicate
+    /// `phi(from + k·step) ≥ threshold` settles it — galloping away from
+    /// the guess until the boundary is bracketed, then bisecting. The
+    /// guess is usually exact, so a search costs about two `phi` calls,
+    /// and the answer is the tick a fixed-dt loop would flag. This is what
+    /// lets a due-time clock treat suspicion as an event instead of
+    /// re-evaluating phi every tick.
     pub fn first_crossing(
         &self,
         threshold: f64,
@@ -260,26 +278,90 @@ impl PhiAccrualDetector {
         if step.is_zero() || to < from {
             return None;
         }
-        if self.phi(from) >= threshold {
-            return Some(from);
-        }
-        let span = to.saturating_since(from).as_micros();
-        let k_max = span / step.as_micros();
-        if k_max == 0 || self.phi(from + step * k_max) < threshold {
-            return None;
-        }
-        // Invariant: phi(from + step·lo) < threshold ≤ phi(from + step·hi).
-        let (mut lo, mut hi) = (0u64, k_max);
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if self.phi(from + step * mid) >= threshold {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Some(from + step * hi)
+        let crossed = |k: u64| self.phi(from + step * k) >= threshold;
+        let Some((mean, sigma)) = self.fit else {
+            // No fit: phi is 0 at every tick.
+            return crossed(0).then_some(from);
+        };
+        let k_max = to.saturating_since(from).as_micros() / step.as_micros();
+        // Guess: the silence at which the fit's upper tail falls to
+        // 10^-threshold, as a grid index. A non-finite guess (a negative
+        // threshold, or one beyond f64's range) starts at `from`.
+        let last = self.last_arrival.expect("a fit implies an arrival");
+        let silence_us =
+            (mean + normal_upper_quantile(threshold) * sigma) * self.expected_scale * 1e6;
+        let k_guess = ((last.as_micros() as f64 + silence_us - from.as_micros() as f64)
+            / step.as_micros() as f64)
+            .ceil();
+        let seed = if k_guess.is_finite() {
+            (k_guess.max(0.0) as u64).min(k_max)
+        } else {
+            0
+        };
+        settle(seed, k_max, crossed).map(|k| from + step * k)
     }
+}
+
+/// The smallest `k` in `0..=k_max` for which the monotone predicate
+/// `crossed` holds, searched from `seed ≤ k_max`: gallops away from the
+/// seed in doubling strides until `!crossed(lo) && crossed(hi)`, then
+/// bisects. Costs two calls when the seed is the answer (one when it is
+/// 0), and O(log d) for a seed `d` indices off.
+fn settle(seed: u64, k_max: u64, crossed: impl Fn(u64) -> bool) -> Option<u64> {
+    let (mut lo, mut hi);
+    let mut gap = 1u64;
+    if crossed(seed) {
+        hi = seed;
+        loop {
+            if hi == 0 {
+                return Some(0);
+            }
+            let k = hi.saturating_sub(gap);
+            if !crossed(k) {
+                lo = k;
+                break;
+            }
+            hi = k;
+            gap = gap.saturating_mul(2);
+        }
+    } else {
+        lo = seed;
+        loop {
+            if lo == k_max {
+                return None;
+            }
+            let k = lo.saturating_add(gap).min(k_max);
+            if crossed(k) {
+                hi = k;
+                break;
+            }
+            lo = k;
+            gap = gap.saturating_mul(2);
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if crossed(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(hi)
+}
+
+/// The standard normal's upper-tail quantile for `p = 10^-phi`: the `z`
+/// with `P(Z > z) = p` (Abramowitz & Stegun 26.2.23, absolute error
+/// below `4.5e-4` for `p ≤ 1/2`, i.e. `phi ≥ log10 2`). It takes
+/// `t = sqrt(ln(1/p²)) = sqrt(2·phi·ln 10)`, which stays finite where `p`
+/// itself would underflow. It only seeds
+/// [`PhiAccrualDetector::first_crossing`], which settles the exact tick
+/// itself, so a rough value for `p > 1/2` costs calls, not correctness.
+/// NaN for `phi < 0`.
+fn normal_upper_quantile(phi: f64) -> f64 {
+    let t = (2.0 * phi * std::f64::consts::LN_10).sqrt();
+    t - (2.515_517 + t * (0.802_853 + t * 0.010_328))
+        / (1.0 + t * (1.432_788 + t * (0.189_269 + t * 0.001_308)))
 }
 
 impl Default for PhiAccrualDetector {
@@ -296,6 +378,10 @@ impl Default for PhiAccrualDetector {
 /// path. Detection is purely message-driven — the monitor has no oracle
 /// knowledge of node health, so lost heartbeats (broker loss, partitions,
 /// crashes) are indistinguishable until phi accrues.
+///
+/// Detectors live in slots: [`HeartbeatMonitor::register`] resolves a
+/// node name to its slot once, and per-tick callers index by slot
+/// ([`HeartbeatMonitor::slot`]) instead of walking a string-keyed map.
 ///
 /// # Examples
 ///
@@ -319,7 +405,9 @@ impl Default for PhiAccrualDetector {
 #[derive(Debug)]
 pub struct HeartbeatMonitor {
     subscription: Subscription,
-    detectors: BTreeMap<String, PhiAccrualDetector>,
+    /// Node name → index into `detectors`.
+    slots: BTreeMap<String, usize>,
+    detectors: Vec<PhiAccrualDetector>,
     threshold: f64,
     window: usize,
 }
@@ -335,7 +423,8 @@ impl HeartbeatMonitor {
         assert!(threshold > 0.0, "phi threshold must be positive");
         HeartbeatMonitor {
             subscription: broker.subscribe(filter),
-            detectors: BTreeMap::new(),
+            slots: BTreeMap::new(),
+            detectors: Vec::new(),
             threshold,
             window: DEFAULT_WINDOW,
         }
@@ -344,6 +433,37 @@ impl HeartbeatMonitor {
     /// The configured suspicion threshold.
     pub fn threshold(&self) -> f64 {
         self.threshold
+    }
+
+    /// The slot of `node`'s detector, creating a fresh one if the node is
+    /// new. A fresh detector reads as a node never heard from: phi 0, no
+    /// arrival, and the same state as a first sighting once one arrives.
+    pub fn register(&mut self, node: &str) -> usize {
+        if let Some(&slot) = self.slots.get(node) {
+            return slot;
+        }
+        let slot = self.detectors.len();
+        self.detectors.push(PhiAccrualDetector::new(self.window));
+        self.slots.insert(node.to_string(), slot);
+        slot
+    }
+
+    /// The detector in `slot` (see [`HeartbeatMonitor::register`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no node was registered in `slot`.
+    pub fn slot(&self, slot: usize) -> &PhiAccrualDetector {
+        &self.detectors[slot]
+    }
+
+    /// Mutable access to the detector in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no node was registered in `slot`.
+    pub fn slot_mut(&mut self, slot: usize) -> &mut PhiAccrualDetector {
+        &mut self.detectors[slot]
     }
 
     /// Drains queued heartbeat messages into the per-node detectors;
@@ -366,18 +486,13 @@ impl HeartbeatMonitor {
     /// Records a heartbeat for `node` directly (the pump calls this; tests
     /// may too).
     pub fn observe(&mut self, node: &str, at: SimTime) {
-        if let Some(det) = self.detectors.get_mut(node) {
-            det.record(at);
-        } else {
-            let mut det = PhiAccrualDetector::new(self.window);
-            det.record(at);
-            self.detectors.insert(node.to_string(), det);
-        }
+        let slot = self.register(node);
+        self.detectors[slot].record(at);
     }
 
     /// The suspicion level for `node` at `now` (`0.0` for unknown nodes).
     pub fn phi(&self, node: &str, now: SimTime) -> f64 {
-        self.detectors.get(node).map_or(0.0, |d| d.phi(now))
+        self.detector(node).map_or(0.0, |d| d.phi(now))
     }
 
     /// Whether `node`'s phi exceeds the threshold at `now`.
@@ -387,42 +502,48 @@ impl HeartbeatMonitor {
 
     /// All nodes whose phi exceeds the threshold at `now`, sorted.
     pub fn suspects(&self, now: SimTime) -> Vec<String> {
-        self.detectors
+        self.slots
             .iter()
-            .filter(|(_, d)| d.phi(now) >= self.threshold)
+            .filter(|&(_, &slot)| self.detectors[slot].phi(now) >= self.threshold)
             .map(|(n, _)| n.clone())
             .collect()
     }
 
-    /// All nodes ever heard from, sorted.
+    /// All registered nodes (heard from, or given a slot or a cadence
+    /// scale), sorted.
     pub fn nodes(&self) -> Vec<String> {
-        self.detectors.keys().cloned().collect()
+        self.slots.keys().cloned().collect()
     }
 
-    /// The detector for `node`, if it has been heard from.
+    /// The detector for `node`, if it is registered.
     pub fn detector(&self, node: &str) -> Option<&PhiAccrualDetector> {
-        self.detectors.get(node)
+        self.slots.get(node).map(|&slot| &self.detectors[slot])
     }
 
     /// Declares `node`'s expected heartbeat cadence scale (see
-    /// [`PhiAccrualDetector::set_expected_scale`]). Creates the detector
-    /// if the node has not been heard from yet, so the scale applies from
-    /// its first arrival.
+    /// [`PhiAccrualDetector::set_expected_scale`]). Registers the node if
+    /// it has not been heard from yet, so the scale applies from its first
+    /// arrival.
     pub fn set_expected_scale(&mut self, node: &str, scale: f64) {
-        if let Some(det) = self.detectors.get_mut(node) {
-            det.set_expected_scale(scale);
-        } else {
-            let mut det = PhiAccrualDetector::new(self.window);
-            det.set_expected_scale(scale);
-            self.detectors.insert(node.to_string(), det);
-        }
+        let slot = self.register(node);
+        self.detectors[slot].set_expected_scale(scale);
     }
 
     /// Moves `node`'s silence reference to `at` without recording an
-    /// arrival (see [`PhiAccrualDetector::rebaseline`]). A no-op for nodes
-    /// never heard from — they carry no suspicion to defer.
+    /// arrival (see [`HeartbeatMonitor::rebaseline_slot`]).
     pub fn rebaseline(&mut self, node: &str, at: SimTime) {
-        if let Some(det) = self.detectors.get_mut(node) {
+        if let Some(&slot) = self.slots.get(node) {
+            self.rebaseline_slot(slot, at);
+        }
+    }
+
+    /// Moves the silence reference of the node in `slot` to `at` without
+    /// recording an arrival (see [`PhiAccrualDetector::rebaseline`]). A
+    /// no-op for nodes never heard from — they carry no suspicion to
+    /// defer.
+    pub fn rebaseline_slot(&mut self, slot: usize, at: SimTime) {
+        let det = &mut self.detectors[slot];
+        if det.last_heard().is_some() {
             det.rebaseline(at);
         }
     }
@@ -430,23 +551,7 @@ impl HeartbeatMonitor {
     /// When `node` last *actually* heartbeat, if ever (see
     /// [`PhiAccrualDetector::last_heard`]).
     pub fn last_heard(&self, node: &str) -> Option<SimTime> {
-        self.detectors.get(node).and_then(|d| d.last_heard())
-    }
-
-    /// The first grid tick in `[from, to]` (stepping by `step`) at which
-    /// `node` would cross the suspicion threshold, assuming no further
-    /// heartbeats arrive; `None` for unknown nodes or when the crossing
-    /// lies beyond `to`. See [`PhiAccrualDetector::first_crossing`].
-    pub fn next_suspicion_due(
-        &self,
-        node: &str,
-        from: SimTime,
-        to: SimTime,
-        step: SimDuration,
-    ) -> Option<SimTime> {
-        self.detectors
-            .get(node)
-            .and_then(|d| d.first_crossing(self.threshold, from, to, step))
+        self.detector(node).and_then(|d| d.last_heard())
     }
 }
 
@@ -467,6 +572,8 @@ fn node_segment(segments: &[String]) -> Option<&str> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::payload::Payload;
 
@@ -554,6 +661,175 @@ mod tests {
             det.first_crossing(DEFAULT_PHI_THRESHOLD, from, near, step),
             None
         );
+    }
+
+    #[test]
+    fn quantile_guess_is_within_its_error_bound() {
+        // Reference: bisect the tail the detector itself evaluates.
+        let tail = |z: f64| 0.5 * erfc(z / std::f64::consts::SQRT_2);
+        // From phi = 0.4, the first step at or above log10 2.
+        for i in 4..=1000 {
+            let phi = f64::from(i) * 0.1;
+            let p = 10f64.powf(-phi);
+            let (mut lo, mut hi) = (-40.0f64, 40.0f64);
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if tail(mid) > p {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let z = normal_upper_quantile(phi);
+            assert!(
+                (z - lo).abs() < 1e-3,
+                "phi {phi}: guess {z}, tail inverse {lo}"
+            );
+        }
+        assert!(normal_upper_quantile(-1.0).is_nan());
+    }
+
+    /// Phi from a from-scratch fit of the window on every call — the
+    /// reference the stored fit must reproduce bit for bit.
+    fn refit_phi(det: &PhiAccrualDetector, now: SimTime) -> f64 {
+        let Some(last) = det.last_arrival else {
+            return 0.0;
+        };
+        if det.intervals.len() < MIN_SAMPLES {
+            return 0.0;
+        }
+        let mean = det.intervals.iter().sum::<f64>() / det.intervals.len() as f64;
+        let var = det
+            .intervals
+            .iter()
+            .map(|x| (x - mean) * (x - mean))
+            .sum::<f64>()
+            / det.intervals.len() as f64;
+        let sigma = var.sqrt().max(0.25 * mean).max(1e-6);
+        let elapsed = now.saturating_since(last).as_secs_f64() / det.expected_scale;
+        let z = (elapsed - mean) / sigma;
+        let p_later = 0.5 * erfc(z / std::f64::consts::SQRT_2);
+        if p_later <= 0.0 {
+            return PHI_CEILING;
+        }
+        (-p_later.log10()).clamp(0.0, PHI_CEILING)
+    }
+
+    /// Thresholds below log10 2 (phi at the mean silence), across the
+    /// working range, and at or beyond [`PHI_CEILING`].
+    fn threshold_strategy() -> impl Strategy<Value = f64> {
+        use std::f64::consts::LOG10_2;
+        (0usize..6, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+            0 => u * LOG10_2,
+            1 => LOG10_2,
+            2 => LOG10_2 + u * 30.0,
+            3 => DEFAULT_PHI_THRESHOLD,
+            4 => PHI_CEILING,
+            _ => PHI_CEILING + u * 60.0,
+        })
+    }
+
+    /// An optional `(value, arrival index)` event.
+    fn maybe_at<S: Strategy>(value: S) -> impl Strategy<Value = Option<(S::Value, usize)>> {
+        (any::<bool>(), value, 0usize..200).prop_map(|(on, v, i)| on.then_some((v, i)))
+    }
+
+    /// An index into `0..=k_max + 1` from a drawn `(kind, offset,
+    /// permille)`: near 0, near the far end, or anywhere between.
+    fn index_in(k_max: u64, (kind, offset, permille): (u32, u64, u64)) -> u64 {
+        match kind {
+            0 => offset,
+            1 => (k_max + 1).saturating_sub(offset),
+            _ => k_max * permille / 1000,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn settle_finds_the_boundary_from_any_seed(
+            k_max in (0u32..2, 0u64..100_000).prop_map(|(small, k)| if small == 0 { k % 8 } else { k }),
+            // Where the predicate turns true (past `k_max`: never), and
+            // where the search starts.
+            boundary in (0u32..3, 0u64..4, 0u64..=1_000),
+            seed in (0u32..3, 0u64..4, 0u64..=1_000),
+        ) {
+            let boundary = index_in(k_max, boundary);
+            let seed = index_in(k_max, seed).min(k_max);
+            let calls = std::cell::Cell::new(0u32);
+            let found = settle(seed, k_max, |k| {
+                calls.set(calls.get() + 1);
+                k >= boundary
+            });
+            prop_assert_eq!(found, (boundary <= k_max).then_some(boundary));
+            // Two calls for an exact seed, O(log d) for one d ticks off.
+            let off_by = 64 - seed.abs_diff(boundary.min(k_max)).leading_zeros();
+            prop_assert!(calls.get() <= 2 * off_by + 2, "{} calls", calls.get());
+        }
+
+        #[test]
+        fn solved_crossings_and_stored_fits_match_the_reference(
+            window in 2usize..=128,
+            period_ms in 100u64..30_000,
+            // Per-arrival jitter, per mille of the period: 0.5–1.5 periods.
+            jitter in prop::collection::vec(500u64..=1500, 0..=200),
+            scale in maybe_at(0.2f64..5.0),
+            rebaseline in maybe_at(0u64..60_000),
+            threshold in threshold_strategy(),
+            // The grid step, per mille of the period.
+            step_permille in 1u64..2_000,
+            // `from` after the last arrival (or before it), per mille of
+            // the period.
+            from_permille in -1_000i64..4_000,
+            ticks in 0u64..400,
+            to_extra_permille in 0u64..1_000,
+            to_before_from in 0u32..20,
+        ) {
+            let mut det = PhiAccrualDetector::new(window);
+            let mut at = 0u64;
+            for (i, j) in jitter.iter().enumerate() {
+                if let Some((scale, _)) = scale.filter(|&(_, when)| when == i) {
+                    det.set_expected_scale(scale);
+                }
+                if let Some((gap, _)) = rebaseline.filter(|&(_, when)| when == i) {
+                    det.rebaseline(SimTime::from_millis(at + gap));
+                }
+                at += period_ms * j / 1000;
+                det.record(SimTime::from_millis(at));
+            }
+            let step = SimDuration::from_millis((period_ms * step_permille / 1000).max(1));
+            let from_offset_ms = period_ms as i64 * from_permille / 1000;
+            let from = SimTime::from_millis(at.saturating_add_signed(from_offset_ms));
+            let to = if to_before_from == 0 {
+                SimTime::from_micros(from.as_micros().saturating_sub(1))
+            } else {
+                from + step * ticks + step * to_extra_permille / 1000
+            };
+            // Reference: walk every grid tick like the fixed-dt loop does,
+            // checking each phi against the from-scratch fit.
+            let mut expected = None;
+            let mut t = from;
+            while t <= to {
+                let phi = det.phi(t);
+                prop_assert_eq!(phi.to_bits(), refit_phi(&det, t).to_bits(), "phi at {}", t);
+                if phi >= threshold {
+                    expected = Some(t);
+                    break;
+                }
+                t += step;
+            }
+            prop_assert_eq!(det.first_crossing(threshold, from, to, step), expected);
+            // A horizon ending on the crossing finds it; one tick short,
+            // it does not.
+            if let Some(t) = expected {
+                prop_assert_eq!(det.first_crossing(threshold, from, t, step), Some(t));
+                if t > from {
+                    let short = SimTime::from_micros(t.as_micros() - step.as_micros());
+                    prop_assert_eq!(det.first_crossing(threshold, from, short, step), None);
+                }
+            }
+        }
     }
 
     #[test]
