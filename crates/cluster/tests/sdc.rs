@@ -277,3 +277,73 @@ fn clean_runs_are_never_scrubbed() {
     let event = run(ClockMode::EventDriven);
     assert_bit_identical(&fixed, &event, "clean run");
 }
+
+/// Two telemetry corruption windows on different nodes overlap inside
+/// one monitored replay span. The event clock ingests the span in one
+/// pump at its end, fixed-dt in one pump per tick; both must raise the
+/// same `SdcSuspected` sequence, in arrival order — the two nodes'
+/// samples interleaved tick by tick, not grouped by series.
+#[test]
+fn overlapping_corruption_windows_quarantine_in_arrival_order() {
+    let run = |clock: ClockMode| {
+        let mut engine = SimEngine::new(EngineConfig {
+            dt: SimDuration::from_secs(1),
+            clock,
+            ..EngineConfig::default()
+        })
+        .with_fault_plan(
+            FaultPlan::new()
+                .with(
+                    SimTime::from_secs(300),
+                    FaultKind::PayloadCorruption {
+                        node: 6,
+                        span: SimDuration::from_secs(120),
+                    },
+                )
+                .with(
+                    SimTime::from_secs(330),
+                    FaultKind::PayloadCorruption {
+                        node: 3,
+                        span: SimDuration::from_secs(120),
+                    },
+                ),
+        );
+        engine.run_for(SimDuration::from_secs(600));
+        engine
+    };
+    let suspected = |engine: &SimEngine| -> Vec<(usize, SimTime, u64)> {
+        engine
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                EngineEvent::SdcSuspected { node, at, value } => Some((node, at, value.to_bits())),
+                _ => None,
+            })
+            .collect()
+    };
+    let fixed = run(ClockMode::FixedDt);
+    let event = run(ClockMode::EventDriven);
+    let (fixed_seq, event_seq) = (suspected(&fixed), suspected(&event));
+    assert_eq!(
+        fixed_seq.len(),
+        240,
+        "every corrupted sample is quarantined"
+    );
+    assert_eq!(
+        event_seq, fixed_seq,
+        "the replay must quarantine in arrival order"
+    );
+    // Arrival order: by tick, and within a tick by node.
+    assert!(
+        fixed_seq
+            .windows(2)
+            .all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)),
+        "samples must interleave tick by tick"
+    );
+    assert!(
+        event.ticks_skipped() > 60,
+        "the overlap must be replayed, not stepped ({} ticks skipped)",
+        event.ticks_skipped()
+    );
+    assert_bit_identical(&fixed, &event, "overlapping corruption windows");
+}

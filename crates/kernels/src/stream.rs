@@ -197,7 +197,7 @@ impl StreamRun {
     /// Executes one kernel once across all threads; returns elapsed seconds.
     ///
     /// Min-work threshold: when the arrays are too small to amortise the
-    /// fan-out/join overhead ([`PARALLEL_GRAIN_ELEMENTS`] per worker) the
+    /// fan-out/join overhead (`PARALLEL_GRAIN_ELEMENTS` per worker) the
     /// kernel runs inline on the caller's thread — the elementwise maths
     /// is identical either way, only the wall clock changes.
     pub fn run_kernel(&mut self, kernel: StreamKernel) -> f64 {

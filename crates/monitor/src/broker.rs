@@ -8,20 +8,29 @@
 //! `(TopicId, SubscriptionId)` pair is computed once and cached as a
 //! per-topic subscriber list, invalidated whenever the subscription set
 //! changes (subscribe, unsubscribe, dead-subscriber pruning). On the
-//! steady-state path a publish is a route-table hit plus one `VecDeque`
-//! push per matched subscriber — no string matching, no topic deep-clone,
-//! and (for pre-registered topics) no heap allocation at all.
+//! steady-state path a publish is a route-table hit plus one push per
+//! matched subscriber — no string matching, no topic deep-clone, and (for
+//! pre-registered topics) no heap allocation at all.
+//!
+//! A subscription holds its pending deliveries in one of two layouts:
+//! ordinary subscribers get a FIFO of whole messages, and a
+//! [`Collector`](crate::collector::Collector) that only pumps gets
+//! per-topic point runs, scrubbed as they are staged. Every delivery site
+//! goes through one `push`/`len` pair on the queue state, so loss draws,
+//! bounded-capacity drops, dead-subscriber pruning and [`BrokerStats`] do
+//! not depend on the layout.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError};
 
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::collector::Runs;
 use crate::payload::Payload;
 use crate::topic::{Topic, TopicFilter};
 
@@ -41,10 +50,21 @@ pub struct PublishedMessage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubscriptionId(u64);
 
+/// A subscription's deliveries not yet consumed.
+#[derive(Debug)]
+enum Pending {
+    /// Whole messages in arrival order: ordinary subscribers, and
+    /// collectors that detect gaps or ingest on their own thread.
+    Messages(VecDeque<PublishedMessage>),
+    /// A bulk-pumping collector's samples, staged per topic and scrubbed
+    /// as they arrive.
+    Runs(Runs),
+}
+
 /// Shared queue state between the broker's send side and a subscription.
 #[derive(Debug)]
 struct QueueState {
-    buf: VecDeque<PublishedMessage>,
+    pending: Pending,
     /// Messages lost to bounded-queue overflow.
     dropped: u64,
     /// Set when the broker side goes away (unsubscribe, prune, broker
@@ -60,9 +80,43 @@ struct QueueState {
     waiters: u32,
 }
 
-/// A subscription's message queue. A plain locked ring buffer: the deque
-/// keeps its capacity across pushes and pops, so steady-state delivery
-/// allocates nothing (unlike a segmented channel).
+impl QueueState {
+    /// Stages one delivery in the subscription's layout.
+    #[inline]
+    fn push(&mut self, topic: Topic, payload: Payload) {
+        match &mut self.pending {
+            Pending::Messages(buf) => buf.push_back(PublishedMessage { topic, payload }),
+            Pending::Runs(runs) => runs.push(topic, payload),
+        }
+    }
+
+    /// Deliveries held: queued messages, or staged plus quarantined
+    /// samples. Bounded subscriptions compare this against their capacity.
+    #[inline]
+    fn len(&self) -> usize {
+        match &self.pending {
+            Pending::Messages(buf) => buf.len(),
+            Pending::Runs(runs) => runs.len(),
+        }
+    }
+
+    /// The message FIFO; panics on a columnar subscription, whose
+    /// samples only [`Collector::pump`](crate::collector::Collector::pump)
+    /// can consume.
+    fn messages(&mut self) -> &mut VecDeque<PublishedMessage> {
+        match &mut self.pending {
+            Pending::Messages(buf) => buf,
+            Pending::Runs(_) => panic!(
+                "a collector's columnar subscription holds per-topic point runs, \
+                 not messages: consume it with Collector::pump"
+            ),
+        }
+    }
+}
+
+/// A subscription's delivery queue. Plain locked buffers: the deque and
+/// the point runs keep their capacity across deliveries and drains, so
+/// steady-state delivery allocates nothing (unlike a segmented channel).
 #[derive(Debug)]
 struct SubQueue {
     // std primitives rather than the parking_lot shim: blocking `recv`
@@ -78,10 +132,10 @@ enum SendOutcome {
 }
 
 impl SubQueue {
-    fn new() -> Arc<SubQueue> {
+    fn new(pending: Pending) -> Arc<SubQueue> {
         Arc::new(SubQueue {
             state: StdMutex::new(QueueState {
-                buf: VecDeque::new(),
+                pending,
                 dropped: 0,
                 closed: false,
                 receiver_gone: false,
@@ -91,22 +145,28 @@ impl SubQueue {
         })
     }
 
+    /// Locks the state, poisoned or not. Every update under this lock
+    /// leaves the state valid at each step: a message receive on a
+    /// columnar subscription panics before touching it, and a drain whose
+    /// consumer closure panics still removes what it drained. So a
+    /// refused receive does not break later deliveries, and `Drop` does
+    /// not panic again while one unwinds.
     fn lock(&self) -> StdMutexGuard<'_, QueueState> {
-        self.state.lock().expect("subscription queue poisoned")
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn send(&self, msg: PublishedMessage, capacity: Option<usize>) -> SendOutcome {
+    fn send(&self, topic: Topic, payload: Payload, capacity: Option<usize>) -> SendOutcome {
         let mut state = self.lock();
         if state.receiver_gone {
             return SendOutcome::Dead;
         }
         if let Some(cap) = capacity {
-            if state.buf.len() >= cap {
+            if state.len() >= cap {
                 state.dropped += 1;
                 return SendOutcome::Full;
             }
         }
-        state.buf.push_back(msg);
+        state.push(topic, payload);
         let waiting = state.waiters > 0;
         drop(state);
         if waiting {
@@ -145,9 +205,11 @@ impl Subscription {
         &self.filter
     }
 
-    /// Messages currently queued and not yet received.
+    /// Deliveries held and not yet consumed: queued messages, or, on a
+    /// collector's columnar subscription, staged plus quarantined samples
+    /// awaiting the next pump.
     pub fn queued(&self) -> usize {
-        self.queue.lock().buf.len()
+        self.queue.lock().len()
     }
 
     /// Messages this subscription lost because its bounded queue was full
@@ -159,8 +221,14 @@ impl Subscription {
 
     /// Non-blocking receive. Already-queued messages remain receivable
     /// after the broker side closes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a collector's columnar subscription, as do
+    /// [`recv`](Subscription::recv) and the `drain*` family: its samples
+    /// are consumed by [`Collector::pump`](crate::collector::Collector::pump).
     pub fn try_recv(&self) -> Option<PublishedMessage> {
-        self.queue.lock().buf.pop_front()
+        self.queue.lock().messages().pop_front()
     }
 
     /// Drains everything currently queued.
@@ -176,8 +244,9 @@ impl Subscription {
     /// its capacity, so a warm steady-state drain allocates nothing.
     pub fn drain_into(&self, out: &mut Vec<PublishedMessage>) -> usize {
         let mut state = self.queue.lock();
-        let n = state.buf.len();
-        out.extend(state.buf.drain(..));
+        let buf = state.messages();
+        let n = buf.len();
+        out.extend(buf.drain(..));
         n
     }
 
@@ -189,8 +258,9 @@ impl Subscription {
     /// messages were consumed.
     pub fn drain_each(&self, mut f: impl FnMut(PublishedMessage)) -> usize {
         let mut state = self.queue.lock();
-        let n = state.buf.len();
-        for msg in state.buf.drain(..) {
+        let buf = state.messages();
+        let n = buf.len();
+        for msg in buf.drain(..) {
             f(msg);
         }
         n
@@ -201,7 +271,7 @@ impl Subscription {
     pub fn recv(&self) -> Option<PublishedMessage> {
         let mut state = self.queue.lock();
         loop {
-            if let Some(msg) = state.buf.pop_front() {
+            if let Some(msg) = state.messages().pop_front() {
                 return Some(msg);
             }
             if state.closed {
@@ -212,8 +282,38 @@ impl Subscription {
                 .queue
                 .ready
                 .wait(state)
-                .expect("subscription queue poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             state.waiters -= 1;
+        }
+    }
+
+    /// Runs `f` on the columnar subscription's point runs under one lock;
+    /// `None` when the subscription queues whole messages.
+    pub(crate) fn with_runs<R>(&self, f: impl FnOnce(&mut Runs) -> R) -> Option<R> {
+        match &mut self.queue.lock().pending {
+            Pending::Runs(runs) => Some(f(runs)),
+            Pending::Messages(_) => None,
+        }
+    }
+
+    /// Switches a columnar subscription to the message FIFO, for a
+    /// collector that needs every message in arrival order (gap
+    /// detection, a threaded ingest loop). No-op on a FIFO subscription.
+    ///
+    /// # Panics
+    ///
+    /// Panics if samples are already staged: their cross-topic arrival
+    /// order is not kept, so they cannot become messages.
+    pub(crate) fn use_messages(&self) {
+        let mut state = self.queue.lock();
+        if let Pending::Runs(runs) = &state.pending {
+            assert_eq!(
+                runs.len(),
+                0,
+                "configure the collector before the first delivery: staged runs cannot be \
+                 replayed as messages"
+            );
+            state.pending = Pending::Messages(VecDeque::new());
         }
     }
 }
@@ -222,7 +322,11 @@ impl Drop for Subscription {
     fn drop(&mut self) {
         let mut state = self.queue.lock();
         state.receiver_gone = true;
-        state.buf.clear();
+        // Release what is held; later deliveries are refused as dead.
+        state.pending = match state.pending {
+            Pending::Messages(_) => Pending::Messages(VecDeque::new()),
+            Pending::Runs(_) => Pending::Runs(Runs::default()),
+        };
     }
 }
 
@@ -352,7 +456,7 @@ impl Broker {
 
     /// Subscribes to `filter` with an unbounded queue.
     pub fn subscribe(&self, filter: TopicFilter) -> Subscription {
-        self.subscribe_inner(filter, None)
+        self.subscribe_inner(filter, None, Pending::Messages(VecDeque::new()))
     }
 
     /// Subscribes to `filter` with a queue bounded to `capacity` messages:
@@ -364,13 +468,33 @@ impl Broker {
     ///
     /// Panics if `capacity` is zero.
     pub fn subscribe_bounded(&self, filter: TopicFilter, capacity: usize) -> Subscription {
-        assert!(capacity > 0, "a bounded subscription needs capacity >= 1");
-        self.subscribe_inner(filter, Some(capacity))
+        self.subscribe_inner(filter, Some(capacity), Pending::Messages(VecDeque::new()))
     }
 
-    fn subscribe_inner(&self, filter: TopicFilter, capacity: Option<usize>) -> Subscription {
+    /// Subscribes a bulk-pumping collector: deliveries are staged as
+    /// per-topic point runs instead of messages. `capacity` bounds the
+    /// staged plus quarantined samples exactly as it bounds a message
+    /// queue.
+    pub(crate) fn subscribe_columnar(
+        &self,
+        filter: TopicFilter,
+        capacity: Option<usize>,
+    ) -> Subscription {
+        self.subscribe_inner(filter, capacity, Pending::Runs(Runs::default()))
+    }
+
+    fn subscribe_inner(
+        &self,
+        filter: TopicFilter,
+        capacity: Option<usize>,
+        pending: Pending,
+    ) -> Subscription {
+        assert!(
+            capacity != Some(0),
+            "a bounded subscription needs capacity >= 1"
+        );
         let id = SubscriptionId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let queue = SubQueue::new();
+        let queue = SubQueue::new(pending);
         let mut table = self.table.write();
         table.subs.push(SubEntry {
             id,
@@ -583,15 +707,13 @@ impl Broker {
                                 continue;
                             }
                             if let Some(cap) = lane.sub.capacity {
-                                if lane.state.buf.len() >= cap {
+                                if lane.state.len() >= cap {
                                     lane.state.dropped += 1;
                                     *dropped += 1;
                                     continue;
                                 }
                             }
-                            lane.state
-                                .buf
-                                .push_back(PublishedMessage { topic, payload });
+                            lane.state.push(topic, payload);
                             lane.pushed += 1;
                             *reached += 1;
                         }
@@ -625,9 +747,7 @@ impl Broker {
                             if route.is_empty() {
                                 continue;
                             }
-                            lane.state
-                                .buf
-                                .push_back(PublishedMessage { topic, payload });
+                            lane.state.push(topic, payload);
                             lane.pushed += 1;
                             reached += 1;
                         }
@@ -688,11 +808,7 @@ impl Broker {
                             continue;
                         }
                         let sub = &table.subs[i as usize];
-                        let msg = PublishedMessage {
-                            topic: *topic,
-                            payload: *payload,
-                        };
-                        match sub.queue.send(msg, sub.capacity) {
+                        match sub.queue.send(*topic, *payload, sub.capacity) {
                             SendOutcome::Delivered => reached += 1,
                             SendOutcome::Full => dropped += 1,
                             SendOutcome::Dead => {
@@ -782,11 +898,7 @@ fn deliver(
 ) {
     for &i in route {
         let sub = &subs[i as usize];
-        let msg = PublishedMessage {
-            topic: *topic,
-            payload,
-        };
-        match sub.queue.send(msg, sub.capacity) {
+        match sub.queue.send(*topic, payload, sub.capacity) {
             SendOutcome::Delivered => *reached += 1,
             SendOutcome::Full => *dropped += 1,
             SendOutcome::Dead => {

@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 
 use crate::broker::{Broker, PublishedMessage, Subscription};
 use crate::payload::Payload;
-use crate::scrub::ScrubPolicy;
+use crate::scrub::{admits, ScrubPolicy};
 use crate::topic::{Topic, TopicFilter};
 use crate::tsdb::{Point, TimeSeriesStore};
 
@@ -29,6 +29,10 @@ pub struct Gap {
 ///
 /// `pump` is deterministic and used by the simulation loop; `spawn` runs a
 /// real ingestion thread for the threaded integration tests.
+///
+/// A collector that only pumps receives its deliveries as per-topic
+/// point runs, scrubbed as they arrive; one configured for gap detection,
+/// or spawned, receives whole messages in arrival order.
 ///
 /// # Examples
 ///
@@ -61,70 +65,156 @@ pub struct Collector {
     last_seen: Vec<Option<(SimTime, f64)>>,
     gaps: Vec<Gap>,
     backfilled: usize,
-    /// Per-topic staging runs for the columnar pump, indexed densely by
-    /// interned topic id; capacities are recycled across pumps.
-    buckets: Vec<Bucket>,
-    /// Indices of buckets holding points from the current drain.
-    active: Vec<usize>,
     /// Plausibility scrubbing: when set, implausible samples are diverted
-    /// to [`Collector::take_quarantined`] instead of ingested.
+    /// to [`Collector::take_quarantined`] instead of ingested. The runs
+    /// layout holds its own copy and applies it at delivery.
     scrub: Option<ScrubPolicy>,
     /// Samples the scrub refused, in arrival order, awaiting the engine's
     /// drain.
     quarantine: Vec<(Topic, Payload)>,
 }
 
-/// One series' staged points within a single pump.
+/// A columnar subscription's pending samples: one point run per topic,
+/// staged by the broker at delivery and landed by [`Collector::pump`].
+///
+/// The scrub runs as each sample is staged, so the quarantine keeps
+/// arrival order across topics while the runs keep it per topic — all
+/// the store and the engine's `SdcSuspected` log can observe. Each
+/// topic's scrub range is classified once, on its first delivery, so the
+/// per-sample check is one table load and two compares.
 #[derive(Debug, Default)]
-struct Bucket {
+pub(crate) struct Runs {
+    /// Indexed densely by interned topic id; capacities are recycled
+    /// across pumps.
+    runs: Vec<Run>,
+    /// Points staged across all runs.
+    staged: usize,
+    scrub: Option<ScrubPolicy>,
+    /// Samples the scrub refused since the last pump, in arrival order.
+    quarantine: Vec<(Topic, Payload)>,
+}
+
+/// One topic's staged points and its cached scrub range.
+#[derive(Debug, Default)]
+struct Run {
+    /// Set on the topic's first delivery.
     topic: Option<Topic>,
+    /// [`ScrubPolicy::range_for`] of the topic; `None` admits every value.
+    range: Option<(f64, f64)>,
     points: Vec<Point>,
+}
+
+impl Runs {
+    /// Stages one delivery, or quarantines it if the scrub refuses it.
+    #[inline]
+    pub(crate) fn push(&mut self, topic: Topic, payload: Payload) {
+        let idx = topic.id().index();
+        if self.runs.get(idx).is_none_or(|run| run.topic.is_none()) {
+            self.open(topic);
+        }
+        let run = &mut self.runs[idx];
+        if run.range.is_some_and(|range| !admits(range, payload.value)) {
+            self.quarantine.push((topic, payload));
+            return;
+        }
+        run.points.push((payload.timestamp, payload.value));
+        self.staged += 1;
+    }
+
+    /// First delivery of `topic`: opens its run and classifies its scrub
+    /// range. Kept out of line so the per-sample `push` inlines into the
+    /// broker's delivery loops.
+    #[cold]
+    #[inline(never)]
+    fn open(&mut self, topic: Topic) {
+        let idx = topic.id().index();
+        if self.runs.len() <= idx {
+            self.runs.resize_with(idx + 1, Run::default);
+        }
+        let run = &mut self.runs[idx];
+        run.topic = Some(topic);
+        run.range = self.scrub.and_then(|policy| policy.range_for(&topic));
+    }
+
+    /// Samples held: staged plus quarantined.
+    pub(crate) fn len(&self) -> usize {
+        self.staged + self.quarantine.len()
+    }
+
+    /// Installs `policy` and reclassifies every topic seen so far.
+    fn set_scrub(&mut self, policy: ScrubPolicy) {
+        assert_eq!(
+            self.len(),
+            0,
+            "install the scrub before the first delivery: staged samples were not scrubbed"
+        );
+        self.scrub = Some(policy);
+        for run in &mut self.runs {
+            run.range = run.topic.and_then(|topic| policy.range_for(&topic));
+        }
+    }
+
+    /// Lands every run in `store` with one `extend_series` call each and
+    /// moves the quarantine to `quarantine`; returns the samples consumed.
+    fn land(
+        &mut self,
+        store: &mut TimeSeriesStore,
+        quarantine: &mut Vec<(Topic, Payload)>,
+    ) -> usize {
+        let consumed = self.len();
+        for run in &mut self.runs {
+            if self.staged == 0 {
+                break;
+            }
+            if let Some(topic) = run.topic.filter(|_| !run.points.is_empty()) {
+                store.extend_series(&topic, &run.points);
+                self.staged -= run.points.len();
+                run.points.clear();
+            }
+        }
+        quarantine.append(&mut self.quarantine);
+        consumed
+    }
 }
 
 impl Collector {
     /// Subscribes `filter` on `broker`.
     pub fn attach(broker: &Broker, filter: TopicFilter) -> Self {
-        Collector {
-            subscription: broker.subscribe(filter),
-            expected_interval: None,
-            backfill: false,
-            last_seen: Vec::new(),
-            gaps: Vec::new(),
-            backfilled: 0,
-            buckets: Vec::new(),
-            active: Vec::new(),
-            scrub: None,
-            quarantine: Vec::new(),
-        }
+        Collector::over(broker.subscribe_columnar(filter, None))
     }
 
     /// Like [`Collector::attach`], but with a bounded subscriber queue:
     /// bursts beyond `capacity` are dropped (and accounted) at the broker
     /// instead of growing the queue without limit.
     pub fn attach_bounded(broker: &Broker, filter: TopicFilter, capacity: usize) -> Self {
+        Collector::over(broker.subscribe_columnar(filter, Some(capacity)))
+    }
+
+    fn over(subscription: Subscription) -> Self {
         Collector {
-            subscription: broker.subscribe_bounded(filter, capacity),
+            subscription,
             expected_interval: None,
             backfill: false,
             last_seen: Vec::new(),
             gaps: Vec::new(),
             backfilled: 0,
-            buckets: Vec::new(),
-            active: Vec::new(),
             scrub: None,
             quarantine: Vec::new(),
         }
     }
 
     /// Enables gap detection: consecutive samples of one series arriving
-    /// more than 1.5 × `interval` apart are recorded as a [`Gap`].
+    /// more than 1.5 × `interval` apart are recorded as a [`Gap`]. The
+    /// collector then receives whole messages in arrival order.
     ///
     /// # Panics
     ///
-    /// Panics if the interval is zero.
+    /// Panics if the interval is zero, or if samples are staged and not
+    /// yet pumped.
     #[must_use]
     pub fn with_expected_interval(mut self, interval: SimDuration) -> Self {
         assert!(!interval.is_zero(), "expected interval must be non-zero");
+        self.subscription.use_messages();
         self.expected_interval = Some(interval);
         self
     }
@@ -149,9 +239,14 @@ impl Collector {
     /// Installs a plausibility scrub: samples `policy` rejects are held in
     /// quarantine (see [`Collector::take_quarantined`]) instead of being
     /// written to the store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if samples are staged and not yet pumped.
     #[must_use]
     pub fn with_scrub(mut self, policy: ScrubPolicy) -> Self {
         self.scrub = Some(policy);
+        self.subscription.with_runs(|runs| runs.set_scrub(policy));
         self
     }
 
@@ -176,17 +271,18 @@ impl Collector {
         &self.subscription
     }
 
-    /// Drains everything queued into `store`; returns the points ingested
-    /// (backfilled points are not counted — see [`Collector::backfilled`]).
+    /// Drains everything delivered into `store`; returns the samples
+    /// consumed, quarantined ones included (backfilled points are not
+    /// counted — see [`Collector::backfilled`]).
     ///
-    /// Without gap detection this is the columnar fast path: one pass
-    /// under the queue lock stages each sample into a per-topic bucket
-    /// (dense interned-id index, recycled capacity), then each touched
-    /// series is bulk-appended to its column in a single
-    /// [`TimeSeriesStore::extend_series`] call. Per-topic arrival order is
-    /// preserved, so the stored columns are identical to per-message
-    /// inserts. Steady state (pre-registered topics, warm capacities) the
-    /// path performs zero heap allocations per sample.
+    /// Without gap detection this is the columnar lane: the broker has
+    /// already staged each sample in its topic's run and scrubbed it, so
+    /// the pump takes the subscription lock once and bulk-appends each
+    /// run to its column with one [`TimeSeriesStore::extend_series`] call.
+    /// Per-topic arrival order is preserved, so the stored columns are
+    /// identical to per-message inserts, and the quarantine is in arrival
+    /// order. Steady state (pre-registered topics, warm capacities) the
+    /// lane performs zero heap allocations per sample.
     ///
     /// With an expected interval set, samples go through per-message gap
     /// detection/backfill instead, in arrival order.
@@ -198,40 +294,11 @@ impl Collector {
             last_seen,
             gaps,
             backfilled,
-            buckets,
-            active,
             scrub,
             quarantine,
         } = self;
-        if expected_interval.is_none() {
-            let drained = subscription.drain_each(|msg| {
-                if let Some(policy) = scrub {
-                    if !policy.is_plausible(&msg.topic, &msg.payload) {
-                        quarantine.push((msg.topic, msg.payload));
-                        return;
-                    }
-                }
-                let idx = msg.topic.id().index();
-                if buckets.len() <= idx {
-                    buckets.resize_with(idx + 1, Bucket::default);
-                }
-                let bucket = &mut buckets[idx];
-                if bucket.points.is_empty() {
-                    bucket.topic = Some(msg.topic);
-                    active.push(idx);
-                }
-                bucket
-                    .points
-                    .push((msg.payload.timestamp, msg.payload.value));
-            });
-            for &idx in active.iter() {
-                let bucket = &mut buckets[idx];
-                let topic = bucket.topic.expect("active bucket has a topic");
-                store.extend_series(&topic, &bucket.points);
-                bucket.points.clear();
-            }
-            active.clear();
-            return drained;
+        if let Some(consumed) = subscription.with_runs(|runs| runs.land(store, quarantine)) {
+            return consumed;
         }
         subscription.drain_each(|msg| {
             if let Some(policy) = scrub {
@@ -280,7 +347,13 @@ impl Collector {
     /// Spawns an ingestion thread feeding a shared store. The thread exits
     /// when the broker drops the subscription's sender side (i.e. when the
     /// broker itself is dropped) — or, in practice, when the process ends.
+    /// The thread receives whole messages, one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if samples are staged and not yet pumped.
     pub fn spawn(mut self, store: Arc<Mutex<TimeSeriesStore>>) -> std::thread::JoinHandle<usize> {
+        self.subscription.use_messages();
         std::thread::spawn(move || {
             let mut ingested = 0;
             while let Some(msg) = self.subscription.recv() {
@@ -466,6 +539,125 @@ mod tests {
         assert_eq!(db.point_count(), 2);
         assert_eq!(collector.take_quarantined().len(), 1);
         assert_eq!(collector.gaps().len(), 1, "the hole is a real gap");
+    }
+
+    fn power_topic(node: usize) -> Topic {
+        format!(
+            "org/unibo/cluster/cimone/node/mc-node-{node:02}/plugin/pwr_pub/chnl/data/total_power"
+        )
+        .parse()
+        .unwrap()
+    }
+
+    /// Two series corrupted at once, delivered over several publishes —
+    /// per message and batched — and landed by one pump: the quarantine
+    /// must hold the refused samples in the order they arrived, not
+    /// grouped by series.
+    #[test]
+    fn quarantine_keeps_arrival_order_across_interleaved_series() {
+        let (a, b) = (power_topic(0), power_topic(1));
+        let broker = Broker::new();
+        let mut collector = Collector::attach(&broker, "#".parse().unwrap())
+            .with_scrub(crate::scrub::ScrubPolicy::monte_cimone());
+        let mut refused = Vec::new();
+        for t in 0..6u64 {
+            let at = SimTime::from_secs(t);
+            let tick = [
+                (a, Payload::new(-(t as f64) - 1.0, at)),
+                (b, Payload::new(5.0, at)),
+                (b, Payload::new(-(t as f64) - 100.0, at)),
+                (a, Payload::new(6.0, at)),
+            ];
+            refused.extend([tick[0], tick[2]].map(|(topic, p)| (topic, p.value)));
+            if t % 2 == 0 {
+                for (topic, payload) in tick {
+                    broker.publish(&topic, payload);
+                }
+            } else {
+                broker.publish_batch_serial(&mut tick.to_vec());
+            }
+        }
+        assert_eq!(collector.subscription().queued(), 24);
+        let mut db = TimeSeriesStore::new();
+        assert_eq!(collector.pump(&mut db), 24, "staged and quarantined");
+        assert_eq!(collector.subscription().queued(), 0);
+        assert_eq!(db.point_count(), 12, "only plausible samples land");
+        let held: Vec<(Topic, f64)> = collector
+            .take_quarantined()
+            .into_iter()
+            .map(|(topic, p)| (topic, p.value))
+            .collect();
+        assert_eq!(held, refused);
+    }
+
+    /// A bounded collector counts quarantined samples against its
+    /// capacity, exactly as the message queue they replace did.
+    #[test]
+    fn bounded_capacity_counts_quarantined_samples() {
+        let power = power_topic(0);
+        let broker = Broker::new();
+        let mut collector = Collector::attach_bounded(&broker, "#".parse().unwrap(), 2)
+            .with_scrub(crate::scrub::ScrubPolicy::monte_cimone());
+        for v in [f64::NAN, 5.0, 6.0] {
+            broker.publish(&power, Payload::new(v, SimTime::ZERO));
+        }
+        assert_eq!(collector.subscription().queued(), 2);
+        assert_eq!(collector.subscription().dropped(), 1);
+        let mut db = TimeSeriesStore::new();
+        assert_eq!(collector.pump(&mut db), 2);
+        assert_eq!(db.point_count(), 1);
+        assert_eq!(collector.take_quarantined().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "consume it with Collector::pump")]
+    fn columnar_subscriptions_refuse_message_receives() {
+        let broker = Broker::new();
+        let collector = Collector::attach(&broker, "#".parse().unwrap());
+        broker.publish(&"x".parse().unwrap(), Payload::new(1.0, SimTime::ZERO));
+        collector.subscription().try_recv();
+    }
+
+    #[test]
+    #[should_panic(expected = "configure the collector before the first delivery")]
+    fn gap_detection_cannot_be_enabled_over_staged_runs() {
+        let broker = Broker::new();
+        let collector = Collector::attach(&broker, "#".parse().unwrap());
+        broker.publish(&"x".parse().unwrap(), Payload::new(1.0, SimTime::ZERO));
+        let _ = collector.with_expected_interval(SimDuration::from_secs(1));
+    }
+
+    /// A dropped collector's staged samples go with it; the broker then
+    /// finds the subscriber dead, counts the delivery as dropped and
+    /// prunes it.
+    #[test]
+    fn dropping_a_collector_releases_its_runs() {
+        let broker = Broker::new();
+        let collector = Collector::attach(&broker, "#".parse().unwrap());
+        broker.publish(&"x".parse().unwrap(), Payload::new(1.0, SimTime::ZERO));
+        drop(collector);
+        broker.publish(&"x".parse().unwrap(), Payload::new(2.0, SimTime::ZERO));
+        let stats = broker.stats();
+        assert_eq!((stats.delivered, stats.dropped), (1, 1));
+        assert_eq!(broker.subscription_count(), 0);
+    }
+
+    /// The scrub may be installed before or after gap detection.
+    #[test]
+    fn scrub_then_gap_detection_scrubs_per_message() {
+        let power = power_topic(0);
+        let broker = Broker::new();
+        let mut collector = Collector::attach(&broker, "#".parse().unwrap())
+            .with_scrub(crate::scrub::ScrubPolicy::monte_cimone())
+            .with_expected_interval(SimDuration::from_secs(1));
+        for (t, v) in [(0u64, 5.0), (1, -1.0), (2, 5.2)] {
+            broker.publish(&power, Payload::new(v, SimTime::from_secs(t)));
+        }
+        let mut db = TimeSeriesStore::new();
+        assert_eq!(collector.pump(&mut db), 3);
+        assert_eq!(db.point_count(), 2);
+        assert_eq!(collector.take_quarantined().len(), 1);
+        assert_eq!(collector.gaps().len(), 1);
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! plausibility check the corrupted point lands in the TSDB and poisons
 //! every downstream aggregate: MTTF dashboards, the thermal-anomaly
 //! detector, energy accounting. A [`ScrubPolicy`] installed on the
-//! [`crate::collector::Collector`] range-checks each payload *before* it
-//! is staged for the store; implausible samples are quarantined (held for
-//! the engine to turn into an `SdcSuspected` event) instead of ingested.
+//! [`crate::collector::Collector`] range-checks each payload as it is
+//! staged for the store — at delivery, for a collector that only pumps —
+//! and implausible samples are quarantined, in arrival order, for the
+//! engine to turn into `SdcSuspected` events instead of being ingested.
+//! [`ScrubPolicy::range_for`] classifies a topic once, so a consumer can
+//! cache its range and check each sample with two compares.
 //!
 //! The policy is deliberately coarse: ranges are chosen to enclose every
 //! value the simulated machine can legitimately produce, so a scrubbing
@@ -49,25 +52,46 @@ impl ScrubPolicy {
         }
     }
 
+    /// The admissible value range of `topic`'s metric, or `None` for a
+    /// metric the policy does not judge. A value `v` is plausible iff
+    /// `lo <= v && v <= hi`: an infinite bound comes back as the largest
+    /// finite `f64` of its sign, so the two compares refuse NaN and ±∞ on
+    /// every judged metric. The class depends on the topic alone, so a
+    /// consumer can classify each topic once and cache it.
+    pub fn range_for(&self, topic: &Topic) -> Option<(f64, f64)> {
+        let segments = topic.segments();
+        let (lo, hi) = if segments.iter().any(|s| s == POWER_PLUGIN) {
+            self.power_watts
+        } else if segments
+            .last()
+            .is_some_and(|s| s.starts_with(TEMPERATURE_PREFIX))
+        {
+            self.temperature_celsius
+        } else {
+            return None;
+        };
+        let lo = if lo == f64::NEG_INFINITY {
+            f64::MIN
+        } else {
+            lo
+        };
+        let hi = if hi == f64::INFINITY { f64::MAX } else { hi };
+        Some((lo, hi))
+    }
+
     /// Whether `payload` on `topic` is plausible. Non-finite values on a
     /// known metric are never plausible; metrics the policy does not
     /// recognise always pass.
     pub fn is_plausible(&self, topic: &Topic, payload: &Payload) -> bool {
-        let v = payload.value;
-        let segments = topic.segments();
-        if segments.iter().any(|s| s == POWER_PLUGIN) {
-            let (lo, hi) = self.power_watts;
-            return v.is_finite() && (lo..=hi).contains(&v);
-        }
-        if segments
-            .last()
-            .is_some_and(|s| s.starts_with(TEMPERATURE_PREFIX))
-        {
-            let (lo, hi) = self.temperature_celsius;
-            return v.is_finite() && (lo..=hi).contains(&v);
-        }
-        true
+        self.range_for(topic)
+            .is_none_or(|range| admits(range, payload.value))
     }
+}
+
+/// Whether `value` lies in a [`ScrubPolicy::range_for`] range.
+#[inline]
+pub(crate) fn admits((lo, hi): (f64, f64), value: f64) -> bool {
+    lo <= value && value <= hi
 }
 
 impl Default for ScrubPolicy {
@@ -112,6 +136,39 @@ mod tests {
         assert!(!policy.is_plausible(&topic, &pay(1.0e307)));
         assert!(!policy.is_plausible(&topic, &pay(-273.0)));
         assert!(!policy.is_plausible(&topic, &pay(f64::NAN)));
+    }
+
+    #[test]
+    fn ranges_are_classified_from_the_topic_alone() {
+        let policy = ScrubPolicy::monte_cimone();
+        let power: Topic = "node/mc-node-00/plugin/pwr_pub/chnl/data/total_power"
+            .parse()
+            .unwrap();
+        let temp: Topic = "node/mc-node-00/plugin/stats/chnl/data/temperature.cpu_temp"
+            .parse()
+            .unwrap();
+        let load: Topic = "node/mc-node-00/plugin/stats/chnl/data/load.load1m"
+            .parse()
+            .unwrap();
+        assert_eq!(policy.range_for(&power), Some(policy.power_watts));
+        assert_eq!(policy.range_for(&temp), Some(policy.temperature_celsius));
+        assert_eq!(policy.range_for(&load), None);
+    }
+
+    #[test]
+    fn infinite_bounds_still_refuse_non_finite_values() {
+        let policy = ScrubPolicy {
+            power_watts: (f64::NEG_INFINITY, f64::INFINITY),
+            ..ScrubPolicy::monte_cimone()
+        };
+        let power: Topic = "node/mc-node-00/plugin/pwr_pub/chnl/data/total_power"
+            .parse()
+            .unwrap();
+        assert_eq!(policy.range_for(&power), Some((f64::MIN, f64::MAX)));
+        assert!(policy.is_plausible(&power, &pay(-1.0e308)));
+        assert!(!policy.is_plausible(&power, &pay(f64::INFINITY)));
+        assert!(!policy.is_plausible(&power, &pay(f64::NEG_INFINITY)));
+        assert!(!policy.is_plausible(&power, &pay(f64::NAN)));
     }
 
     #[test]

@@ -68,11 +68,13 @@ impl fmt::Display for Aggregation {
 ///
 /// Storage is columnar: each series is one point column, and interned
 /// [`TopicId`](crate::interner::TopicId)s map to column handles through a
-/// dense index vector, so the steady-state ingest path
-/// ([`TimeSeriesStore::insert`] / [`TimeSeriesStore::append_batch`]) is an
-/// O(1) handle lookup plus a column push — no string rendering, hashing or
-/// tree walk per sample. Names are kept in a sorted side index for the
-/// query paths, which are unchanged.
+/// dense index vector. The steady-state ingest path,
+/// [`TimeSeriesStore::extend_series`] (one call per topic run from
+/// [`Collector::pump`](crate::collector::Collector::pump)), is one O(1)
+/// handle lookup per run plus a column extension, and a single
+/// [`TimeSeriesStore::insert`] is a lookup plus a push — no string
+/// rendering, hashing or tree walk per sample. Names are kept in a sorted
+/// side index for the query paths.
 ///
 /// # Examples
 ///
@@ -193,21 +195,11 @@ impl TimeSeriesStore {
         self.insert(&message.topic, message.payload);
     }
 
-    /// Columnar batch ingest: appends every message, resolving each topic
-    /// to its series handle once per message (O(1) after the first sight).
-    /// Equivalent to calling [`TimeSeriesStore::insert_message`] per
-    /// element.
-    pub fn append_batch(&mut self, messages: &[PublishedMessage]) {
-        for message in messages {
-            self.insert_message(message);
-        }
-    }
-
     /// Bulk-appends points of a single series: one handle resolution for
     /// the whole run, and a straight `memcpy`-style column extension when
     /// the run is internally time-sorted and starts at or after the column
-    /// tail (the steady-state shape — the collector's pump groups each
-    /// drain by topic before calling this). Out-of-order runs fall back to
+    /// tail (the steady-state shape — the collector stages its deliveries
+    /// per topic and lands each run with one call). Out-of-order runs fall back to
     /// per-point sorted insertion; the stored column is identical to
     /// calling [`TimeSeriesStore::insert`] once per point in order.
     pub fn extend_series(&mut self, topic: &Topic, points: &[Point]) {

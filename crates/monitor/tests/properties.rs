@@ -1,9 +1,12 @@
-//! Property-based tests for the topic algebra and the time-series store.
+//! Property-based tests for the topic algebra, the time-series store,
+//! broker routing and the collector's columnar lane.
 
 use proptest::prelude::*;
 
 use cimone_monitor::broker::Broker;
+use cimone_monitor::collector::Collector;
 use cimone_monitor::payload::Payload;
+use cimone_monitor::scrub::ScrubPolicy;
 use cimone_monitor::topic::{Topic, TopicFilter};
 use cimone_monitor::tsdb::{Aggregation, TimeSeriesStore};
 use cimone_soc::units::{SimDuration, SimTime};
@@ -266,6 +269,170 @@ proptest! {
                 .collect();
             prop_assert_eq!(&got_b, &expected, "batched path vs oracle for {}", filter);
             prop_assert_eq!(&got_s, &expected, "per-message path vs oracle for {}", filter);
+        }
+    }
+}
+
+/// A telemetry topic in one of the scrub's three classes: node power
+/// (range-checked watts), a hwmon temperature (range-checked °C), or a
+/// load average the scrub does not judge.
+fn scrub_class_topic() -> impl Strategy<Value = Topic> {
+    (0usize..3, 0usize..3).prop_map(|(node, class)| {
+        let metric = [
+            "pwr_pub/chnl/data/total_power",
+            "stats/chnl/data/temperature.cpu_temp",
+            "stats/chnl/data/load.load1m",
+        ][class];
+        format!("org/unibo/cluster/cimone/node/mc-node-{node:02}/plugin/{metric}")
+            .parse()
+            .expect("valid topic")
+    })
+}
+
+/// Values on both sides of both scrub ranges, plus the non-finite ones.
+fn sample_value() -> impl Strategy<Value = f64> {
+    (0u32..10, -80.0f64..200.0).prop_map(|(kind, v)| match kind {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => -1.0e12,
+        3 => 2.0e4,
+        _ => v,
+    })
+}
+
+/// One step of a collector's life: a publish (per message or as one
+/// batch) of samples with out-of-order timestamps, or a pump.
+#[derive(Debug, Clone)]
+enum LaneStep {
+    Publish {
+        batched: bool,
+        samples: Vec<(Topic, Payload)>,
+    },
+    Pump,
+}
+
+fn lane_step() -> impl Strategy<Value = LaneStep> {
+    let sample = (scrub_class_topic(), sample_value(), 0u64..40)
+        .prop_map(|(topic, v, t)| (topic, Payload::new(v, SimTime::from_secs(t))));
+    (0u32..4, any::<bool>(), prop::collection::vec(sample, 0..12)).prop_map(
+        |(kind, batched, samples)| match kind {
+            0 => LaneStep::Pump,
+            _ => LaneStep::Publish { batched, samples },
+        },
+    )
+}
+
+/// A store's contents at bit level (NaN and ±∞ land on unjudged metrics).
+fn store_bits(store: &TimeSeriesStore) -> Vec<(String, Vec<(u64, u64)>)> {
+    store
+        .series_names()
+        .map(|name| {
+            let points = store
+                .query(name, SimTime::ZERO, SimTime::from_secs(1000))
+                .iter()
+                .map(|(t, v)| (t.as_micros(), v.to_bits()))
+                .collect();
+            (name.to_owned(), points)
+        })
+        .collect()
+}
+
+fn sample_bits((topic, payload): &(Topic, Payload)) -> (Topic, u64, u64) {
+    (
+        *topic,
+        payload.timestamp.as_micros(),
+        payload.value.to_bits(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The columnar collector against a per-message oracle: a plain
+    /// subscription on a twin broker whose messages are scrubbed with
+    /// `is_plausible` and stored with `insert`, in arrival order, at the
+    /// same pump points. Store, quarantine order, the subscription's
+    /// `queued`/`dropped`, pump counts and `BrokerStats` must all agree,
+    /// under loss, bounded capacity, both publish paths and (with a
+    /// bystander subscriber) both batch-delivery paths.
+    #[test]
+    fn columnar_collector_matches_the_per_message_oracle(
+        steps in prop::collection::vec(lane_step(), 1..24),
+        loss in (any::<bool>(), 0.05f64..0.5).prop_map(|(lossy, rate)| if lossy { rate } else { 0.0 }),
+        seed in 0u64..u64::MAX,
+        capacity in (any::<bool>(), 1usize..12).prop_map(|(bounded, cap)| bounded.then_some(cap)),
+        bystander in any::<bool>(),
+    ) {
+        let policy = ScrubPolicy::monte_cimone();
+        let filter: TopicFilter = "org/#".parse().expect("valid");
+        let lane_broker = Broker::new();
+        let oracle_broker = Broker::new();
+        let mut collector = match capacity {
+            Some(cap) => Collector::attach_bounded(&lane_broker, filter.clone(), cap),
+            None => Collector::attach(&lane_broker, filter.clone()),
+        }
+        .with_scrub(policy);
+        let oracle = match capacity {
+            Some(cap) => oracle_broker.subscribe_bounded(filter.clone(), cap),
+            None => oracle_broker.subscribe(filter.clone()),
+        };
+        let bystanders = bystander.then(|| {
+            let f: TopicFilter = "org/unibo/cluster/cimone/node/+/plugin/stats/#"
+                .parse()
+                .expect("valid");
+            (lane_broker.subscribe(f.clone()), oracle_broker.subscribe(f))
+        });
+        lane_broker.set_loss(loss, seed);
+        oracle_broker.set_loss(loss, seed);
+
+        let mut lane_store = TimeSeriesStore::new();
+        let mut oracle_store = TimeSeriesStore::new();
+        let mut oracle_quarantine = Vec::new();
+        let mut lane_quarantine = Vec::new();
+        for step in steps.into_iter().chain([LaneStep::Pump]) {
+            match step {
+                LaneStep::Publish { batched, samples } => {
+                    if batched {
+                        lane_broker.publish_batch_serial(&mut samples.clone());
+                        oracle_broker.publish_batch_serial(&mut samples.clone());
+                    } else {
+                        for (topic, payload) in &samples {
+                            lane_broker.publish(topic, *payload);
+                            oracle_broker.publish(topic, *payload);
+                        }
+                    }
+                }
+                LaneStep::Pump => {
+                    let consumed = collector.pump(&mut lane_store);
+                    lane_quarantine.extend(collector.take_quarantined());
+                    let drained = oracle.drain_each(|msg| {
+                        if policy.is_plausible(&msg.topic, &msg.payload) {
+                            oracle_store.insert(&msg.topic, msg.payload);
+                        } else {
+                            oracle_quarantine.push((msg.topic, msg.payload));
+                        }
+                    });
+                    prop_assert_eq!(consumed, drained, "pump count");
+                }
+            }
+            prop_assert_eq!(collector.subscription().queued(), oracle.queued());
+            prop_assert_eq!(collector.subscription().dropped(), oracle.dropped());
+            prop_assert_eq!(lane_broker.stats(), oracle_broker.stats());
+        }
+        prop_assert_eq!(store_bits(&lane_store), store_bits(&oracle_store));
+        prop_assert_eq!(
+            lane_quarantine.iter().map(sample_bits).collect::<Vec<_>>(),
+            oracle_quarantine.iter().map(sample_bits).collect::<Vec<_>>(),
+            "quarantine order"
+        );
+        if let Some((lane_side, oracle_side)) = bystanders {
+            let bits = |sub: &cimone_monitor::broker::Subscription| {
+                sub.drain()
+                    .iter()
+                    .map(|m| sample_bits(&(m.topic, m.payload)))
+                    .collect::<Vec<_>>()
+            };
+            prop_assert_eq!(bits(&lane_side), bits(&oracle_side));
         }
     }
 }
