@@ -29,7 +29,10 @@
 //!
 //! `BENCH_engine.json` additionally carries a broker micro-benchmark:
 //! steady-state batched publish throughput through the precompiled
-//! routing table, plus the compiled-route count.
+//! routing table, plus the compiled-route count, and a `per_call_ns`
+//! table: median nanoseconds per call of the eigensolver, the L2 cache
+//! simulator, the thermal step, TSDB insert and downsampling, and the
+//! concretiser with its DAG install.
 //!
 //! `--smoke` shrinks the problem sizes for CI; `REPS` overrides the
 //! repetition count; `--out-dir DIR` redirects the JSON snapshots (so CI
@@ -38,19 +41,33 @@
 //! noisy shared host; the clock-mode comparison and the broker
 //! throughput use best-of-reps as above.
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use cimone_bench::env_u64;
 use cimone_cluster::engine::{ClockMode, ClusterWorkload, EngineConfig, JobRequest, SimEngine};
 use cimone_cluster::faults::{FaultKind, FaultPlan};
+use cimone_cluster::thermal::{AirflowConfig, ThermalModel};
 use cimone_kernels::abft::{factor_protected, AbftMode};
 use cimone_kernels::checkpoint::Checkpoint;
 use cimone_kernels::dgemm;
+use cimone_kernels::eig::EigenDecomposition;
 use cimone_kernels::lu::LuFactorization;
 use cimone_kernels::matrix::Matrix;
 use cimone_kernels::pool::WorkerPool;
 use cimone_kernels::stream::{StreamConfig, StreamKernel, StreamRun};
+use cimone_mem::cache::{AccessKind, CacheConfig, SetAssocCache};
+use cimone_monitor::broker::Broker;
 use cimone_monitor::json::JsonValue;
-use cimone_soc::units::{SimDuration, SimTime};
+use cimone_monitor::payload::Payload;
+use cimone_monitor::topic::Topic;
+use cimone_monitor::tsdb::{Aggregation, TimeSeriesStore};
+use cimone_pkg::concretize::concretize;
+use cimone_pkg::install::InstallTree;
+use cimone_pkg::repo::PackageRepo;
+use cimone_pkg::spec::Spec;
+use cimone_pkg::target::TargetRegistry;
+use cimone_soc::units::{Power, SimDuration, SimTime};
 use cimone_soc::workload::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -344,10 +361,6 @@ fn bench_engine(sizes: &Sizes) -> JsonValue {
 /// throughput for the batched path and the per-message path, plus the
 /// compiled-route count as a direct witness that the table is populated.
 fn bench_broker(sizes: &Sizes) -> JsonValue {
-    use cimone_monitor::broker::Broker;
-    use cimone_monitor::payload::Payload;
-    use cimone_monitor::topic::Topic;
-
     let topics: Vec<Topic> = (0..128)
         .map(|i| {
             format!(
@@ -514,6 +527,72 @@ fn bench_engine_event(sizes: &Sizes, divergences: &mut Vec<String>) -> JsonValue
     obj(section)
 }
 
+/// Per-call costs of the pieces no other section times: the symmetric
+/// eigensolver, the L2 cache simulator, the thermal model, the TSDB and
+/// the package manager. Each row makes one untimed warm-up call, then
+/// `calls` calls per rep, and reports the median rep's nanoseconds per
+/// call.
+fn bench_calls(sizes: &Sizes) -> JsonValue {
+    let mut section = Vec::new();
+    let mut row = |name: &'static str, calls: usize, call: &mut dyn FnMut()| {
+        call();
+        let (s, ()) = time_reps(sizes.reps, || (0..calls).for_each(|_| call()));
+        let ns = s * 1e9 / calls as f64;
+        println!("CALL    {name:<26} {ns:>14.1} ns/call");
+        section.push((name, num(ns)));
+    };
+
+    let sym = Matrix::random_symmetric(96, &mut StdRng::seed_from_u64(3));
+    row("eig_tred2_tql2_n96", 4, &mut || {
+        black_box(EigenDecomposition::compute(&sym).expect("symmetric"));
+    });
+    let mut l2 = SetAssocCache::new(CacheConfig::fu740_l2());
+    let mut addr = 0u64;
+    row("cache_l2_access", 100_000, &mut || {
+        black_box(l2.access(addr, AccessKind::Read));
+        addr = (addr + 64) % (16 << 20);
+    });
+    let mut thermal = ThermalModel::monte_cimone(AirflowConfig::LidOffSpaced);
+    let powers = [Power::from_watts(5.9); 8];
+    row("thermal_step_8nodes", 10_000, &mut || {
+        black_box(thermal.step(&powers, SimDuration::from_millis(500)));
+    });
+
+    let topic: Topic = "node/a/metric".parse().expect("valid");
+    let mut inserts = TimeSeriesStore::new();
+    let mut t = 0u64;
+    row("tsdb_insert", 100_000, &mut || {
+        t += 1;
+        inserts.insert(&topic, Payload::new(t as f64, SimTime::from_micros(t)));
+    });
+    let mut points = TimeSeriesStore::new();
+    for ms in 0..100_000u64 {
+        points.insert(&topic, Payload::new(ms as f64, SimTime::from_millis(ms)));
+    }
+    row("tsdb_downsample_100s_100k", 20, &mut || {
+        black_box(points.downsample(
+            "node/a/metric",
+            SimTime::ZERO,
+            SimTime::from_secs(100),
+            SimDuration::from_secs(1),
+            Aggregation::Mean,
+        ));
+    });
+
+    let repo = PackageRepo::builtin();
+    let targets = TargetRegistry::builtin();
+    let qe: Spec = "quantum-espresso target=u74mc".parse().expect("valid");
+    row("pkg_concretize_qe", 50, &mut || {
+        black_box(concretize(&qe, &repo, &targets).expect("resolves"));
+    });
+    let dag = concretize(&qe, &repo, &targets).expect("resolves");
+    row("pkg_install_qe_dag", 50, &mut || {
+        let mut tree = InstallTree::new("/opt/cimone");
+        black_box(tree.install_dag(&dag).expect("installs"));
+    });
+    obj(section)
+}
+
 /// Parses `--out-dir DIR` (defaulting to the working directory) so CI
 /// can write its artifacts next to the job instead of over the committed
 /// repo-root snapshots.
@@ -533,12 +612,8 @@ fn out_dir() -> std::path::PathBuf {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut sizes = if smoke { Sizes::smoke() } else { Sizes::full() };
-    if let Ok(reps) = std::env::var("REPS") {
-        sizes.reps = reps
-            .parse()
-            .unwrap_or_else(|_| panic!("REPS must be a positive integer, got {reps:?}"));
-        assert!(sizes.reps > 0, "REPS must be positive");
-    }
+    sizes.reps = env_u64("REPS", sizes.reps as u64) as usize;
+    assert!(sizes.reps > 0, "REPS must be positive");
     println!(
         "perf_baseline: mode={} reps={} workers={WORKERS}",
         sizes.mode, sizes.reps
@@ -553,6 +628,7 @@ fn main() {
     let engine = bench_engine(&sizes);
     let engine_event = bench_engine_event(&sizes, &mut divergences);
     let broker = bench_broker(&sizes);
+    let calls = bench_calls(&sizes);
 
     let config = obj(vec![
         ("mode", JsonValue::String(sizes.mode.to_owned())),
@@ -570,6 +646,7 @@ fn main() {
         ("engine", engine),
         ("engine_event", engine_event),
         ("broker", broker),
+        ("per_call_ns", calls),
     ]);
     let dir = out_dir();
     std::fs::create_dir_all(&dir).expect("create --out-dir");

@@ -14,11 +14,19 @@ use cimone_monitor::topic::ExamonSchema;
 
 /// Reads `NAME` from the environment as a number, with a default — the
 /// harness binaries use this for `REPS`/`SEED`/`SECS` style knobs.
+///
+/// # Panics
+///
+/// If `NAME` is set but does not parse as a `u64`; the message names the
+/// variable and its value, so a typo never silently runs the default.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => default,
+        Ok(v) => v
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}={v:?} is not an unsigned integer")),
+        Err(e) => panic!("{name} is not an unsigned integer: {e}"),
+    }
 }
 
 /// Renders Table II: the ExaMon topic and payload formats.
@@ -118,5 +126,12 @@ mod tests {
         assert_eq!(env_u64("CIMONE_BENCH_UNSET_VARIABLE", 7), 7);
         std::env::set_var("CIMONE_BENCH_TEST_VARIABLE", "42");
         assert_eq!(env_u64("CIMONE_BENCH_TEST_VARIABLE", 7), 42);
+    }
+
+    #[test]
+    #[should_panic(expected = "CIMONE_BENCH_BAD_VARIABLE=\"7x\" is not an unsigned integer")]
+    fn env_u64_rejects_unparsable_values() {
+        std::env::set_var("CIMONE_BENCH_BAD_VARIABLE", "7x");
+        env_u64("CIMONE_BENCH_BAD_VARIABLE", 7);
     }
 }

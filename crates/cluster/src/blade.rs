@@ -5,10 +5,8 @@
 //! stacks four blades; the enclosure's airflow — and the paper's thermal
 //! incident — are governed by this layout.
 
-use serde::{Deserialize, Serialize};
-
 /// Millimetre dimensions of the RV007 chassis (paper §III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BladeDimensions {
     /// Height (1 rack unit).
     pub height_mm: f64,
@@ -39,7 +37,7 @@ impl BladeDimensions {
 pub const RAIL_RATED_WATTS: f64 = 12.0;
 
 /// One dual-node blade.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Blade {
     /// Blade position in the stack, 0 at the bottom.
     pub position: usize,
@@ -72,7 +70,7 @@ impl Blade {
 
 /// The physical layout: four blades, eight nodes, login and master nodes
 /// on the side.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineLayout {
     blades: Vec<Blade>,
     dimensions: BladeDimensions,

@@ -15,8 +15,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use cimone_soc::units::{Bytes, SimDuration, SimTime};
 
 use crate::services::nfs::{MountHandle, NfsError, NfsServer};
@@ -72,7 +70,7 @@ const CKPT_EXPORT: &str = "/ckpt";
 /// hard-coded `/ckpt` layout is [`CheckpointStoreConfig::default`]; a
 /// second store on a second export (with its own outage windows) is just
 /// a second config.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointStoreConfig {
     /// The export path records live under.
     pub export: String,
@@ -94,7 +92,7 @@ impl Default for CheckpointStoreConfig {
 
 /// Where a job resumes inside its kernel: the natural restart unit of
 /// each workload in the paper's campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointPosition {
     /// HPL / blocked LU: panels of the factorisation completed.
     HplPanel(usize),
@@ -119,7 +117,7 @@ impl fmt::Display for CheckpointPosition {
 
 /// One committed checkpoint: the restart point a job falls back to when a
 /// node failure evicts it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobCheckpoint {
     /// The owning job.
     pub job_id: u64,
@@ -340,7 +338,7 @@ impl From<NfsError> for CheckpointError {
 /// The application data drains to the master node's disks over the same
 /// Gigabit Ethernet every NFS client shares, so the variable term is the
 /// job's resident set divided by the link rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointCostModel {
     /// Fixed barrier + metadata overhead per checkpoint.
     pub fixed: SimDuration,

@@ -9,10 +9,9 @@
 //! 107 °C (see `experiments::dvfs`).
 
 use cimone_soc::units::Celsius;
-use serde::{Deserialize, Serialize};
 
 /// What the governor wants done with a node's OPP this tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GovernorAction {
     /// Step one OPP down (throttle).
     StepDown,
@@ -35,7 +34,7 @@ pub enum GovernorAction {
 /// assert_eq!(governor.decide(Celsius::new(90.0)), GovernorAction::Hold);
 /// assert_eq!(governor.decide(Celsius::new(60.0)), GovernorAction::StepUp);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalGovernor {
     /// Throttle when the SoC exceeds this temperature.
     pub throttle_above: Celsius,

@@ -8,8 +8,6 @@
 //! machine availability. A rate of zero is the fault-free baseline and
 //! reproduces the Fig. 2 full-machine throughput.
 
-use serde::{Deserialize, Serialize};
-
 use cimone_sched::accounting::JobEventKind;
 use cimone_sched::job::JobState;
 use cimone_soc::units::SimDuration;
@@ -20,7 +18,7 @@ use crate::perf::{HplModel, HplProblem};
 use crate::report::{render_table, Stats};
 
 /// Outcome of the campaign at one fault rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatePoint {
     /// Crash rate, per node-hour.
     pub rate_per_node_hour: f64,
@@ -49,7 +47,7 @@ pub struct RatePoint {
 }
 
 /// The full sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AvailabilityResult {
     /// The HPL configuration each job runs.
     pub problem: HplProblem,

@@ -20,8 +20,6 @@
 //!   shadow, so the mid-fault temperatures order healthy < shadow <
 //!   direct.
 
-use serde::{Deserialize, Serialize};
-
 use cimone_soc::units::{SimDuration, SimTime};
 
 use crate::blade::RAIL_RATED_WATTS;
@@ -40,7 +38,7 @@ const FAULT_BLADE: usize = 1;
 const FAN_BLADE: usize = 1;
 
 /// Outcome of one brownout campaign (capping on or off).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrownoutPoint {
     /// Whether the power-cap governor was configured.
     pub capping: bool,
@@ -71,7 +69,7 @@ pub struct BrownoutPoint {
 }
 
 /// The Fig. 2 intermediate point: 2-node HPL packed versus split.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementPoint {
     /// 2-node HPL on one blade (intra-blade), GFLOP/s.
     pub intra_blade_gflops: f64,
@@ -82,7 +80,7 @@ pub struct PlacementPoint {
 }
 
 /// The coupled-airflow fan-loss scenario, sampled mid-fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FanLossPoint {
     /// Hottest node on the blade whose fan died, °C.
     pub direct_peak_c: f64,
@@ -95,7 +93,7 @@ pub struct FanLossPoint {
 }
 
 /// The full degraded-mode measurement set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationResult {
     /// The HPL configuration each job runs.
     pub problem: HplProblem,

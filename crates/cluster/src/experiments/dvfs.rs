@@ -12,7 +12,6 @@
 //! future work is worth.
 
 use cimone_soc::units::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::dpm::ThermalGovernor;
 use crate::engine::{ClusterWorkload, EngineConfig, EngineEvent, JobRequest, SimEngine};
@@ -20,7 +19,7 @@ use crate::perf::HplProblem;
 use crate::thermal::AirflowConfig;
 
 /// The comparison result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsResult {
     /// Without the governor: when (and how hot) node 7 tripped.
     pub ungoverned_trip: (SimTime, f64),

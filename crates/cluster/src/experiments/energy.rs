@@ -19,13 +19,12 @@ use cimone_soc::power::PowerModel;
 use cimone_soc::rails::Rail;
 use cimone_soc::units::{Celsius, Energy, Power};
 use cimone_soc::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 use crate::perf::{HplModel, HplProblem};
 use crate::report::render_table;
 
 /// One OPP's row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyPoint {
     /// OPP index (0 = slowest).
     pub opp_index: usize,
@@ -42,7 +41,7 @@ pub struct EnergyPoint {
 }
 
 /// The study result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyResult {
     /// The problem studied.
     pub problem: HplProblem,

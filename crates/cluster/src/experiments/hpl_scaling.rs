@@ -3,14 +3,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::perf::{HplModel, HplProblem};
 use crate::reference::ReferenceNode;
 use crate::report::{render_table, Stats};
 
 /// One point of the scaling curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingPoint {
     /// Node count.
     pub nodes: usize,
@@ -27,7 +26,7 @@ pub struct ScalingPoint {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HplScalingResult {
     /// The problem configuration (paper: N = 40704, NB = 192).
     pub problem: HplProblem,

@@ -9,12 +9,11 @@ use cimone_soc::units::{Celsius, Power, SimDuration};
 use cimone_soc::workload::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::report::render_table;
 
 /// One measured cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCell {
     /// Mean power over the trace.
     pub power: Power,
@@ -23,7 +22,7 @@ pub struct PowerCell {
 }
 
 /// The measured table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTableResult {
     /// Rows: one per rail, columns in `Workload::ALL` order.
     pub workload_cells: Vec<[PowerCell; 5]>,

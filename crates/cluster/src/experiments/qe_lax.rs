@@ -3,13 +3,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::perf::LaxModel;
 use crate::report::Stats;
 
 /// The experiment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QeLaxResult {
     /// Matrix order.
     pub matrix_n: usize,

@@ -25,8 +25,6 @@
 //! brownout, arbitrated by the rack governor's water-filling — the
 //! reported rack peak power must stay within the machine budget.
 
-use serde::{Deserialize, Serialize};
-
 use cimone_sched::job::JobState;
 use cimone_soc::units::{SimDuration, SimTime};
 
@@ -64,7 +62,7 @@ const RACK_SPAN: u64 = 900;
 const CKPT_SECS: u64 = 600;
 
 /// Outcome of one campaign (one recovery posture).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackCampaign {
     /// Posture label: `naive`, `partition-aware` or `spill`.
     pub label: String,
@@ -111,7 +109,7 @@ pub struct RackCampaign {
 }
 
 /// The full rack-outage measurement set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackOutageResult {
     /// The HPL configuration each job runs.
     pub problem: HplProblem,

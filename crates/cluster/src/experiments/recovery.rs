@@ -15,8 +15,6 @@
 //! Fig. 2 full-machine throughput bit-for-bit: heartbeats and detection
 //! consume no engine randomness.
 
-use serde::{Deserialize, Serialize};
-
 use cimone_sched::accounting::JobEventKind;
 use cimone_sched::job::JobState;
 use cimone_soc::units::SimDuration;
@@ -28,7 +26,7 @@ use crate::perf::{HplModel, HplProblem};
 use crate::report::{render_table, Stats};
 
 /// Outcome at one (crash rate, checkpoint interval) grid point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPoint {
     /// Crash rate, per node-hour.
     pub rate_per_node_hour: f64,
@@ -66,7 +64,7 @@ pub struct RecoveryPoint {
 }
 
 /// The full sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryResult {
     /// The HPL configuration each job runs.
     pub problem: HplProblem,

@@ -25,8 +25,6 @@
 //! Both campaigns are fully deterministic and byte-identical across
 //! [`ClockMode`]s.
 
-use serde::{Deserialize, Serialize};
-
 use cimone_kernels::abft::{AbftMode, SdcInjection};
 use cimone_kernels::hpl::{run_with_injection, HplConfig};
 use cimone_kernels::lu::hpl_flops;
@@ -56,7 +54,7 @@ fn mode_label(mode: AbftMode) -> &'static str {
 }
 
 /// Outcome of the native-kernel injection sweep under one ABFT mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SdcKernelCell {
     /// Mode label: `off`, `detect` or `correct`.
     pub mode: String,
@@ -85,7 +83,7 @@ pub struct SdcKernelCell {
 }
 
 /// Outcome of the cluster-scale SDC plan under one ABFT mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SdcEngineCell {
     /// Mode label: `off`, `detect` or `correct`.
     pub mode: String,
@@ -108,7 +106,7 @@ pub struct SdcEngineCell {
 }
 
 /// The full SDC measurement set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SdcResult {
     /// Kernel-campaign problem size.
     pub n: usize,

@@ -7,12 +7,11 @@ use cimone_pkg::install::InstallTree;
 use cimone_pkg::repo::{PackageRepo, TABLE_I_STACK};
 use cimone_pkg::spec::Spec;
 use cimone_pkg::target::TargetRegistry;
-use serde::{Deserialize, Serialize};
 
 use crate::report::render_table;
 
 /// One deployed package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StackEntry {
     /// Package name.
     pub package: String,
@@ -25,7 +24,7 @@ pub struct StackEntry {
 }
 
 /// The deployment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftwareStackResult {
     /// The target triple everything was built for.
     pub triple: String,

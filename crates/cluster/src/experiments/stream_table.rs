@@ -6,13 +6,12 @@ use cimone_mem::bandwidth::{table_v_sizes, StreamBandwidthModel};
 use cimone_soc::units::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::reference::ReferenceNode;
 use crate::report::{render_table, Stats};
 
 /// One Table V row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamRow {
     /// The kernel.
     pub kernel: String,
@@ -23,7 +22,7 @@ pub struct StreamRow {
 }
 
 /// The full experiment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamTableResult {
     /// Threads used (paper: 4, one per physical core).
     pub threads: usize,

@@ -8,14 +8,13 @@
 
 use cimone_monitor::anomaly::{Alarm, ThermalRunawayDetector};
 use cimone_soc::units::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{ClusterWorkload, EngineConfig, EngineEvent, JobRequest, SimEngine};
 use crate::perf::HplProblem;
 use crate::thermal::AirflowConfig;
 
 /// The experiment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalRunawayResult {
     /// The tripped node index (paper: node 7 → index 6).
     pub tripped_node: usize,

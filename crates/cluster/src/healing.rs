@@ -17,8 +17,6 @@
 //! DVFS, and past a hotter line fences the blade before the 107 °C
 //! hardware trip fires.
 
-use serde::{Deserialize, Serialize};
-
 use cimone_monitor::broker::Broker;
 use cimone_monitor::heartbeat::{HeartbeatMonitor, DEFAULT_PHI_THRESHOLD};
 use cimone_soc::units::{Celsius, SimDuration, SimTime};
@@ -26,7 +24,7 @@ use cimone_soc::units::{Celsius, SimDuration, SimTime};
 use crate::checkpoint::CheckpointCostModel;
 
 /// Checkpoint/restart policy for the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointConfig {
     /// Cadence between checkpoint commits of one job.
     pub interval: SimDuration,
@@ -84,7 +82,7 @@ impl CheckpointConfig {
 }
 
 /// The closed-loop thermal watchdog policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalWatchdog {
     /// Above this, step the node's DVFS down one OPP per tick.
     pub throttle_above: Celsius,

@@ -22,10 +22,9 @@ use cimone_soc::noise::gaussian;
 use cimone_soc::units::Bytes;
 use cimone_soc::workload::Workload;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The HPL problem the paper runs: N = 40704, NB = 192.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HplProblem {
     /// Matrix order.
     pub n: usize,
@@ -61,7 +60,7 @@ impl HplProblem {
 }
 
 /// One simulated HPL run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HplRunSample {
     /// Nodes used.
     pub nodes: usize,
@@ -82,7 +81,7 @@ pub struct HplRunSample {
 /// let single = model.gflops(1);
 /// assert!((single - 1.86).abs() < 0.02); // paper: 1.86 GFLOP/s
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HplModel {
     problem: HplProblem,
     /// Sustained FLOP/s of one node.
@@ -250,7 +249,7 @@ impl HplModel {
 /// The QuantumESPRESSO LAX driver model: repeated blocked diagonalisation
 /// of a 512² matrix on one node (paper §V-A: 1.44 GFLOP/s, 36 % FPU
 /// efficiency, 37.40 ± 0.14 s total).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaxModel {
     /// Matrix order (512 in the paper).
     pub matrix_n: usize,

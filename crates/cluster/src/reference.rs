@@ -7,10 +7,8 @@
 //! are nominal CPU-only node values; the comparison is about the
 //! *efficiency fractions*, which are the paper's measurements.
 
-use serde::{Deserialize, Serialize};
-
 /// One comparison node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceNode {
     /// System name.
     pub system: String,

@@ -1,10 +1,8 @@
 //! Small statistics and table-formatting helpers shared by the
 //! experiment harnesses.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean and standard deviation of repeated measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stats {
     /// Sample mean.
     pub mean: f64,

@@ -10,10 +10,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A POSIX account entry (`objectClass: posixAccount`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PosixAccount {
     /// Login name (`uid` attribute).
     pub username: String,
@@ -42,7 +40,7 @@ impl PosixAccount {
 }
 
 /// A POSIX group entry (`objectClass: posixGroup`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PosixGroup {
     /// Group name.
     pub name: String,
@@ -94,7 +92,7 @@ impl std::error::Error for LdapError {}
 /// assert!(dir.bind("alice", "wrong").is_err());
 /// # Ok::<(), cimone_cluster::services::ldap::LdapError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LdapDirectory {
     base_dn: String,
     accounts: BTreeMap<String, PosixAccount>,

@@ -10,13 +10,12 @@ use std::fmt;
 
 use cimone_net::link::LinkModel;
 use cimone_soc::units::{Bytes, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Root uid (bypasses permission checks, as `no_root_squash` exports do).
 pub const ROOT_UID: u32 = 0;
 
 /// One file in an export.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileNode {
     /// Owning uid.
     pub owner_uid: u32,
@@ -27,7 +26,7 @@ pub struct FileNode {
 }
 
 /// A client's handle to a mounted export.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MountHandle {
     export: String,
     client: String,
@@ -97,7 +96,7 @@ impl fmt::Display for NfsError {
 
 impl std::error::Error for NfsError {}
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Export {
     files: BTreeMap<String, FileNode>,
     quota: Bytes,
@@ -125,7 +124,7 @@ impl Export {
 /// assert_eq!(data, b"gflops=1.86");
 /// # Ok::<(), cimone_cluster::services::nfs::NfsError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NfsServer {
     exports: BTreeMap<String, Export>,
     link: LinkModel,

@@ -16,13 +16,12 @@
 //! blades drops the same node to ≈39 °C, the paper's post-fix figure.
 
 use cimone_soc::units::{Celsius, Power, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// The FU740 thermal trip point observed in the paper.
 pub const TRIP_POINT: Celsius = Celsius::new(107.0);
 
 /// Enclosure airflow configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AirflowConfig {
     /// The original 1U case: lid on, blades tightly stacked, PSU exhaust
     /// recirculating (the paper's initial, hazardous configuration).
@@ -32,7 +31,7 @@ pub enum AirflowConfig {
 }
 
 /// Per-node thermal parameters under one airflow config.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeThermalParams {
     /// Thermal resistance, °C per watt of SoC power.
     pub resistance: f64,
@@ -64,7 +63,7 @@ pub struct NodeThermalParams {
 /// direct hit (the node's own blade fan) roughly doubles the thermal
 /// resistance and raises the local environment sharply; the blade in the
 /// exhaust shadow sees a milder version of both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AirflowDegradation {
     /// Normal airflow.
     None,
@@ -87,7 +86,7 @@ impl AirflowDegradation {
 
 /// Lumped-capacitance thermal model of the enclosure: per-node heat-up,
 /// airflow coupling (including dead-fan degradation), and trip latches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalModel {
     config: AirflowConfig,
     ambient: Celsius,

@@ -6,8 +6,8 @@
 //! really moves bytes, the eigensolver really diagonalises. These kernels
 //! serve three purposes:
 //!
-//! 1. native Criterion benchmarks (`cimone-bench`) — the repo works as a
-//!    small dense-LA library in its own right;
+//! 1. native timings (`perf_baseline` in `cimone-bench`) — the repo works
+//!    as a small dense-LA library in its own right;
 //! 2. numerically validated ground truth for the simulator's FLOP/byte
 //!    accounting;
 //! 3. the workload definitions (HPL, STREAM, QE LAX) whose machine-scale

@@ -19,13 +19,12 @@ use cimone_kernels::stream::StreamKernel;
 use cimone_soc::noise::GaussianNoise;
 use cimone_soc::units::Bytes;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::ddr::DdrConfig;
 use crate::prefetch::PrefetcherConfig;
 
 /// Where a working set lives in the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Residency {
     /// Fits comfortably in the shared L2.
     L2,
@@ -37,7 +36,7 @@ pub enum Residency {
 }
 
 /// Per-kernel calibration constants derived from Table V (4 threads).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct KernelCalibration {
     /// Cache lines in flight across 4 threads with the prefetcher
     /// ineffective (back-solved from the measured DDR rates).
@@ -99,7 +98,7 @@ const PREFETCH_MLP_BOOST: f64 = 8.0;
 /// let bw = model.mean_bandwidth(StreamKernel::Copy, Bytes::from_mib(1946), 4);
 /// assert!((bw / 1e6 - 1206.0).abs() < 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamBandwidthModel {
     ddr: DdrConfig,
     prefetcher: PrefetcherConfig,

@@ -8,10 +8,9 @@
 use std::fmt;
 
 use cimone_soc::units::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity.
     pub capacity: Bytes,
@@ -53,7 +52,7 @@ impl CacheConfig {
 }
 
 /// Whether an access reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load.
     Read,
@@ -62,7 +61,7 @@ pub enum AccessKind {
 }
 
 /// Outcome of a single access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessOutcome {
     /// The line was present.
     Hit,
@@ -80,7 +79,7 @@ impl AccessOutcome {
 }
 
 /// Running statistics of a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,
@@ -115,7 +114,7 @@ impl fmt::Display for CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LineState {
     tag: u64,
     dirty: bool,
@@ -139,7 +138,7 @@ struct LineState {
 /// }
 /// assert!(l2.stats().hit_rate() > 0.49);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SetAssocCache {
     config: CacheConfig,
     /// Per set: resident lines ordered most-recently-used first.

@@ -6,10 +6,9 @@
 //! the controller, not the DRAM bus, is the ceiling.
 
 use cimone_soc::units::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of the DDR subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdrConfig {
     /// Installed capacity.
     pub capacity: Bytes,

@@ -8,10 +8,8 @@
 //! and the scalar *effectiveness* knob the bandwidth model and the ablation
 //! bench expose.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the stream prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetcherConfig {
     /// Concurrent streams trackable per core (U74: 8).
     pub streams_per_core: usize,
@@ -78,7 +76,7 @@ impl Default for PrefetcherConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StreamSlot {
     next_line: u64,
     confidence: usize,
@@ -87,7 +85,7 @@ struct StreamSlot {
 }
 
 /// Statistics from replaying a trace through the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrefetchStats {
     /// Demand accesses observed.
     pub accesses: u64,
@@ -121,7 +119,7 @@ impl PrefetchStats {
 /// }
 /// assert!(pf.stats().coverage() > 0.9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamPrefetcher {
     config: PrefetcherConfig,
     line: u64,

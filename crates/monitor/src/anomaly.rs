@@ -7,12 +7,11 @@
 //! for.
 
 use cimone_soc::units::{Celsius, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::tsdb::TimeSeriesStore;
 
 /// Alarm severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Severity {
     /// Worth a look.
     Warning,
@@ -30,7 +29,7 @@ impl std::fmt::Display for Severity {
 }
 
 /// A raised alarm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Alarm {
     /// The series that triggered.
     pub series: String,
@@ -43,7 +42,7 @@ pub struct Alarm {
 }
 
 /// Fires when a series crosses a fixed threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdDetector {
     threshold: f64,
     severity: Severity,
@@ -81,7 +80,7 @@ impl ThresholdDetector {
 
 /// Fires when a series rises faster than a rate limit over a sliding
 /// window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateOfRiseDetector {
     /// Maximum tolerated rise per second.
     max_per_second: f64,
@@ -152,7 +151,7 @@ impl RateOfRiseDetector {
 /// tolerated staleness at scan time. Degraded telemetry — a dropped
 /// sensor, broker message loss, a stalled collector — surfaces here
 /// instead of silently freezing dashboards at the last good value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StaleSeriesDetector {
     /// Maximum tolerated age of the newest sample.
     tolerance: SimDuration,
@@ -212,7 +211,7 @@ impl StaleSeriesDetector {
 }
 
 /// The combined detector ExaMon would run on `temperature.cpu_temp`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalRunawayDetector {
     /// Warning level (°C).
     pub warn_level: Celsius,

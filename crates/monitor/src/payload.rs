@@ -4,10 +4,9 @@ use std::fmt;
 use std::str::FromStr;
 
 use cimone_soc::units::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One sample as carried on the MQTT transport.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Payload {
     /// The metric value.
     pub value: f64,

@@ -5,14 +5,13 @@
 use std::collections::BTreeMap;
 
 use cimone_soc::units::{Celsius, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::broker::Broker;
 use crate::payload::Payload;
 use crate::topic::{ExamonSchema, Topic};
 
 /// Cumulative counters for one core, as read through the perf interface.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CoreCounters {
     /// The fixed CYCLE counter.
     pub cycles: u64,
@@ -24,7 +23,7 @@ pub struct CoreCounters {
 }
 
 /// Board temperatures, one per hwmon sensor (paper Table IV).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Temperatures {
     /// Motherboard sensor.
     pub mb: Celsius,
@@ -43,7 +42,7 @@ pub const HWMON_SYSFS: [(&str, &str); 3] = [
 
 /// Everything the plugins can observe about one node at one instant.
 /// Filled in by the cluster simulator each monitoring tick.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeSnapshot {
     /// Hostname (`mc-node-01` …).
     pub hostname: String,
@@ -74,7 +73,7 @@ pub struct NodeSnapshot {
 }
 
 /// Memory usage in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MemoryUsage {
     /// Used.
     pub used: f64,
@@ -87,7 +86,7 @@ pub struct MemoryUsage {
 }
 
 /// CPU usage percentages.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CpuUsage {
     /// User.
     pub usr: f64,

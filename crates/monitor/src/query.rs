@@ -2,8 +2,6 @@
 //! with JSON; batch analysis scripts consume it). Requests and responses
 //! are JSON-serialisable structures evaluated directly against the store.
 
-use serde::{Deserialize, Serialize};
-
 use cimone_soc::units::{SimDuration, SimTime};
 
 use crate::json::JsonValue;
@@ -11,7 +9,7 @@ use crate::topic::TopicFilter;
 use crate::tsdb::{Aggregation, TimeSeriesStore};
 
 /// A query over the store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     /// Topic filter selecting series (MQTT wildcard syntax).
     pub filter: String,
@@ -26,7 +24,7 @@ pub struct QueryRequest {
 }
 
 /// One series in a response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeriesData {
     /// Series (topic) name.
     pub name: String,
@@ -35,7 +33,7 @@ pub struct SeriesData {
 }
 
 /// A query response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
     /// Matched series.
     pub series: Vec<SeriesData>,

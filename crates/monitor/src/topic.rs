@@ -6,8 +6,6 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::interner::{self, TopicData, TopicId};
 
 /// A concrete (wildcard-free) topic such as
@@ -187,12 +185,12 @@ impl FromStr for Topic {
 /// assert!(f.matches(&t));
 /// # Ok::<(), cimone_monitor::topic::TopicParseError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TopicFilter {
     segments: Vec<FilterSegment>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum FilterSegment {
     Literal(String),
     SingleLevel,
@@ -293,7 +291,7 @@ impl FromStr for TopicFilter {
 }
 
 /// The ExaMon topic schema (paper Table II).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExamonSchema {
     /// Organisation segment value.
     pub org: String,

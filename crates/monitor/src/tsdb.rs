@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use cimone_soc::units::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::broker::PublishedMessage;
 use crate::payload::Payload;
@@ -14,7 +13,7 @@ use crate::topic::{Topic, TopicFilter};
 pub type Point = (SimTime, f64);
 
 /// Aggregation functions for range queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Aggregation {
     /// Arithmetic mean.
     Mean,

@@ -10,12 +10,11 @@
 use std::fmt;
 
 use cimone_soc::units::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::link::LinkModel;
 
 /// Stages of InfiniBand bring-up, in dependency order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IbCapability {
     /// PCIe device enumerated.
     DeviceRecognized,
@@ -99,7 +98,7 @@ impl std::error::Error for IbError {}
 /// assert!(!hca.supports(IbCapability::RdmaTransport));
 /// assert!(hca.rdma_write(1024).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IbHca {
     model: String,
     rate_gbit_per_s: u32,

@@ -1,7 +1,6 @@
 //! Point-to-point link models (α–β: latency plus inverse bandwidth).
 
 use cimone_soc::units::{Bytes, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// A full-duplex link characterised by latency and bandwidth.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// // 1 MiB over 125 MB/s ≈ 8.4 ms plus 50 µs latency.
 /// assert!((t.as_secs_f64() - 0.00844).abs() < 0.0005);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     latency: SimDuration,
     bandwidth_bytes_per_s: f64,

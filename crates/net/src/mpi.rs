@@ -6,7 +6,6 @@
 //! exchanges that shape the paper's Fig. 2 strong-scaling curve.
 
 use cimone_soc::units::{Bytes, SimDuration};
-use serde::{Deserialize, Serialize};
 
 use crate::link::LinkModel;
 
@@ -25,7 +24,7 @@ use crate::link::LinkModel;
 /// let p2p = world.pt2pt_time(Bytes::from_mib(1));
 /// assert!(bcast >= p2p); // log2(8) = 3 rounds
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommWorld {
     size: usize,
     link: LinkModel,
@@ -100,7 +99,7 @@ impl CommWorld {
 }
 
 /// A 2-D process grid (HPL's P × Q decomposition).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProcessGrid {
     /// Rows.
     pub p: usize,

@@ -9,8 +9,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::repo::{PackageRepo, UnknownPackageError};
 use crate::spec::{CompilerSpec, Spec};
 use crate::target::{TargetRegistry, UnknownTargetError};
@@ -29,7 +27,7 @@ pub fn default_compiler() -> CompilerSpec {
 pub const DEFAULT_TARGET: &str = "u74mc";
 
 /// A fully concretised package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConcreteSpec {
     /// Package name.
     pub name: String,
@@ -63,7 +61,7 @@ impl fmt::Display for ConcreteSpec {
 }
 
 /// A resolved DAG rooted at one spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Concretization {
     root: String,
     specs: BTreeMap<String, ConcreteSpec>,

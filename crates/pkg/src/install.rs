@@ -8,13 +8,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::concretize::{ConcreteSpec, Concretization};
 use crate::modules::{module_name, render_modulefile};
 
 /// One installed package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstalledPackage {
     /// The concrete spec installed.
     pub spec: ConcreteSpec,
@@ -95,7 +93,7 @@ impl std::error::Error for InstallError {}
 /// assert_eq!(installed.len(), 1); // stream has no dependencies
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InstallTree {
     root: String,
     /// Installed packages by hash.

@@ -8,12 +8,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::version::{Version, VersionReq};
 
 /// A dependency edge, optionally conditional on a variant setting.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dependency {
     /// Depended-on package.
     pub name: String,
@@ -47,7 +45,7 @@ impl Dependency {
 }
 
 /// A package definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackageDef {
     name: String,
     /// Known versions, ascending.
@@ -117,7 +115,7 @@ impl PackageDef {
 }
 
 /// A named collection of package definitions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackageRepo {
     packages: BTreeMap<String, PackageDef>,
 }

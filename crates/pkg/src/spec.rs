@@ -7,12 +7,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::version::{Version, VersionParseError, VersionReq};
 
 /// A compiler constraint (`%gcc@10.3.0`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CompilerSpec {
     /// Compiler name (e.g. `gcc`).
     pub name: String,
@@ -38,7 +36,7 @@ impl fmt::Display for CompilerSpec {
 /// assert_eq!(spec.variant("openmp"), Some(true));
 /// # Ok::<(), cimone_pkg::spec::SpecParseError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Spec {
     name: String,
     version: VersionReq,

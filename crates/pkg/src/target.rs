@@ -10,12 +10,11 @@
 use std::fmt;
 
 use cimone_soc::isa::IsaString;
-use serde::{Deserialize, Serialize};
 
 use crate::version::Version;
 
 /// A microarchitecture target.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Microarch {
     name: String,
     /// Generic parent (e.g. `u74mc` -> `riscv64`); `None` for family roots.
@@ -27,7 +26,7 @@ pub struct Microarch {
 }
 
 /// Instruction-set families the registry knows about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IsaFamily {
     /// RISC-V 64-bit.
     Riscv64,
@@ -102,7 +101,7 @@ impl Microarch {
 }
 
 /// The registry of known targets (a slice of archspec's JSON database).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetRegistry {
     targets: Vec<Microarch>,
 }

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// A dotted numeric version such as `10.3.0`.
 ///
 /// Comparison is componentwise with missing trailing components treated as
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(a > b);
 /// # Ok::<(), cimone_pkg::version::VersionParseError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Version(Vec<u64>);
 
 impl PartialEq for Version {
@@ -139,7 +137,7 @@ impl FromStr for Version {
 /// assert!(!req.matches(&"4.2.0".parse::<Version>()?));
 /// # Ok::<(), cimone_pkg::version::VersionParseError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum VersionReq {
     /// Any version.
     #[default]

@@ -1,12 +1,11 @@
 //! Job accounting — the `sacct` view of the machine.
 
 use cimone_soc::units::{Energy, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::job::{Job, JobState};
 
 /// One finished job's accounting record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Job id number.
     pub job_id: u64,
@@ -64,7 +63,7 @@ impl JobRecord {
 }
 
 /// A scheduler-level job event worth auditing (the `sacct` event log).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobEventKind {
     /// The job lost `node` to a failure and went back to the queue with a
     /// backoff hold.
@@ -83,7 +82,7 @@ pub enum JobEventKind {
 }
 
 /// One timestamped entry in the scheduler event log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobEvent {
     /// When it happened.
     pub at: SimTime,
@@ -104,7 +103,7 @@ pub struct JobEvent {
 /// assert_eq!(log.len(), 0);
 /// assert_eq!(log.utilisation(8, cimone_soc::units::SimDuration::from_secs(100)), 0.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccountingLog {
     records: Vec<JobRecord>,
     events: Vec<JobEvent>,

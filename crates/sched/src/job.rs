@@ -3,10 +3,9 @@
 use std::fmt;
 
 use cimone_soc::units::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A unique job identifier, assigned at submission (Slurm's `JOBID`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -27,7 +26,7 @@ pub const BACKOFF_BASE: SimDuration = SimDuration::from_secs(2);
 pub const BACKOFF_CAP: SimDuration = SimDuration::from_secs(120);
 
 /// What the user asked for (`sbatch`-level information).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Job name.
     pub name: String,
@@ -75,7 +74,7 @@ impl JobSpec {
 }
 
 /// Lifecycle states (a subset of Slurm's).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobState {
     /// Queued, waiting for resources.
     Pending,
@@ -119,7 +118,7 @@ impl fmt::Display for JobState {
 }
 
 /// A job as tracked by the controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     id: JobId,
     spec: JobSpec,

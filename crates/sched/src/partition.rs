@@ -3,10 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Availability of one compute node (Slurm's node states, reduced).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeAvailability {
     /// Free for allocation.
     Idle,
@@ -42,7 +40,7 @@ impl fmt::Display for NodeAvailability {
 /// assert_eq!(p.len(), 8);
 /// assert_eq!(p.idle_count(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     name: String,
     nodes: BTreeMap<String, NodeAvailability>,

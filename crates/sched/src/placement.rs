@@ -16,8 +16,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::partition::Partition;
 
 /// The blade topology of a partition: which hostnames share a blade.
@@ -32,7 +30,7 @@ use crate::partition::Partition;
 /// assert_eq!(topo.blade_of("mc-node-03"), Some(1));
 /// assert_eq!(topo.blade_of("login-node"), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BladeTopology {
     /// Hostnames per blade, blade 0 first.
     blades: Vec<Vec<String>>,

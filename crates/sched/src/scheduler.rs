@@ -5,7 +5,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cimone_soc::units::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::accounting::{JobEvent, JobEventKind};
 use crate::job::{Job, JobId, JobSpec, JobState};
@@ -13,7 +12,7 @@ use crate::partition::{NodeAvailability, Partition};
 use crate::placement::{self, BladeTopology};
 
 /// Queue policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulingPolicy {
     /// Strict first-in-first-out.
     FifoOnly,
@@ -84,7 +83,7 @@ impl std::error::Error for SchedError {}
 /// assert_eq!(started, vec![id]);
 /// # Ok::<(), cimone_sched::scheduler::SchedError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scheduler {
     partition: Partition,
     policy: SchedulingPolicy,

@@ -12,7 +12,6 @@
 //! dynamic + clock tree = R2 − R1 (51 %), OS = Idle − R2 (17 %).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::noise::GaussianNoise;
 use crate::power::{BootColumn, PowerModel, PowerTrace};
@@ -21,7 +20,7 @@ use crate::units::{Power, SimDuration, SimTime};
 use crate::workload::Workload;
 
 /// The phase of the boot process at a given instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BootRegion {
     /// Board not yet powered.
     Off,
@@ -64,7 +63,7 @@ impl std::fmt::Display for BootRegion {
 /// assert_eq!(boot.region_at(SimTime::from_secs(20)), BootRegion::R2);
 /// assert_eq!(boot.region_at(SimTime::from_secs(60)), BootRegion::R3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BootSequence {
     power_on: SimTime,
     pll_activation: SimTime,
@@ -226,7 +225,7 @@ impl Default for BootSequence {
 /// 51 %, OS 17 %. For DDR-like rails the "OS" component may be negative
 /// (boot-time DDR training draws more than OS idle); the paper only quotes
 /// the leakage fraction (68 %) for `ddr_mem`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerDecomposition {
     rail: Rail,
     leakage: Power,

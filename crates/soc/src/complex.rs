@@ -5,8 +5,6 @@
 //! [`U74McComplex`] is the executable model (cores + counters);
 //! [`Fu740Spec`] collects the datasheet constants the experiments use.
 
-use serde::{Deserialize, Serialize};
-
 use crate::boot::BootSequence;
 use crate::core::{U74Core, U74_PEAK_FLOPS_PER_CORE};
 use crate::hpm::{RetiredWork, UBootConfig};
@@ -16,7 +14,7 @@ use crate::units::{Bytes, Frequency, SimDuration};
 use crate::workload::Workload;
 
 /// Datasheet-level constants of the FU740 SoC and HiFive Unmatched board.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fu740Spec {
     /// Number of U74 application cores.
     pub application_cores: usize,
@@ -85,7 +83,7 @@ impl Default for Fu740Spec {
 /// assert_eq!(soc.cores().len(), 4);
 /// assert!(soc.total_instret() > 4_000_000_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct U74McComplex {
     spec: Fu740Spec,
     cores: Vec<U74Core>,

@@ -7,8 +7,6 @@
 //! machine. With the calibrated HPL mix this model reproduces the paper's
 //! 46.5 % FPU utilisation; with the QE LAX mix, 36 %.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hpm::{HpmUnit, RetiredWork, UBootConfig};
 use crate::units::{Frequency, SimDuration};
 use crate::workload::{InstructionMix, Workload};
@@ -32,7 +30,7 @@ pub const U74_NOMINAL_CLOCK_HZ: f64 = 1.2e9;
 /// let util = pipe.fpu_utilization(&Workload::Hpl.instruction_mix());
 /// assert!((util - 0.465).abs() < 0.01); // paper: 46.5 %
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineModel {
     issue_width: f64,
     clock: Frequency,
@@ -123,7 +121,7 @@ impl PipelineModel {
 /// core.run(Workload::Hpl, SimDuration::from_secs(1));
 /// assert!(core.hpm().instret() > 1_000_000_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct U74Core {
     hart_id: usize,
     pipeline: PipelineModel,

@@ -10,12 +10,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::Frequency;
 
 /// One operating performance point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Core clock.
     pub frequency: Frequency,
@@ -60,7 +58,7 @@ impl fmt::Display for OperatingPoint {
 
 /// The scaling factors the power model applies to the core rail for the
 /// currently selected OPP (both 1.0 at nominal).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsScale {
     /// Multiplier on the dynamic power component.
     pub dynamic: f64,
@@ -91,7 +89,7 @@ impl Default for DvfsScale {
 /// assert!(cpufreq.performance_scale() < 1.0);
 /// assert!(cpufreq.scale().dynamic < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuFreq {
     /// Available OPPs, ascending frequency; the last is nominal.
     opps: Vec<OperatingPoint>,

@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::workload::InstructionMix;
 
 /// A selectable HPM event (a representative subset of the U74 event set:
 /// instruction-commit, micro-architectural and memory-system groups).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum HpmEvent {
     /// Integer load instruction retired.
     IntLoadRetired,
@@ -96,7 +94,7 @@ impl fmt::Display for HpmEvent {
 ///
 /// Mirrors the paper's U-Boot patch: stock firmware leaves the programmable
 /// counters disabled; the patch enables and programs all of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UBootConfig {
     hpm_patch_applied: bool,
 }
@@ -164,7 +162,7 @@ impl std::error::Error for HpmError {}
 ///
 /// Built from an [`InstructionMix`] by [`RetiredWork::from_mix`]; consumed
 /// by [`HpmUnit::advance`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetiredWork {
     /// Cycles elapsed.
     pub cycles: u64,
@@ -259,7 +257,7 @@ impl RetiredWork {
 /// assert!(hpm.read(0)? > 0);
 /// # Ok::<(), cimone_soc::hpm::HpmError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HpmUnit {
     firmware: UBootConfig,
     cycle: u64,
@@ -267,7 +265,7 @@ pub struct HpmUnit {
     programmable: Vec<ProgrammableCounter>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ProgrammableCounter {
     event: Option<HpmEvent>,
     value: u64,

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A single standard RISC-V extension relevant to the FU740.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Extension {
     /// Base integer instruction set (RV64I).
     I,
@@ -82,7 +80,7 @@ impl fmt::Display for Extension {
 /// assert!(u74.has_double_precision());
 /// assert!(!IsaString::s7().has_double_precision());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IsaString {
     xlen: u32,
     extensions: Vec<Extension>,
@@ -184,7 +182,7 @@ impl fmt::Display for IsaString {
 }
 
 /// Privilege modes supported by the U74 (the paper lists all three).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PrivilegeMode {
     /// User mode.
     User,
@@ -218,7 +216,7 @@ impl fmt::Display for PrivilegeMode {
 ///
 /// The paper attributes part of STREAM's size ceiling to `medany`, which
 /// requires every linked symbol to sit within ±2 GiB of `pc`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CodeModel {
     /// Symbols within ±2 GiB of the program counter (RV64 default).
     #[default]

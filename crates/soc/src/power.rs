@@ -14,7 +14,6 @@
 //! reproduces Table VI exactly.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::noise::GaussianNoise;
 use crate::rails::{Rail, RailPowers, Subsystem};
@@ -61,7 +60,7 @@ pub fn table_vi_boot_mean(rail: Rail, region: BootColumn) -> Power {
 }
 
 /// The two boot columns of Table VI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BootColumn {
     /// Power applied, clock gated: leakage only.
     R1,
@@ -70,7 +69,7 @@ pub enum BootColumn {
 }
 
 /// The calibrated decomposition of one rail's power.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RailModel {
     rail: Rail,
     leakage: Power,
@@ -157,7 +156,7 @@ impl RailModel {
 /// let hpl_core = model.mean_power(Rail::Core, Workload::Hpl);
 /// assert!((hpl_core.as_milliwatts() - 4097.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     rails: Vec<RailModel>,
     leak_alpha_per_deg: f64,
@@ -374,7 +373,7 @@ impl Default for PowerModel {
 }
 
 /// A fixed-window sequence of full-board power samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     window: SimDuration,
     samples: Vec<RailPowers>,

@@ -8,14 +8,12 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::Power;
 
 /// One of the nine independently sensed FU740/board power rails.
 ///
 /// Order matches Table VI of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rail {
     /// The U74-MC core complex supply.
     Core,
@@ -92,7 +90,7 @@ impl fmt::Display for Rail {
 }
 
 /// Grouping of rails used by the paper's trace figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Subsystem {
     /// The core complex.
     Core,
@@ -136,7 +134,7 @@ impl fmt::Display for Subsystem {
 /// sample[Rail::Core] = Power::from_milliwatts(3075.0);
 /// assert_eq!(sample.total(), Power::from_milliwatts(3075.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RailPowers {
     values: [Power; 9],
 }
@@ -196,7 +194,7 @@ impl IndexMut<Rail> for RailPowers {
 ///
 /// Senses a "true" power value and returns what the ADC would report:
 /// quantised to its LSB and clamped to non-negative.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShuntSensor {
     rail: Rail,
     shunt_milliohm: f64,

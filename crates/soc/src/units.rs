@@ -10,8 +10,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point on the simulation clock, in microseconds since simulation start.
 ///
 /// `SimTime` is an absolute instant; the corresponding span type is
@@ -27,9 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_micros(), 2_000_000);
 /// assert_eq!(t - SimTime::ZERO, SimDuration::from_secs(2));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -83,9 +79,7 @@ impl fmt::Display for SimTime {
 /// let d = SimDuration::from_millis(1500);
 /// assert_eq!(d.as_secs_f64(), 1.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -221,7 +215,7 @@ impl Sum for SimDuration {
 /// let idle = Power::from_milliwatts(4810.0);
 /// assert!((idle.as_watts() - 4.81).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Power(f64);
 
 impl Power {
@@ -303,7 +297,7 @@ impl Sum for Power {
 }
 
 /// Energy, stored in joules.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {
@@ -350,7 +344,7 @@ impl fmt::Display for Energy {
 /// let trip = Celsius::new(107.0);
 /// assert!(trip > Celsius::new(39.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Celsius(f64);
 
 impl Celsius {
@@ -400,7 +394,7 @@ impl Sub for Celsius {
 /// let f = Frequency::from_mhz(1200.0);
 /// assert_eq!(f.as_hz(), 1_200_000_000.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Frequency(f64);
 
 impl Frequency {
@@ -450,9 +444,7 @@ impl fmt::Display for Frequency {
 ///
 /// assert_eq!(Bytes::from_mib(2).as_u64(), 2 * 1024 * 1024);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(u64);
 
 impl Bytes {

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A steady-state workload class characterised by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Workload {
     /// OS services and daemons only.
     Idle,
@@ -105,7 +103,7 @@ impl fmt::Display for Workload {
 /// let mix = InstructionMix::new(0.4, 0.3, 0.08, 0.1, 0.5);
 /// assert!((mix.int() - 0.12).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstructionMix {
     fp: f64,
     load: f64,
