@@ -999,11 +999,6 @@ impl SimEngine {
         self.bring_up(node_index);
     }
 
-    /// Whether the recovery subsystem is active.
-    pub fn recovery_enabled(&self) -> bool {
-        self.recovery.is_some()
-    }
-
     /// Node-seconds of completed work thrown away by evictions (work past
     /// the last committed checkpoint at the moment a job lost its nodes).
     pub fn wasted_node_seconds(&self) -> f64 {

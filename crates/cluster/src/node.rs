@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 
 use cimone_mem::bandwidth::StreamBandwidthModel;
 use cimone_net::ib::IbHca;
-use cimone_net::link::LinkModel;
 use cimone_soc::complex::U74McComplex;
 use cimone_soc::cpufreq::CpuFreq;
 use cimone_soc::hpm::{HpmEvent, UBootConfig};
@@ -83,7 +82,6 @@ pub struct ComputeNode {
     cpufreq: CpuFreq,
     bandwidth: StreamBandwidthModel,
     nvme: NvmeDrive,
-    gbe: LinkModel,
     ib: Option<IbHca>,
     conditions: NodeConditions,
     temperatures: Temperatures,
@@ -118,7 +116,6 @@ impl ComputeNode {
             cpufreq: CpuFreq::u740(),
             bandwidth: StreamBandwidthModel::monte_cimone(),
             nvme: NvmeDrive::rv007_default(),
-            gbe: LinkModel::gigabit_ethernet(),
             ib: None,
             conditions: NodeConditions::default(),
             temperatures: Temperatures {
@@ -155,11 +152,6 @@ impl ComputeNode {
         &self.soc
     }
 
-    /// Mutable SoC access.
-    pub fn soc_mut(&mut self) -> &mut U74McComplex {
-        &mut self.soc
-    }
-
     /// The cpufreq (DVFS) state of the core complex.
     pub fn cpufreq(&self) -> &CpuFreq {
         &self.cpufreq
@@ -178,11 +170,6 @@ impl ComputeNode {
     /// The NVMe drive.
     pub fn nvme(&self) -> &NvmeDrive {
         &self.nvme
-    }
-
-    /// The Gigabit Ethernet link.
-    pub fn ethernet(&self) -> &LinkModel {
-        &self.gbe
     }
 
     /// The InfiniBand HCA, if installed.

@@ -13,8 +13,8 @@
 //! into a contiguous scratch buffer once per block step, so the
 //! register-blocked microkernel streams unit-stride data regardless of
 //! the parent matrix's leading dimension. Scratch buffers are recycled
-//! through a small `parking_lot`-guarded arena instead of being
-//! reallocated every block step.
+//! through a small mutex-guarded arena instead of being reallocated every
+//! block step.
 //!
 //! # Determinism
 //!
@@ -24,10 +24,10 @@
 //! [`blocked`] and [`blocked_parallel`] produce bit-identical results at
 //! any worker count.
 
+use std::sync::Mutex;
+
 use crate::matrix::Matrix;
 use crate::pool::WorkerPool;
-
-use parking_lot::Mutex;
 
 /// Default blocking factor for [`blocked`]; sized so three blocks fit in
 /// the FU740's 2 MiB L2 (3 · 64² · 8 B ≈ 96 KiB leaves generous margin for
@@ -46,7 +46,11 @@ static PACK_ARENA: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
 /// Takes a scratch buffer of at least `len` elements from the arena
 /// (contents unspecified).
 pub(crate) fn take_scratch(len: usize) -> Vec<f64> {
-    let mut buf = PACK_ARENA.lock().pop().unwrap_or_default();
+    let mut buf = PACK_ARENA
+        .lock()
+        .expect("pack arena poisoned")
+        .pop()
+        .unwrap_or_default();
     if buf.len() < len {
         buf.resize(len, 0.0);
     }
@@ -56,7 +60,7 @@ pub(crate) fn take_scratch(len: usize) -> Vec<f64> {
 /// Returns a scratch buffer to the arena for reuse.
 pub(crate) fn put_scratch(buf: Vec<f64>) {
     const MAX_POOLED: usize = 64;
-    let mut arena = PACK_ARENA.lock();
+    let mut arena = PACK_ARENA.lock().expect("pack arena poisoned");
     if arena.len() < MAX_POOLED {
         arena.push(buf);
     }

@@ -1,8 +1,8 @@
-//! A reusable fixed-size worker pool for the compute kernels and the
-//! cluster engine's per-node fan-out.
+//! A reusable fixed-size worker pool for the compute kernels.
 //!
-//! The pool is built on the vendored `crossbeam` unbounded channel (job
-//! injection) and `parking_lot` (shared bookkeeping). Workers are spawned
+//! The pool is built on the vendored `crossbeam` unbounded channel: one
+//! carries jobs to the workers, and each scope opens another that carries
+//! task completions back to the caller. Workers are spawned
 //! once and live for the pool's lifetime, so per-call overhead is one
 //! channel send per task instead of an OS thread spawn — the difference
 //! between a usable trailing-update fan-out at HPL block granularity and

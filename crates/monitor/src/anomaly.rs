@@ -147,69 +147,6 @@ impl RateOfRiseDetector {
     }
 }
 
-/// Fires when a series goes quiet: its newest sample is older than the
-/// tolerated staleness at scan time. Degraded telemetry — a dropped
-/// sensor, broker message loss, a stalled collector — surfaces here
-/// instead of silently freezing dashboards at the last good value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StaleSeriesDetector {
-    /// Maximum tolerated age of the newest sample.
-    tolerance: SimDuration,
-    severity: Severity,
-}
-
-impl StaleSeriesDetector {
-    /// Creates a detector tolerating samples up to `tolerance` old.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tolerance is zero.
-    pub fn new(tolerance: SimDuration, severity: Severity) -> Self {
-        assert!(!tolerance.is_zero(), "tolerance must be non-zero");
-        StaleSeriesDetector {
-            tolerance,
-            severity,
-        }
-    }
-
-    /// Checks `series` at `now`; alarms if the newest sample is too old,
-    /// or if the series has never reported at all.
-    pub fn scan(&self, store: &TimeSeriesStore, series: &str, now: SimTime) -> Option<Alarm> {
-        match store.latest(series) {
-            None => Some(Alarm {
-                series: series.to_owned(),
-                at: now,
-                severity: self.severity,
-                message: "series has never reported".to_owned(),
-            }),
-            Some((t, _)) => {
-                let age = now.saturating_since(t);
-                (age > self.tolerance).then(|| Alarm {
-                    series: series.to_owned(),
-                    at: now,
-                    severity: self.severity,
-                    message: format!(
-                        "last sample is {:.0} s old, tolerance {:.0} s",
-                        age.as_secs_f64(),
-                        self.tolerance.as_secs_f64()
-                    ),
-                })
-            }
-        }
-    }
-
-    /// Scans every series in the store; returns the stale ones.
-    pub fn scan_all(&self, store: &TimeSeriesStore, now: SimTime) -> Vec<Alarm> {
-        store
-            .series_names()
-            .map(str::to_owned)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .filter_map(|s| self.scan(store, &s, now))
-            .collect()
-    }
-}
-
 /// The combined detector ExaMon would run on `temperature.cpu_temp`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThermalRunawayDetector {
@@ -323,23 +260,6 @@ mod tests {
         assert!(alarms.len() >= 2);
         assert_eq!(alarms[0].severity, Severity::Critical);
         assert_eq!(alarms[0].at, SimTime::from_secs(90));
-    }
-
-    #[test]
-    fn stale_series_detector_flags_quiet_and_missing_series() {
-        let (db, series) = temp_series(&[(0, 40.0), (60, 41.0)]);
-        let det = StaleSeriesDetector::new(SimDuration::from_secs(30), Severity::Warning);
-        // Fresh at t=70 (10 s old), stale at t=120 (60 s old).
-        assert!(det.scan(&db, &series, SimTime::from_secs(70)).is_none());
-        let alarm = det.scan(&db, &series, SimTime::from_secs(120)).unwrap();
-        assert_eq!(alarm.severity, Severity::Warning);
-        assert!(alarm.message.contains("60 s old"));
-        // A series that never reported alarms too.
-        assert!(det
-            .scan(&db, "node/mc-node-99/temp", SimTime::ZERO)
-            .is_some());
-        assert_eq!(db.series_names().count(), 1);
-        assert_eq!(det.scan_all(&db, SimTime::from_secs(120)).len(), 1);
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! The MQTT-style broker at the heart of the ExaMon transport layer.
 //!
-//! Thread-safe topic-tree pub/sub: plugins publish from sampling threads,
-//! collectors drain subscriptions into the time-series store. QoS 0
-//! (fire-and-forget) semantics, matching ExaMon's MQTT usage.
+//! Topic-tree pub/sub: plugins publish, collectors drain subscriptions
+//! into the time-series store. QoS 0 (fire-and-forget) semantics,
+//! matching ExaMon's MQTT usage. On Monte Cimone the broker is a separate
+//! service; here it is an in-process structure driven by the simulator's
+//! one serial loop, so its state sits in `Cell`s and `RefCell`s and each
+//! subscription shares its queue with the broker through an `Rc`. Neither
+//! the broker nor a subscription is `Send`.
 //!
 //! Routing is precompiled: the wildcard filter match for each
 //! `(TopicId, SubscriptionId)` pair is computed once and cached as a
@@ -14,19 +18,15 @@
 //!
 //! A subscription holds its pending deliveries in one of two layouts:
 //! ordinary subscribers get a FIFO of whole messages, and a
-//! [`Collector`](crate::collector::Collector) that only pumps gets
-//! per-topic point runs, scrubbed as they are staged. Every delivery site
-//! goes through one `push`/`len` pair on the queue state, so loss draws,
-//! bounded-capacity drops, dead-subscriber pruning and [`BrokerStats`] do
-//! not depend on the layout.
+//! [`Collector`](crate::collector::Collector) gets per-topic point runs,
+//! scrubbed as they are staged. Every delivery site goes through one
+//! `push` on the queue state, so loss draws, dead-subscriber pruning and
+//! [`BrokerStats`] do not depend on the layout.
 
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError};
-
-use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,32 +53,26 @@ pub struct SubscriptionId(u64);
 /// A subscription's deliveries not yet consumed.
 #[derive(Debug)]
 enum Pending {
-    /// Whole messages in arrival order: ordinary subscribers, and
-    /// collectors that detect gaps or ingest on their own thread.
+    /// Whole messages in arrival order: ordinary subscribers.
     Messages(VecDeque<PublishedMessage>),
-    /// A bulk-pumping collector's samples, staged per topic and scrubbed
-    /// as they arrive.
+    /// A collector's samples, staged per topic and scrubbed as they
+    /// arrive.
     Runs(Runs),
 }
 
-/// Shared queue state between the broker's send side and a subscription.
+/// A subscription's queue, shared by the broker's routing table and the
+/// subscription handle. The deque and the point runs keep their capacity
+/// across deliveries and drains, so steady-state delivery allocates
+/// nothing.
 #[derive(Debug)]
 struct QueueState {
     pending: Pending,
-    /// Messages lost to bounded-queue overflow.
-    dropped: u64,
-    /// Set when the broker side goes away (unsubscribe, prune, broker
-    /// drop): `recv` returns `None` once the buffer is drained.
-    closed: bool,
-    /// Set when the `Subscription` handle is dropped: subsequent sends
+    /// Set when the `Subscription` handle is dropped: later deliveries
     /// count as drops and the entry is pruned.
     receiver_gone: bool,
-    /// Receivers blocked in `recv`. Senders skip the condvar notify (a
-    /// futex syscall even with nobody waiting) unless this is non-zero —
-    /// the simulation's poll-style consumers never block, so the
-    /// steady-state send path stays entirely in user space.
-    waiters: u32,
 }
+
+type Queue = Rc<RefCell<QueueState>>;
 
 impl QueueState {
     /// Stages one delivery in the subscription's layout.
@@ -87,16 +81,6 @@ impl QueueState {
         match &mut self.pending {
             Pending::Messages(buf) => buf.push_back(PublishedMessage { topic, payload }),
             Pending::Runs(runs) => runs.push(topic, payload),
-        }
-    }
-
-    /// Deliveries held: queued messages, or staged plus quarantined
-    /// samples. Bounded subscriptions compare this against their capacity.
-    #[inline]
-    fn len(&self) -> usize {
-        match &self.pending {
-            Pending::Messages(buf) => buf.len(),
-            Pending::Runs(runs) => runs.len(),
         }
     }
 
@@ -114,84 +98,12 @@ impl QueueState {
     }
 }
 
-/// A subscription's delivery queue. Plain locked buffers: the deque and
-/// the point runs keep their capacity across deliveries and drains, so
-/// steady-state delivery allocates nothing (unlike a segmented channel).
-#[derive(Debug)]
-struct SubQueue {
-    // std primitives rather than the parking_lot shim: blocking `recv`
-    // needs a condvar, which the shim does not provide.
-    state: StdMutex<QueueState>,
-    ready: Condvar,
-}
-
-enum SendOutcome {
-    Delivered,
-    Full,
-    Dead,
-}
-
-impl SubQueue {
-    fn new(pending: Pending) -> Arc<SubQueue> {
-        Arc::new(SubQueue {
-            state: StdMutex::new(QueueState {
-                pending,
-                dropped: 0,
-                closed: false,
-                receiver_gone: false,
-                waiters: 0,
-            }),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Locks the state, poisoned or not. Every update under this lock
-    /// leaves the state valid at each step: a message receive on a
-    /// columnar subscription panics before touching it, and a drain whose
-    /// consumer closure panics still removes what it drained. So a
-    /// refused receive does not break later deliveries, and `Drop` does
-    /// not panic again while one unwinds.
-    fn lock(&self) -> StdMutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn send(&self, topic: Topic, payload: Payload, capacity: Option<usize>) -> SendOutcome {
-        let mut state = self.lock();
-        if state.receiver_gone {
-            return SendOutcome::Dead;
-        }
-        if let Some(cap) = capacity {
-            if state.len() >= cap {
-                state.dropped += 1;
-                return SendOutcome::Full;
-            }
-        }
-        state.push(topic, payload);
-        let waiting = state.waiters > 0;
-        drop(state);
-        if waiting {
-            self.ready.notify_one();
-        }
-        SendOutcome::Delivered
-    }
-
-    fn close(&self) {
-        let mut state = self.lock();
-        state.closed = true;
-        let waiting = state.waiters > 0;
-        drop(state);
-        if waiting {
-            self.ready.notify_all();
-        }
-    }
-}
-
 /// A live subscription handle; drop it (or unsubscribe) to stop receiving.
 #[derive(Debug)]
 pub struct Subscription {
     id: SubscriptionId,
     filter: TopicFilter,
-    queue: Arc<SubQueue>,
+    queue: Queue,
 }
 
 impl Subscription {
@@ -209,26 +121,22 @@ impl Subscription {
     /// collector's columnar subscription, staged plus quarantined samples
     /// awaiting the next pump.
     pub fn queued(&self) -> usize {
-        self.queue.lock().len()
-    }
-
-    /// Messages this subscription lost because its bounded queue was full
-    /// when the broker tried to deliver. Always zero for unbounded
-    /// subscriptions.
-    pub fn dropped(&self) -> u64 {
-        self.queue.lock().dropped
+        match &self.queue.borrow().pending {
+            Pending::Messages(buf) => buf.len(),
+            Pending::Runs(runs) => runs.len(),
+        }
     }
 
     /// Non-blocking receive. Already-queued messages remain receivable
-    /// after the broker side closes.
+    /// after unsubscribing.
     ///
     /// # Panics
     ///
-    /// Panics on a collector's columnar subscription, as do
-    /// [`recv`](Subscription::recv) and the `drain*` family: its samples
-    /// are consumed by [`Collector::pump`](crate::collector::Collector::pump).
+    /// Panics on a collector's columnar subscription, as does the
+    /// `drain*` family: its samples are consumed by
+    /// [`Collector::pump`](crate::collector::Collector::pump).
     pub fn try_recv(&self) -> Option<PublishedMessage> {
-        self.queue.lock().messages().pop_front()
+        self.queue.borrow_mut().messages().pop_front()
     }
 
     /// Drains everything currently queued.
@@ -238,26 +146,25 @@ impl Subscription {
         out
     }
 
-    /// Drains everything currently queued into `out` under a single lock
-    /// acquisition (one mutex round-trip per batch instead of one per
-    /// message); returns how many messages were appended. The queue keeps
-    /// its capacity, so a warm steady-state drain allocates nothing.
+    /// Drains everything currently queued into `out`; returns how many
+    /// messages were appended. The queue keeps its capacity, so a warm
+    /// steady-state drain allocates nothing.
     pub fn drain_into(&self, out: &mut Vec<PublishedMessage>) -> usize {
-        let mut state = self.queue.lock();
+        let mut state = self.queue.borrow_mut();
         let buf = state.messages();
         let n = buf.len();
         out.extend(buf.drain(..));
         n
     }
 
-    /// Drains everything currently queued, calling `f` on each message,
-    /// under a single lock acquisition — the copy-free variant of
-    /// [`drain_into`](Subscription::drain_into) for consumers that ingest
-    /// in place. `f` must not publish to or (un)subscribe from the broker
-    /// (the queue lock is held across the calls). Returns how many
-    /// messages were consumed.
+    /// Drains everything currently queued, calling `f` on each message —
+    /// the copy-free variant of [`drain_into`](Subscription::drain_into)
+    /// for consumers that ingest in place. The queue stays borrowed
+    /// across the calls, so `f` must not publish to the broker: a
+    /// delivery to this queue would panic. Returns how many messages were
+    /// consumed.
     pub fn drain_each(&self, mut f: impl FnMut(PublishedMessage)) -> usize {
-        let mut state = self.queue.lock();
+        let mut state = self.queue.borrow_mut();
         let buf = state.messages();
         let n = buf.len();
         for msg in buf.drain(..) {
@@ -266,61 +173,18 @@ impl Subscription {
         n
     }
 
-    /// Blocking receive (used by collector threads); `None` once the
-    /// broker side is gone and the queue is drained.
-    pub fn recv(&self) -> Option<PublishedMessage> {
-        let mut state = self.queue.lock();
-        loop {
-            if let Some(msg) = state.messages().pop_front() {
-                return Some(msg);
-            }
-            if state.closed {
-                return None;
-            }
-            state.waiters += 1;
-            state = self
-                .queue
-                .ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-            state.waiters -= 1;
-        }
-    }
-
-    /// Runs `f` on the columnar subscription's point runs under one lock;
-    /// `None` when the subscription queues whole messages.
-    pub(crate) fn with_runs<R>(&self, f: impl FnOnce(&mut Runs) -> R) -> Option<R> {
-        match &mut self.queue.lock().pending {
-            Pending::Runs(runs) => Some(f(runs)),
-            Pending::Messages(_) => None,
-        }
-    }
-
-    /// Switches a columnar subscription to the message FIFO, for a
-    /// collector that needs every message in arrival order (gap
-    /// detection, a threaded ingest loop). No-op on a FIFO subscription.
-    ///
-    /// # Panics
-    ///
-    /// Panics if samples are already staged: their cross-topic arrival
-    /// order is not kept, so they cannot become messages.
-    pub(crate) fn use_messages(&self) {
-        let mut state = self.queue.lock();
-        if let Pending::Runs(runs) = &state.pending {
-            assert_eq!(
-                runs.len(),
-                0,
-                "configure the collector before the first delivery: staged runs cannot be \
-                 replayed as messages"
-            );
-            state.pending = Pending::Messages(VecDeque::new());
-        }
+    /// The columnar subscription's point runs.
+    pub(crate) fn runs(&self) -> RefMut<'_, Runs> {
+        RefMut::map(self.queue.borrow_mut(), |state| match &mut state.pending {
+            Pending::Runs(runs) => runs,
+            Pending::Messages(_) => unreachable!("collectors subscribe columnar"),
+        })
     }
 }
 
 impl Drop for Subscription {
     fn drop(&mut self) {
-        let mut state = self.queue.lock();
+        let mut state = self.queue.borrow_mut();
         state.receiver_gone = true;
         // Release what is held; later deliveries are refused as dead.
         state.pending = match state.pending {
@@ -334,33 +198,22 @@ impl Drop for Subscription {
 struct SubEntry {
     id: SubscriptionId,
     filter: TopicFilter,
-    queue: Arc<SubQueue>,
-    /// Queue bound; `None` means unbounded (the seed behaviour).
-    capacity: Option<usize>,
-}
-
-impl Drop for SubEntry {
-    fn drop(&mut self) {
-        // Covers unsubscribe, dead-subscriber pruning and broker drop:
-        // a blocked `recv` wakes up and observes the closed queue.
-        self.queue.close();
-    }
+    queue: Queue,
 }
 
 /// Broker counters.
 ///
 /// For every `publish`, each matching subscriber accounts for exactly one
 /// of `delivered` or `dropped` — the books stay balanced even when
-/// subscribers disconnect mid-burst or bounded queues overflow.
+/// subscribers disconnect mid-burst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BrokerStats {
     /// Messages published.
     pub published: u64,
     /// Deliveries fanned out (one per matching subscriber).
     pub delivered: u64,
-    /// Matched deliveries that were not made: the subscriber's bounded
-    /// queue was full, or the subscriber disconnected between matching
-    /// and delivery.
+    /// Matched deliveries that were not made because the subscriber had
+    /// dropped its handle.
     pub dropped: u64,
     /// Whole publishes suppressed by injected message loss
     /// ([`Broker::set_loss`]) before any fan-out.
@@ -374,8 +227,8 @@ struct LossInjection {
     rng: StdRng,
 }
 
-/// The subscription set and its compiled routing table, guarded together
-/// so a cached route can never outlive the subscription list it indexes.
+/// The subscription set and its compiled routing table, kept together so
+/// a cached route can never outlive the subscription list it indexes.
 #[derive(Debug, Default)]
 struct SubTable {
     subs: Vec<SubEntry>,
@@ -389,33 +242,52 @@ struct SubTable {
 }
 
 impl SubTable {
-    fn compute_route(&self, topic: &Topic) -> Vec<u32> {
-        self.subs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.filter.matches(topic))
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
-
-    fn route_get(&self, tid: u32) -> Option<&Vec<u32>> {
-        self.routes.get(tid as usize).and_then(Option::as_ref)
-    }
-
-    fn route_has(&self, tid: u32) -> bool {
-        self.route_get(tid).is_some()
-    }
-
-    fn route_insert(&mut self, tid: u32, route: Vec<u32>) {
-        let idx = tid as usize;
+    /// Compiles `topic`'s route unless it is cached.
+    fn compile(&mut self, topic: &Topic) {
+        let idx = topic.id().index();
         if idx >= self.routes.len() {
             self.routes.resize_with(idx + 1, || None);
         }
-        self.routes[idx] = Some(route);
+        let subs = &self.subs;
+        self.routes[idx].get_or_insert_with(|| {
+            subs.iter()
+                .enumerate()
+                .filter(|(_, s)| s.filter.matches(topic))
+                .map(|(i, _)| i as u32)
+                .collect()
+        });
     }
 
-    fn routes_compiled(&self) -> usize {
-        self.routes.iter().filter(|r| r.is_some()).count()
+    /// `topic`'s compiled route.
+    fn route(&self, topic: &Topic) -> &[u32] {
+        self.routes[topic.id().index()]
+            .as_deref()
+            .expect("route compiled before use")
+    }
+
+    /// Compiles the batch's routes and returns the one subscriber every
+    /// non-empty route consists of; `None` if the batch reaches two
+    /// subscribers or none.
+    fn sole_destination(&mut self, messages: &[(Topic, Payload)]) -> Option<u32> {
+        let mut sole = None;
+        for (topic, _) in messages {
+            self.compile(topic);
+            match *self.route(topic) {
+                [] => {}
+                [i] if sole.is_none_or(|s| s == i) => sole = Some(i),
+                _ => return None,
+            }
+        }
+        sole
+    }
+
+    /// Removes dead subscriptions in one pass: sort the ids and
+    /// binary-search during the retain, so pruning costs
+    /// O((dead log dead) + subs log dead) instead of O(dead × subs).
+    fn prune(&mut self, dead: &mut [SubscriptionId]) {
+        dead.sort_unstable();
+        self.subs.retain(|s| dead.binary_search(&s.id).is_err());
+        self.routes.clear();
     }
 }
 
@@ -436,16 +308,10 @@ impl SubTable {
 /// ```
 #[derive(Debug, Default)]
 pub struct Broker {
-    table: RwLock<SubTable>,
-    next_id: AtomicU64,
-    published: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    suppressed: AtomicU64,
-    loss: Mutex<Option<LossInjection>>,
-    /// Recycled touched-lane scratch for [`Broker::publish_batch_serial`]
-    /// — keeps the steady-state batch publish allocation-free.
-    touched_scratch: Mutex<Vec<u32>>,
+    table: RefCell<SubTable>,
+    next_id: Cell<u64>,
+    stats: Cell<BrokerStats>,
+    loss: RefCell<Option<LossInjection>>,
 }
 
 impl Broker {
@@ -454,62 +320,37 @@ impl Broker {
         Broker::default()
     }
 
-    /// Subscribes to `filter` with an unbounded queue.
+    /// Subscribes to `filter`.
     pub fn subscribe(&self, filter: TopicFilter) -> Subscription {
-        self.subscribe_inner(filter, None, Pending::Messages(VecDeque::new()))
+        self.subscribe_inner(filter, Pending::Messages(VecDeque::new()))
     }
 
-    /// Subscribes to `filter` with a queue bounded to `capacity` messages:
-    /// deliveries while the queue is full are counted as drops (on the
-    /// subscription and in [`BrokerStats::dropped`]) instead of growing
-    /// memory without bound — the fate of a slow ExaMon consumer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn subscribe_bounded(&self, filter: TopicFilter, capacity: usize) -> Subscription {
-        self.subscribe_inner(filter, Some(capacity), Pending::Messages(VecDeque::new()))
+    /// Subscribes a collector: deliveries are staged as per-topic point
+    /// runs instead of messages.
+    pub(crate) fn subscribe_columnar(&self, filter: TopicFilter) -> Subscription {
+        self.subscribe_inner(filter, Pending::Runs(Runs::default()))
     }
 
-    /// Subscribes a bulk-pumping collector: deliveries are staged as
-    /// per-topic point runs instead of messages. `capacity` bounds the
-    /// staged plus quarantined samples exactly as it bounds a message
-    /// queue.
-    pub(crate) fn subscribe_columnar(
-        &self,
-        filter: TopicFilter,
-        capacity: Option<usize>,
-    ) -> Subscription {
-        self.subscribe_inner(filter, capacity, Pending::Runs(Runs::default()))
-    }
-
-    fn subscribe_inner(
-        &self,
-        filter: TopicFilter,
-        capacity: Option<usize>,
-        pending: Pending,
-    ) -> Subscription {
-        assert!(
-            capacity != Some(0),
-            "a bounded subscription needs capacity >= 1"
-        );
-        let id = SubscriptionId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let queue = SubQueue::new(pending);
-        let mut table = self.table.write();
+    fn subscribe_inner(&self, filter: TopicFilter, pending: Pending) -> Subscription {
+        let id = SubscriptionId(self.next_id.get());
+        self.next_id.set(id.0 + 1);
+        let queue = Rc::new(RefCell::new(QueueState {
+            pending,
+            receiver_gone: false,
+        }));
+        let mut table = self.table.borrow_mut();
         table.subs.push(SubEntry {
             id,
             filter: filter.clone(),
-            queue: queue.clone(),
-            capacity,
+            queue: Rc::clone(&queue),
         });
         table.routes.clear();
-        drop(table);
         Subscription { id, filter, queue }
     }
 
     /// Removes a subscription; returns whether it existed.
     pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
-        let mut table = self.table.write();
+        let mut table = self.table.borrow_mut();
         let before = table.subs.len();
         table.subs.retain(|s| s.id != id);
         let removed = table.subs.len() != before;
@@ -521,329 +362,103 @@ impl Broker {
 
     /// Publishes `payload` under `topic`; returns the number of
     /// subscribers it reached. Dead subscriptions (dropped receivers) are
-    /// pruned lazily; a matched-but-undelivered message — bounded queue
-    /// full, or receiver gone — counts as a drop, so
-    /// `delivered + dropped` covers every matched subscriber.
+    /// pruned lazily; a matched-but-undelivered message counts as a drop,
+    /// so `delivered + dropped` covers every matched subscriber.
     pub fn publish(&self, topic: &Topic, payload: Payload) -> usize {
-        self.published.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut loss = self.loss.lock();
-            if let Some(inj) = loss.as_mut() {
-                let rate = inj.rate;
-                if rate > 0.0 && inj.rng.gen_bool(rate) {
-                    self.suppressed.fetch_add(1, Ordering::Relaxed);
-                    return 0;
-                }
-            }
+        let lost = self
+            .loss
+            .borrow_mut()
+            .as_mut()
+            .is_some_and(|inj| inj.rng.gen_bool(inj.rate));
+        self.tally(|s| {
+            s.published += 1;
+            s.suppressed += u64::from(lost);
+        });
+        if lost {
+            return 0;
         }
-        let tid = topic.id().as_u32();
-        let mut reached = 0;
-        let mut dropped = 0u64;
-        let mut dead: Vec<SubscriptionId> = Vec::new();
-        {
-            let table = self.table.read();
-            if let Some(route) = table.route_get(tid) {
-                deliver(
-                    &table.subs,
-                    route,
-                    topic,
-                    payload,
-                    &mut reached,
-                    &mut dropped,
-                    &mut dead,
-                );
-            } else {
-                drop(table);
-                // First sight of this topic since the last subscription
-                // change: compile its route under the write lock.
-                let mut table = self.table.write();
-                let route = table.compute_route(topic);
-                deliver(
-                    &table.subs,
-                    &route,
-                    topic,
-                    payload,
-                    &mut reached,
-                    &mut dropped,
-                    &mut dead,
-                );
-                table.route_insert(tid, route);
-            }
-        }
-        if !dead.is_empty() {
-            self.prune(&mut dead);
-        }
-        self.delivered.fetch_add(reached as u64, Ordering::Relaxed);
-        self.dropped.fetch_add(dropped, Ordering::Relaxed);
-        reached
+        self.deliver(topic, payload)
     }
 
-    /// Publishes a batch of messages serially, with observable semantics
-    /// identical to calling [`publish`](Broker::publish) once per message
-    /// in order: the same loss-RNG draw sequence, the same per-queue
-    /// delivery order, and the same accounting — including the lazy prune
-    /// after a dead subscriber's first hit (later messages in the batch
-    /// skip it, exactly as the one-by-one sequence would after pruning).
-    /// The broker locks are amortised over the whole batch, and `messages`
-    /// is drained so the caller's buffer can be reused allocation-free.
+    /// Publishes a batch of messages, with observable semantics identical
+    /// to calling [`publish`](Broker::publish) once per message in order:
+    /// the same loss-RNG draw sequence, the same per-queue delivery order,
+    /// and the same accounting. A batch whose every message goes to one
+    /// live subscriber or nowhere — the engine's tick batch, which only
+    /// its `#` collector matches — is pushed into that queue in one walk;
+    /// any other batch is delivered message by message. `messages` is
+    /// drained so the caller's buffer can be reused allocation-free.
     /// Returns the total number of deliveries made.
     pub fn publish_batch_serial(&self, messages: &mut Vec<(Topic, Payload)>) -> usize {
         if messages.is_empty() {
             return 0;
         }
-        self.published
-            .fetch_add(messages.len() as u64, Ordering::Relaxed);
-        {
-            let mut loss = self.loss.lock();
-            if let Some(inj) = loss.as_mut() {
-                if inj.rate > 0.0 {
-                    let rate = inj.rate;
-                    let mut suppressed = 0u64;
-                    // In-place retain keeps the draws in message order.
-                    messages.retain(|_| {
-                        if inj.rng.gen_bool(rate) {
-                            suppressed += 1;
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    self.suppressed.fetch_add(suppressed, Ordering::Relaxed);
+        let published = messages.len() as u64;
+        if let Some(inj) = self.loss.borrow_mut().as_mut() {
+            // In-place retain keeps the draws in message order.
+            messages.retain(|_| !inj.rng.gen_bool(inj.rate));
+        }
+        let suppressed = published - messages.len() as u64;
+        self.tally(|s| {
+            s.published += published;
+            s.suppressed += suppressed;
+        });
+        let mut table = self.table.borrow_mut();
+        if let Some(i) = table.sole_destination(messages) {
+            let table = &*table;
+            let mut queue = table.subs[i as usize].queue.borrow_mut();
+            if !queue.receiver_gone {
+                // Each route is either empty or exactly this queue.
+                let mut reached = 0;
+                for (topic, payload) in messages.drain(..) {
+                    if !table.route(&topic).is_empty() {
+                        queue.push(topic, payload);
+                        reached += 1;
+                    }
                 }
+                self.tally(|s| s.delivered += reached as u64);
+                return reached;
             }
         }
-        if messages.is_empty() {
-            return 0;
-        }
-        let mut reached = 0usize;
-        let mut dropped = 0u64;
+        drop(table);
+        messages
+            .drain(..)
+            .map(|(topic, payload)| self.deliver(&topic, payload))
+            .sum()
+    }
+
+    /// Delivers one message along its compiled route and prunes the
+    /// subscribers found dead there; returns the subscribers reached.
+    fn deliver(&self, topic: &Topic, payload: Payload) -> usize {
+        let mut table = self.table.borrow_mut();
+        table.compile(topic);
+        let mut reached = 0;
         let mut dead: Vec<SubscriptionId> = Vec::new();
-        // Sub indices found dead during this batch: the one-by-one
-        // sequence would have pruned them, so later messages skip them.
-        let mut dead_idx: Vec<u32> = Vec::new();
-        // The touched-lane scratch is recycled across calls so the
-        // steady-state batch publish never allocates.
-        let mut touched = std::mem::take(&mut *self.touched_scratch.lock());
-        {
-            // One walk over the batch collects the sorted set of touched
-            // subscriber indices and detects uncompiled routes at the same
-            // time (returns false on the first miss).
-            fn collect_touched(
-                table: &SubTable,
-                messages: &[(Topic, Payload)],
-                touched: &mut Vec<u32>,
-            ) -> bool {
-                touched.clear();
-                for (topic, _) in messages {
-                    match table.route_get(topic.id().as_u32()) {
-                        Some(route) => {
-                            for &i in route {
-                                if let Err(pos) = touched.binary_search(&i) {
-                                    touched.insert(pos, i);
-                                }
-                            }
-                        }
-                        None => return false,
-                    }
-                }
-                true
-            }
-            let mut table = self.table.read();
-            let mut all_cached = collect_touched(&table, messages, &mut touched);
-            if !all_cached {
-                // First sight of at least one topic since the last
-                // subscription change: compile the missing routes under
-                // the write lock, then retry the single collection walk.
-                drop(table);
-                {
-                    let mut table = self.table.write();
-                    for (topic, _) in messages.iter() {
-                        let tid = topic.id().as_u32();
-                        if !table.route_has(tid) {
-                            let route = table.compute_route(topic);
-                            table.route_insert(tid, route);
-                        }
-                    }
-                }
-                table = self.table.read();
-                all_cached = collect_touched(&table, messages, &mut touched);
-            }
-            if all_cached {
-                // Fast path: every route is cached, so the destination
-                // queues are known up front. Lock each queue once for
-                // the whole batch: one mutex round-trip per queue
-                // instead of one per delivery.
-                struct Lane<'a> {
-                    sub: &'a SubEntry,
-                    state: StdMutexGuard<'a, QueueState>,
-                    pushed: usize,
-                }
-                /// The generic per-message walk: dead-subscriber and
-                /// capacity checks per delivery, lanes addressed through
-                /// the sorted touched set.
-                #[allow(clippy::too_many_arguments)]
-                fn deliver_batch(
-                    table: &SubTable,
-                    touched: &[u32],
-                    messages: &mut Vec<(Topic, Payload)>,
-                    lanes: &mut [Lane<'_>],
-                    reached: &mut usize,
-                    dropped: &mut u64,
-                    dead: &mut Vec<SubscriptionId>,
-                    dead_idx: &mut Vec<u32>,
-                ) {
-                    for (topic, payload) in messages.drain(..) {
-                        let route = table.route_get(topic.id().as_u32()).expect("checked above");
-                        for &i in route {
-                            if dead_idx.contains(&i) {
-                                continue;
-                            }
-                            let lane = &mut lanes
-                                [touched.binary_search(&i).expect("touched covers routes")];
-                            if lane.state.receiver_gone {
-                                *dropped += 1;
-                                dead.push(lane.sub.id);
-                                dead_idx.push(i);
-                                continue;
-                            }
-                            if let Some(cap) = lane.sub.capacity {
-                                if lane.state.len() >= cap {
-                                    lane.state.dropped += 1;
-                                    *dropped += 1;
-                                    continue;
-                                }
-                            }
-                            lane.state.push(topic, payload);
-                            lane.pushed += 1;
-                            *reached += 1;
-                        }
-                    }
-                }
-                fn finish(lane: Lane<'_>) {
-                    let waiting = lane.pushed > 0 && lane.state.waiters > 0;
-                    drop(lane.state);
-                    if waiting {
-                        lane.sub.queue.ready.notify_all();
-                    }
-                }
-                if let [only] = touched.as_slice() {
-                    // One destination queue: hold its lane on the stack —
-                    // no per-batch lane vector to allocate.
-                    let sub = &table.subs[*only as usize];
-                    let mut lane = Lane {
-                        sub,
-                        state: sub.queue.lock(),
-                        pushed: 0,
-                    };
-                    if lane.sub.capacity.is_none() && !lane.state.receiver_gone {
-                        // Single live unbounded destination — the engine's
-                        // steady state, where one collector subscribes to
-                        // everything. Each route is either empty or exactly
-                        // this lane, so the per-delivery dead/capacity
-                        // checks hoist out of the loop entirely.
-                        for (topic, payload) in messages.drain(..) {
-                            let route =
-                                table.route_get(topic.id().as_u32()).expect("checked above");
-                            if route.is_empty() {
-                                continue;
-                            }
-                            lane.state.push(topic, payload);
-                            lane.pushed += 1;
-                            reached += 1;
-                        }
-                    } else {
-                        deliver_batch(
-                            &table,
-                            &touched,
-                            messages,
-                            std::slice::from_mut(&mut lane),
-                            &mut reached,
-                            &mut dropped,
-                            &mut dead,
-                            &mut dead_idx,
-                        );
-                    }
-                    finish(lane);
-                } else {
-                    let mut lanes: Vec<Lane<'_>> = touched
-                        .iter()
-                        .map(|&i| {
-                            let sub = &table.subs[i as usize];
-                            Lane {
-                                sub,
-                                state: sub.queue.lock(),
-                                pushed: 0,
-                            }
-                        })
-                        .collect();
-                    deliver_batch(
-                        &table,
-                        &touched,
-                        messages,
-                        &mut lanes,
-                        &mut reached,
-                        &mut dropped,
-                        &mut dead,
-                        &mut dead_idx,
-                    );
-                    for lane in lanes {
-                        finish(lane);
-                    }
-                }
+        for &i in table.route(topic) {
+            let sub = &table.subs[i as usize];
+            let mut queue = sub.queue.borrow_mut();
+            if queue.receiver_gone {
+                dead.push(sub.id);
             } else {
-                // Cache cleared by a concurrent (un)subscribe between the
-                // compile pass and here: fall back to per-message sends
-                // with on-the-fly route computation.
-                let mut fallback: Vec<u32>;
-                for (topic, payload) in messages.iter() {
-                    let route: &[u32] = match table.route_get(topic.id().as_u32()) {
-                        Some(route) => route,
-                        None => {
-                            fallback = table.compute_route(topic);
-                            &fallback
-                        }
-                    };
-                    for &i in route {
-                        if dead_idx.contains(&i) {
-                            continue;
-                        }
-                        let sub = &table.subs[i as usize];
-                        match sub.queue.send(*topic, *payload, sub.capacity) {
-                            SendOutcome::Delivered => reached += 1,
-                            SendOutcome::Full => dropped += 1,
-                            SendOutcome::Dead => {
-                                dropped += 1;
-                                dead.push(sub.id);
-                                dead_idx.push(i);
-                            }
-                        }
-                    }
-                }
+                queue.push(*topic, payload);
+                reached += 1;
             }
         }
-        touched.clear();
-        *self.touched_scratch.lock() = touched;
         if !dead.is_empty() {
-            self.prune(&mut dead);
+            table.prune(&mut dead);
         }
-        self.delivered.fetch_add(reached as u64, Ordering::Relaxed);
-        self.dropped.fetch_add(dropped, Ordering::Relaxed);
-        messages.clear();
+        self.tally(|s| {
+            s.delivered += reached as u64;
+            s.dropped += dead.len() as u64;
+        });
         reached
     }
 
-    /// Removes dead subscriptions in one pass: sort + dedup the ids and
-    /// binary-search during the retain, so pruning costs
-    /// O((dead log dead) + subs log dead) instead of O(dead × subs).
-    fn prune(&self, dead: &mut Vec<SubscriptionId>) {
-        dead.sort_unstable();
-        dead.dedup();
-        let mut table = self.table.write();
-        let before = table.subs.len();
-        table.subs.retain(|s| dead.binary_search(&s.id).is_err());
-        if table.subs.len() != before {
-            table.routes.clear();
-        }
+    /// Applies `f` to the counters.
+    fn tally(&self, f: impl FnOnce(&mut BrokerStats)) {
+        let mut stats = self.stats.get();
+        f(&mut stats);
+        self.stats.set(stats);
     }
 
     /// Configures deterministic wire loss: each subsequent publish is
@@ -856,7 +471,7 @@ impl Broker {
     /// Panics if `rate` is outside `[0, 1]`.
     pub fn set_loss(&self, rate: f64, seed: u64) {
         assert!((0.0..=1.0).contains(&rate), "loss rate must be in [0, 1]");
-        *self.loss.lock() = (rate > 0.0).then(|| LossInjection {
+        *self.loss.borrow_mut() = (rate > 0.0).then(|| LossInjection {
             rate,
             rng: StdRng::seed_from_u64(seed),
         });
@@ -864,50 +479,24 @@ impl Broker {
 
     /// Current counters.
     pub fn stats(&self) -> BrokerStats {
-        BrokerStats {
-            published: self.published.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            suppressed: self.suppressed.load(Ordering::Relaxed),
-        }
+        self.stats.get()
     }
 
     /// Number of live subscriptions.
     pub fn subscription_count(&self) -> usize {
-        self.table.read().subs.len()
+        self.table.borrow().subs.len()
     }
 
     /// Number of topics with a compiled route in the cache. Diagnostic:
     /// steady-state traffic over pre-registered topics holds this constant
     /// while every publish hits the cache.
     pub fn compiled_routes(&self) -> usize {
-        self.table.read().routes_compiled()
-    }
-}
-
-/// Delivers one message along a compiled route, updating the accounting
-/// exactly as the legacy per-publish filter walk did.
-fn deliver(
-    subs: &[SubEntry],
-    route: &[u32],
-    topic: &Topic,
-    payload: Payload,
-    reached: &mut usize,
-    dropped: &mut u64,
-    dead: &mut Vec<SubscriptionId>,
-) {
-    for &i in route {
-        let sub = &subs[i as usize];
-        match sub.queue.send(*topic, payload, sub.capacity) {
-            SendOutcome::Delivered => *reached += 1,
-            SendOutcome::Full => *dropped += 1,
-            SendOutcome::Dead => {
-                *dropped += 1;
-                if !dead.contains(&sub.id) {
-                    dead.push(sub.id);
-                }
-            }
-        }
+        self.table
+            .borrow()
+            .routes
+            .iter()
+            .filter(|r| r.is_some())
+            .count()
     }
 }
 
@@ -1046,26 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_subscription_drops_overflow_and_accounts_for_it() {
-        let broker = Broker::new();
-        let sub = broker.subscribe_bounded(f("#"), 3);
-        for i in 0..5 {
-            broker.publish(&t("x"), Payload::new(i as f64, SimTime::ZERO));
-        }
-        assert_eq!(sub.queued(), 3);
-        assert_eq!(sub.dropped(), 2);
-        let stats = broker.stats();
-        assert_eq!(stats.published, 5);
-        assert_eq!(stats.delivered, 3);
-        assert_eq!(stats.dropped, 2);
-        // Draining frees capacity for new deliveries.
-        assert_eq!(sub.drain().len(), 3);
-        assert_eq!(sub.queued(), 0);
-        broker.publish(&t("x"), Payload::new(9.0, SimTime::ZERO));
-        assert_eq!(sub.try_recv().unwrap().payload.value, 9.0);
-    }
-
-    #[test]
     fn delivery_accounting_balances_under_disconnect() {
         let broker = Broker::new();
         let keeper = broker.subscribe(f("#"));
@@ -1098,27 +667,24 @@ mod tests {
             let broker = Broker::new();
             let all = broker.subscribe(f("#"));
             let some = broker.subscribe(f("node/3/+"));
-            let bounded = broker.subscribe_bounded(f("#"), 10);
             broker.set_loss(0.3, 99);
             for (topic, payload) in &messages {
                 broker.publish(topic, *payload);
             }
-            (all.drain(), some.drain(), bounded.drain(), broker.stats())
+            (all.drain(), some.drain(), broker.stats())
         };
         let run_batch = || {
             let broker = Broker::new();
             let all = broker.subscribe(f("#"));
             let some = broker.subscribe(f("node/3/+"));
-            let bounded = broker.subscribe_bounded(f("#"), 10);
             broker.set_loss(0.3, 99);
             broker.publish_batch_serial(&mut messages.clone());
-            (all.drain(), some.drain(), bounded.drain(), broker.stats())
+            (all.drain(), some.drain(), broker.stats())
         };
-        let (sa, ss, sb, sst) = run_seq();
-        let (ba, bs, bb, bst) = run_batch();
+        let (sa, ss, sst) = run_seq();
+        let (ba, bs, bst) = run_batch();
         assert_eq!(sa, ba, "wildcard subscriber sees identical stream");
         assert_eq!(ss, bs, "filtered subscriber sees identical stream");
-        assert_eq!(sb, bb, "bounded subscriber drops identically");
         assert_eq!(sst, bst, "stats balance identically");
     }
 
@@ -1143,28 +709,5 @@ mod tests {
         // there, so the remaining four skip it — same books as a loop of
         // `publish` calls.
         assert_eq!(stats.dropped, 1);
-    }
-
-    #[test]
-    fn concurrent_publishers_do_not_lose_messages() {
-        let broker = std::sync::Arc::new(Broker::new());
-        let sub = broker.subscribe(f("#"));
-        let mut handles = Vec::new();
-        for thread in 0..4 {
-            let b = broker.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..250 {
-                    b.publish(
-                        &format!("t/{thread}/{i}").parse().unwrap(),
-                        Payload::new(i as f64, SimTime::ZERO),
-                    );
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(sub.drain().len(), 1000);
-        assert_eq!(broker.stats().published, 1000);
     }
 }

@@ -17,9 +17,7 @@
 //! every event/telemetry byte are unchanged by interning.
 
 use std::collections::HashMap;
-use std::sync::LazyLock;
-
-use parking_lot::RwLock;
+use std::sync::{LazyLock, RwLock, RwLockReadGuard};
 
 /// A stable small-integer handle for an interned topic.
 ///
@@ -60,10 +58,16 @@ struct Interner {
 
 static INTERNER: LazyLock<RwLock<Interner>> = LazyLock::new(|| RwLock::new(Interner::default()));
 
+/// Shared access to the registry. A panic while registering poisons the
+/// lock, and every later access then panics too.
+fn registry() -> RwLockReadGuard<'static, Interner> {
+    INTERNER.read().expect("topic interner poisoned")
+}
+
 /// Looks up an already-interned topic by its rendered form without
 /// allocating. Returns `None` if the topic has never been registered.
 pub(crate) fn lookup_display(display: &str) -> Option<&'static TopicData> {
-    let interner = INTERNER.read();
+    let interner = registry();
     interner
         .by_display
         .get(display)
@@ -72,7 +76,7 @@ pub(crate) fn lookup_display(display: &str) -> Option<&'static TopicData> {
 
 /// Resolves an id back to its record.
 pub(crate) fn get(id: TopicId) -> Option<&'static TopicData> {
-    INTERNER.read().entries.get(id.index()).copied()
+    registry().entries.get(id.index()).copied()
 }
 
 /// Interns validated segments, returning the shared record (registering it
@@ -82,7 +86,7 @@ pub(crate) fn intern(segments: Vec<String>) -> &'static TopicData {
     if let Some(found) = lookup_display(&display) {
         return found;
     }
-    let mut interner = INTERNER.write();
+    let mut interner = INTERNER.write().expect("topic interner poisoned");
     if let Some(&i) = interner.by_display.get(&display) {
         return interner.entries[i as usize];
     }
@@ -103,16 +107,11 @@ pub(crate) fn intern(segments: Vec<String>) -> &'static TopicData {
     data
 }
 
-/// Number of distinct topics interned so far.
-pub fn interned_count() -> usize {
-    INTERNER.read().entries.len()
-}
-
 /// Total deep registrations performed (monotonic). A steady-state
 /// telemetry loop over pre-registered topics must not move this counter;
 /// the zero-allocation tests assert exactly that.
 pub fn registration_count() -> u64 {
-    INTERNER.read().registrations
+    registry().registrations
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //!
 //! * [`topic`] / [`payload`] — the exact topic schema and
 //!   `value;timestamp` payload format of Table II;
-//! * [`broker`] — a thread-safe MQTT-style pub/sub broker (QoS 0);
+//! * [`broker`] — a single-threaded MQTT-style pub/sub broker (QoS 0);
 //! * [`plugins`] — `pmu_pub` (per-core counters, 2 Hz) and `stats_pub`
 //!   (Table III's 28 OS metrics incl. the Table IV hwmon temperatures,
 //!   0.2 Hz);

@@ -5,7 +5,6 @@ use std::fmt;
 
 use cimone_soc::units::{SimDuration, SimTime};
 
-use crate::broker::PublishedMessage;
 use crate::payload::Payload;
 use crate::topic::{Topic, TopicFilter};
 
@@ -187,11 +186,6 @@ impl TimeSeriesStore {
     pub fn insert(&mut self, topic: &Topic, payload: Payload) {
         let column = self.handle(topic);
         place(&mut self.columns[column].points, payload);
-    }
-
-    /// Inserts a broker message.
-    pub fn insert_message(&mut self, message: &PublishedMessage) {
-        self.insert(&message.topic, message.payload);
     }
 
     /// Bulk-appends points of a single series: one handle resolution for

@@ -7,9 +7,6 @@
 //! * [`link`] — α–β link models for GbE and IB FDR;
 //! * [`mpi`] — collective-operation cost models (binomial broadcast,
 //!   recursive doubling) and HPL's P×Q process grid;
-//! * [`fabric`] — a functional in-memory message fabric with simulated
-//!   arrival times and per-endpoint traffic counters (feeds the Fig. 5
-//!   network heatmap);
 //! * [`ib`] — the InfiniBand capability matrix exactly as the paper
 //!   reports it: device recognised, module loaded, `ib_ping` fine, RDMA
 //!   unsupported;
@@ -29,13 +26,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod fabric;
 pub mod ib;
 pub mod link;
 pub mod mpi;
 pub mod switch;
 
-pub use fabric::Fabric;
 pub use ib::{IbCapability, IbHca};
 pub use link::LinkModel;
 pub use mpi::{CommWorld, ProcessGrid};

@@ -1,11 +1,10 @@
-//! Property-based tests for link, collective and fabric behaviour.
+//! Property-based tests for link and collective behaviour.
 
 use proptest::prelude::*;
 
-use cimone_net::fabric::Fabric;
 use cimone_net::link::LinkModel;
 use cimone_net::mpi::{CommWorld, ProcessGrid};
-use cimone_soc::units::{Bytes, SimDuration, SimTime};
+use cimone_soc::units::{Bytes, SimDuration};
 
 proptest! {
     #[test]
@@ -49,51 +48,6 @@ proptest! {
         for p in grid.p + 1..=((ranks as f64).sqrt() as usize) {
             prop_assert!(ranks % p != 0, "{p} x {} would be squarer", ranks / p);
         }
-    }
-
-    #[test]
-    fn fabric_preserves_per_pair_fifo_order(payloads in prop::collection::vec(0u8..255, 1..40)) {
-        let fabric = Fabric::new(2, LinkModel::infiniband_fdr());
-        for (i, byte) in payloads.iter().enumerate() {
-            fabric
-                .send(0, 1, i as u64, vec![*byte], SimTime::ZERO)
-                .expect("endpoint exists");
-        }
-        for (i, byte) in payloads.iter().enumerate() {
-            let msg = fabric.try_recv(1).expect("message queued");
-            prop_assert_eq!(msg.tag, i as u64);
-            prop_assert_eq!(msg.payload, vec![*byte]);
-        }
-    }
-
-    #[test]
-    fn fabric_counts_every_byte(sizes in prop::collection::vec(0usize..10_000, 1..20)) {
-        let fabric = Fabric::new(2, LinkModel::gigabit_ethernet());
-        let total: usize = sizes.iter().sum();
-        for size in &sizes {
-            fabric
-                .send(0, 1, 0, vec![0u8; *size], SimTime::ZERO)
-                .expect("endpoint exists");
-        }
-        while fabric.try_recv(1).is_ok() {}
-        prop_assert_eq!(fabric.counters(0).sent, total as u64);
-        prop_assert_eq!(fabric.counters(1).received, total as u64);
-        prop_assert_eq!(fabric.counters(0).messages_sent, sizes.len() as u64);
-    }
-
-    #[test]
-    fn arrival_time_respects_send_time(
-        start_us in 0u64..1_000_000,
-        bytes in 0usize..100_000,
-    ) {
-        let fabric = Fabric::new(2, LinkModel::gigabit_ethernet());
-        let now = SimTime::from_micros(start_us);
-        let eta = fabric
-            .send(0, 1, 0, vec![0u8; bytes], now)
-            .expect("endpoint exists");
-        prop_assert!(eta > now, "delivery takes non-zero time");
-        let msg = fabric.try_recv(1).expect("delivered");
-        prop_assert_eq!(msg.arrives_at, eta);
     }
 }
 

@@ -5,11 +5,9 @@
 //! [`U74McComplex`] is the executable model (cores + counters);
 //! [`Fu740Spec`] collects the datasheet constants the experiments use.
 
-use crate::boot::BootSequence;
 use crate::core::{U74Core, U74_PEAK_FLOPS_PER_CORE};
 use crate::hpm::{RetiredWork, UBootConfig};
 use crate::isa::IsaString;
-use crate::power::PowerModel;
 use crate::units::{Bytes, Frequency, SimDuration};
 use crate::workload::Workload;
 
@@ -67,8 +65,8 @@ impl Default for Fu740Spec {
     }
 }
 
-/// The executable model of one FU740: four U74 harts with HPM counters,
-/// the SoC spec, the calibrated power model and the boot sequence.
+/// The executable model of one FU740: four U74 harts with HPM counters
+/// and the SoC spec.
 ///
 /// # Examples
 ///
@@ -87,8 +85,6 @@ impl Default for Fu740Spec {
 pub struct U74McComplex {
     spec: Fu740Spec,
     cores: Vec<U74Core>,
-    power: PowerModel,
-    boot: BootSequence,
     firmware: UBootConfig,
     step_memo: StepMemo,
 }
@@ -127,8 +123,6 @@ impl U74McComplex {
         U74McComplex {
             spec,
             cores,
-            power: PowerModel::u740(),
-            boot: BootSequence::u740_default(),
             firmware,
             step_memo: StepMemo::default(),
         }
@@ -157,21 +151,6 @@ impl U74McComplex {
     /// The ISA of the S7 monitor core.
     pub fn monitor_isa(&self) -> IsaString {
         IsaString::s7()
-    }
-
-    /// The calibrated power model.
-    pub fn power_model(&self) -> &PowerModel {
-        &self.power
-    }
-
-    /// Replaces the power model (e.g. to enable thermal leakage).
-    pub fn set_power_model(&mut self, model: PowerModel) {
-        self.power = model;
-    }
-
-    /// The boot sequence.
-    pub fn boot_sequence(&self) -> &BootSequence {
-        &self.boot
     }
 
     /// The firmware configuration the complex booted with.

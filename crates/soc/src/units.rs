@@ -480,11 +480,6 @@ impl Bytes {
     pub fn as_f64(self) -> f64 {
         self.0 as f64
     }
-
-    /// The count in mebibytes.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
 }
 
 impl fmt::Display for Bytes {

@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | [`soc`] | `cimone-soc` | SiFive Freedom U740 model: cores, HPM counters, power rails, boot |
 //! | [`mem`] | `cimone-mem` | DDR4 + L2 + prefetcher + Table V bandwidth model |
-//! | [`net`] | `cimone-net` | GbE / InfiniBand links, MPI cost models, message fabric |
+//! | [`net`] | `cimone-net` | GbE / InfiniBand links, MPI cost models, management switch |
 //! | [`kernels`] | `cimone-kernels` | real DGEMM, LU/HPL, STREAM, eigensolver |
 //! | [`sched`] | `cimone-sched` | Slurm-like batch scheduler |
 //! | [`pkg`] | `cimone-pkg` | Spack-like package manager + archspec targets |
