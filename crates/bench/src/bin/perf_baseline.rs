@@ -32,8 +32,8 @@
 //! steady-state batched publish throughput through the precompiled
 //! routing table, plus the compiled-route count, and a `per_call_ns`
 //! table: median nanoseconds per call of the eigensolver, the L2 cache
-//! simulator, the thermal step, TSDB insert and downsampling, and the
-//! concretiser with its DAG install.
+//! simulator, the thermal step, TSDB insert and downsampling, one
+//! dashboard query, and the concretiser with its DAG install.
 //!
 //! `--smoke` shrinks the problem sizes for CI; `REPS` overrides the
 //! repetition count; `--out-dir DIR` redirects the JSON snapshots (so CI
@@ -48,6 +48,7 @@ use std::time::Instant;
 use cimone_bench::env_u64;
 use cimone_cluster::engine::{ClockMode, ClusterWorkload, EngineConfig, JobRequest, SimEngine};
 use cimone_cluster::faults::{FaultKind, FaultPlan};
+use cimone_cluster::healing::RecoveryConfig;
 use cimone_cluster::thermal::{AirflowConfig, ThermalModel};
 use cimone_kernels::abft::{factor_protected, AbftMode};
 use cimone_kernels::checkpoint::Checkpoint;
@@ -61,6 +62,7 @@ use cimone_mem::cache::{AccessKind, CacheConfig, SetAssocCache};
 use cimone_monitor::broker::Broker;
 use cimone_monitor::json::JsonValue;
 use cimone_monitor::payload::Payload;
+use cimone_monitor::query::evaluate_json;
 use cimone_monitor::topic::Topic;
 use cimone_monitor::tsdb::{Aggregation, TimeSeriesStore};
 use cimone_pkg::concretize::concretize;
@@ -554,10 +556,10 @@ fn bench_engine_event(sizes: &Sizes, divergences: &mut Vec<String>) -> JsonValue
 }
 
 /// Per-call costs of the pieces no other section times: the symmetric
-/// eigensolver, the L2 cache simulator, the thermal model, the TSDB and
-/// the package manager. Each row makes one untimed warm-up call, then
-/// `calls` calls per rep, and reports the median rep's nanoseconds per
-/// call.
+/// eigensolver, the L2 cache simulator, the thermal model, the TSDB, the
+/// query interface and the package manager. Each row makes one untimed
+/// warm-up call, then `calls` calls per rep, and reports the median
+/// rep's nanoseconds per call.
 fn bench_calls(sizes: &Sizes) -> JsonValue {
     let mut section = Vec::new();
     let mut row = |name: &'static str, calls: usize, call: &mut dyn FnMut()| {
@@ -603,6 +605,24 @@ fn bench_calls(sizes: &Sizes) -> JsonValue {
             SimDuration::from_secs(1),
             Aggregation::Mean,
         ));
+    });
+
+    // One operator-dashboard panel: the per-core `instret` mean in 60 s
+    // bins over 1,545 monitored seconds of an idle machine with the
+    // failure detector on — a store shaped like the benchmark's busy_day:
+    // 368 series, the panel's 32 of them with 3,090 points each.
+    let mut monitored = SimEngine::new(EngineConfig {
+        clock: ClockMode::EventDriven,
+        recovery: Some(RecoveryConfig::detection_only()),
+        ..EngineConfig::default()
+    });
+    monitored.run_for(SimDuration::from_secs(1545));
+    let panel = format!(
+        r#"{{"filter":"{}","from_secs":0,"to_secs":1545,"bin_secs":60,"aggregation":"Mean"}}"#,
+        monitored.schema().pmu_metric_filter("instret")
+    );
+    row("query_instret_panel_60s", 100, &mut || {
+        black_box(evaluate_json(monitored.store(), &panel).expect("valid request"));
     });
 
     let repo = PackageRepo::builtin();

@@ -2886,7 +2886,7 @@ mod tests {
         let points = store.query(series, SimTime::ZERO, SimTime::from_secs(12));
         assert!(points.len() >= 20, "points: {}", points.len());
         // Counters are cumulative, hence non-decreasing.
-        assert!(points.windows(2).all(|w| w[1].1 >= w[0].1));
+        assert!(points.values().windows(2).all(|w| w[1] >= w[0]));
     }
 
     #[test]
@@ -3092,7 +3092,7 @@ mod tests {
         );
         assert_eq!(stuck.len(), 20);
         assert!(
-            stuck.windows(2).all(|w| w[0].1 == w[1].1),
+            stuck.values().windows(2).all(|w| w[0] == w[1]),
             "value must freeze"
         );
         // Both recover after the span.

@@ -38,17 +38,16 @@ pub struct MonitoredHplResult {
 /// keeping series names.
 pub fn rate_store(store: &TimeSeriesStore, filter: &TopicFilter) -> TimeSeriesStore {
     let mut out = TimeSeriesStore::new();
-    for (name, points) in store.query_filter(
+    for (topic, points) in store.query_filter(
         filter,
         SimTime::ZERO,
         SimTime::from_secs(u64::MAX / 2_000_000),
     ) {
-        let topic: Topic = name.parse().expect("store names are topics");
-        for pair in points.windows(2) {
-            let dt = (pair[1].0 - pair[0].0).as_secs_f64();
+        for ((t0, v0), (t1, v1)) in points.iter().zip(points.iter().skip(1)) {
+            let dt = (t1 - t0).as_secs_f64();
             if dt > 0.0 {
-                let rate = (pair[1].1 - pair[0].1) / dt;
-                out.insert(&topic, Payload::new(rate.max(0.0), pair[1].0));
+                let rate = (v1 - v0) / dt;
+                out.insert(&topic, Payload::new(rate.max(0.0), t1));
             }
         }
     }

@@ -102,7 +102,7 @@ pub fn run(seed: u64) -> ThermalRunawayResult {
         .store()
         .query(&series_name, SimTime::ZERO, engine.now())
         .iter()
-        .map(|(t, v)| (t.as_secs_f64(), *v))
+        .map(|(t, v)| (t.as_secs_f64(), v))
         .collect();
 
     // Phase 2: the mitigation — lid off, spacing added, node restored.

@@ -71,7 +71,7 @@ impl ThresholdDetector {
             .find(|(_, v)| *v >= self.threshold)
             .map(|(t, v)| Alarm {
                 series: series.to_owned(),
-                at: *t,
+                at: t,
                 severity: self.severity,
                 message: format!("value {v:.1} crossed threshold {:.1}", self.threshold),
             })
@@ -113,7 +113,8 @@ impl RateOfRiseDetector {
         from: SimTime,
         to: SimTime,
     ) -> Option<Alarm> {
-        let points = store.query(series, from, to);
+        // The backward window scan reads points by index.
+        let points = store.query(series, from, to).to_vec();
         for (i, (t1, v1)) in points.iter().enumerate() {
             // Find the last point inside the window ending at t1.
             let window_start = if t1.as_micros() >= self.window.as_micros() {

@@ -2,6 +2,8 @@
 //! sparkline strips for single series. Fig. 5 of the paper is a heatmap of
 //! instructions/s, network traffic and memory usage across the eight nodes
 //! during an HPL run — [`Heatmap`] renders exactly that from the store.
+//! Both read borrowed [`SeriesView`](crate::tsdb::SeriesView)s and bin
+//! each series in one pass over its points.
 
 use cimone_soc::units::{SimDuration, SimTime};
 
@@ -27,9 +29,10 @@ pub struct Heatmap {
 }
 
 impl Heatmap {
-    /// Builds a heatmap from every series matching `filter`, labelling rows
-    /// with `label_of(series_name)` and merging series that map to the same
-    /// label (e.g. per-core series summed per node).
+    /// Builds a heatmap from every series matching `filter` with a point
+    /// in `[from, to)`, labelling rows with `label_of(series_name)` and
+    /// merging series that map to the same label (e.g. per-core series
+    /// summed per node).
     ///
     /// # Panics
     ///
@@ -54,11 +57,13 @@ impl Heatmap {
             bin
         };
 
-        let grouped = store.query_filter(filter, from, to);
+        // The bins cover [from, end): `to` rounded down to whole bins, or
+        // past it when the bin was widened to one microsecond.
+        let end = from + bin * bins as u64;
         let mut rows: Vec<String> = Vec::new();
         let mut values: Vec<Vec<Option<f64>>> = Vec::new();
-        for name in grouped.keys() {
-            let label = label_of(name);
+        for (topic, _) in store.query_filter(filter, from, to) {
+            let label = label_of(topic.as_str());
             let row_idx = match rows.iter().position(|r| *r == label) {
                 Some(i) => i,
                 None => {
@@ -67,13 +72,16 @@ impl Heatmap {
                     rows.len() - 1
                 }
             };
-            for (b, slot) in values[row_idx].iter_mut().enumerate() {
-                let bin_start = from + bin * b as u64;
-                let bin_end = bin_start + bin;
-                if let Some(v) = store.aggregate(name, bin_start, bin_end, aggregation) {
+            let row = &mut values[row_idx];
+            store.query(topic.as_str(), from, end).downsample(
+                from,
+                bin,
+                aggregation,
+                |index, v| {
+                    let slot = &mut row[index as usize];
                     *slot = Some(slot.unwrap_or(0.0) + v);
-                }
-            }
+                },
+            );
         }
         Heatmap {
             title: title.into(),

@@ -28,11 +28,6 @@ use std::sync::{LazyLock, RwLock, RwLockReadGuard};
 pub struct TopicId(pub(crate) u32);
 
 impl TopicId {
-    /// The raw id.
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
-
     /// The id as a dense vector index.
     pub fn index(self) -> usize {
         self.0 as usize

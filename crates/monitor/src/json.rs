@@ -108,55 +108,74 @@ impl JsonValue {
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JsonValue::Null => write!(f, "null"),
+            JsonValue::Null => f.write_str("null"),
             JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            JsonValue::String(s) => write_escaped(f, s),
+            JsonValue::Number(n) => write_number(f, *n),
+            JsonValue::String(s) => write_string(f, s),
             JsonValue::Array(items) => {
-                write!(f, "[")?;
+                f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_str(",")?;
                     }
                     write!(f, "{item}")?;
                 }
-                write!(f, "]")
+                f.write_str("]")
             }
             JsonValue::Object(map) => {
-                write!(f, "{{")?;
+                f.write_str("{")?;
                 for (i, (key, value)) in map.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_str(",")?;
                     }
-                    write_escaped(f, key)?;
+                    write_string(f, key)?;
                     write!(f, ":{value}")?;
                 }
-                write!(f, "}}")
+                f.write_str("}")
             }
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// Writes `n` as a JSON number: integral values under 10^15 without a
+/// fraction, everything else in Rust's shortest round-trip form. The one
+/// number formatter: [`JsonValue`]'s `Display` and the query responses'
+/// direct writer both use it.
+pub(crate) fn write_number<W: fmt::Write + ?Sized>(out: &mut W, n: f64) -> fmt::Result {
+    if n.fract() == 0.0 && n.abs() < 1e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
     }
-    write!(f, "\"")
+}
+
+/// Writes `s` as a quoted JSON string, copying unescaped stretches whole.
+/// The one string formatter, shared like [`write_number`].
+pub(crate) fn write_string<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    // Every escaped character is ASCII, so byte offsets are char
+    // boundaries.
+    let mut plain = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[plain..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{byte:04x}")?;
+        } else {
+            out.write_str(escape)?;
+        }
+        plain = i + 1;
+    }
+    out.write_str(&s[plain..])?;
+    out.write_char('"')
 }
 
 struct Parser<'a> {

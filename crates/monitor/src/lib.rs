@@ -12,8 +12,9 @@
 //! * [`plugins`] — `pmu_pub` (per-core counters, 2 Hz) and `stats_pub`
 //!   (Table III's 28 OS metrics incl. the Table IV hwmon temperatures,
 //!   0.2 Hz);
-//! * [`collector`] / [`tsdb`] — ingestion into a time-series store with
-//!   range queries, aggregation and downsampling;
+//! * [`collector`] / [`tsdb`] — ingestion into a time-series store of
+//!   value columns and run-length timestamps, with borrowed range
+//!   queries, aggregation and one-pass downsampling;
 //! * [`query`] — the REST/JSON-style batch interface;
 //! * [`dashboard`] — Grafana-role text heatmaps (Fig. 5) and sparklines;
 //! * [`anomaly`] — threshold and rate-of-rise detection, including the

@@ -1,10 +1,16 @@
 //! The RESTful-style query interface (ExaMon exposes its store over HTTP
 //! with JSON; batch analysis scripts consume it). Requests and responses
-//! are JSON-serialisable structures evaluated directly against the store.
+//! are JSON-serialisable structures evaluated directly against the store:
+//! each matching series is read through a borrowed
+//! [`SeriesView`](crate::tsdb::SeriesView) and binned in one pass, and a
+//! response is written straight into one string with the JSON module's
+//! number and string formatters.
+
+use std::fmt;
 
 use cimone_soc::units::{SimDuration, SimTime};
 
-use crate::json::JsonValue;
+use crate::json::{self, JsonValue};
 use crate::topic::TopicFilter;
 use crate::tsdb::{Aggregation, TimeSeriesStore};
 
@@ -46,13 +52,17 @@ pub enum QueryError {
     BadFilter(String),
     /// `to <= from` or a non-finite bound.
     BadRange,
+    /// A positive `bin_secs` that rounds to less than the store's
+    /// one-microsecond resolution.
+    BadBin(f64),
 }
 
-impl std::fmt::Display for QueryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for QueryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             QueryError::BadFilter(s) => write!(f, "bad filter: {s}"),
             QueryError::BadRange => write!(f, "range must be finite with to > from >= 0"),
+            QueryError::BadBin(secs) => write!(f, "bin_secs {secs} rounds to zero microseconds"),
         }
     }
 }
@@ -63,7 +73,8 @@ impl std::error::Error for QueryError {}
 ///
 /// # Errors
 ///
-/// Fails for malformed filters or ranges.
+/// Fails for malformed filters or ranges, and for a bin under one
+/// microsecond.
 ///
 /// # Examples
 ///
@@ -105,29 +116,34 @@ pub fn evaluate(
     }
     let from = SimTime::from_micros((request.from_secs * 1e6) as u64);
     let to = SimTime::from_micros((request.to_secs * 1e6) as u64);
+    let bin = match request.bin_secs {
+        Some(bin_secs) if bin_secs > 0.0 => match SimDuration::from_secs_f64(bin_secs) {
+            bin if bin.is_zero() => return Err(QueryError::BadBin(bin_secs)),
+            bin => Some(bin),
+        },
+        _ => None,
+    };
     let aggregation = request.aggregation.unwrap_or(Aggregation::Mean);
 
-    let mut series = Vec::new();
-    for (name, points) in store.query_filter(&filter, from, to) {
-        let points: Vec<(f64, f64)> = match request.bin_secs {
-            Some(bin_secs) if bin_secs > 0.0 => store
-                .downsample(
-                    &name,
-                    from,
-                    to,
-                    SimDuration::from_secs_f64(bin_secs),
-                    aggregation,
-                )
-                .into_iter()
-                .map(|(t, v)| (t.as_secs_f64(), v))
-                .collect(),
-            _ => points
-                .into_iter()
-                .map(|(t, v)| (t.as_secs_f64(), v))
-                .collect(),
-        };
-        series.push(SeriesData { name, points });
-    }
+    let series = store
+        .query_filter(&filter, from, to)
+        .map(|(topic, view)| {
+            let points = match bin {
+                Some(bin) => {
+                    let mut points = Vec::new();
+                    view.downsample(from, bin, aggregation, |index, v| {
+                        points.push(((from + bin * index).as_secs_f64(), v));
+                    });
+                    points
+                }
+                None => view.iter().map(|(t, v)| (t.as_secs_f64(), v)).collect(),
+            };
+            SeriesData {
+                name: topic.as_str().to_owned(),
+                points,
+            }
+        })
+        .collect();
     Ok(QueryResponse { series })
 }
 
@@ -223,36 +239,39 @@ impl QueryRequest {
 }
 
 impl QueryResponse {
-    /// Serialises the response to its wire (JSON) form.
+    /// Serialises the response to its wire (JSON) form: the canonical
+    /// rendering of the equivalent [`JsonValue`] tree, written straight
+    /// into one string.
     pub fn to_json(&self) -> String {
-        JsonValue::object([(
-            "series".to_owned(),
-            JsonValue::Array(
-                self.series
-                    .iter()
-                    .map(|s| {
-                        JsonValue::object([
-                            ("name".to_owned(), JsonValue::String(s.name.clone())),
-                            (
-                                "points".to_owned(),
-                                JsonValue::Array(
-                                    s.points
-                                        .iter()
-                                        .map(|&(t, v)| {
-                                            JsonValue::Array(vec![
-                                                JsonValue::Number(t),
-                                                JsonValue::Number(v),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-        .to_string()
+        let mut out = String::new();
+        self.write_json(&mut out)
+            .expect("formatting into a String cannot fail");
+        out
+    }
+
+    fn write_json(&self, out: &mut String) -> fmt::Result {
+        out.push_str("{\"series\":[");
+        for (i, series) in self.series.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":");
+            json::write_string(out, &series.name)?;
+            out.push_str(",\"points\":[");
+            for (j, &(t, v)) in series.points.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push('[');
+                json::write_number(out, t)?;
+                out.push(',');
+                json::write_number(out, v)?;
+                out.push(']');
+            }
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+        Ok(())
     }
 
     /// Parses a response from its wire (JSON) form.
@@ -299,14 +318,17 @@ impl QueryResponse {
 ///
 /// # Errors
 ///
-/// Returns a JSON error object string for malformed input.
+/// Returns a JSON error object string, `{"error":"..."}`, for malformed
+/// input.
 pub fn evaluate_json(store: &TimeSeriesStore, request_json: &str) -> Result<String, String> {
-    let request =
-        QueryRequest::from_json(request_json).map_err(|e| format!("{{\"error\":\"{e}\"}}"))?;
-    match evaluate(store, &request) {
-        Ok(resp) => Ok(resp.to_json()),
-        Err(e) => Err(format!("{{\"error\":\"{e}\"}}")),
-    }
+    let response = QueryRequest::from_json(request_json)
+        .and_then(|request| evaluate(store, &request).map_err(|e| e.to_string()));
+    response.map(|r| r.to_json()).map_err(|message| {
+        let mut out = String::from("{\"error\":");
+        json::write_string(&mut out, &message).expect("formatting into a String cannot fail");
+        out.push('}');
+        out
+    })
 }
 
 #[cfg(test)]
@@ -389,6 +411,73 @@ mod tests {
         ));
     }
 
+    /// A positive bin that rounds to 0 µs is refused with a `QueryError`,
+    /// reported by `evaluate_json` as its JSON error object, instead of
+    /// reaching `downsample`'s non-zero assertion.
+    #[test]
+    fn sub_microsecond_bins_are_rejected() {
+        let request = QueryRequest {
+            filter: "#".to_owned(),
+            from_secs: 0.0,
+            to_secs: 10.0,
+            bin_secs: Some(1e-7),
+            aggregation: None,
+        };
+        assert_eq!(evaluate(&db(), &request), Err(QueryError::BadBin(1e-7)));
+        let error = evaluate_json(&db(), &request.to_json()).unwrap_err();
+        let message = JsonValue::parse(&error).unwrap();
+        assert_eq!(
+            message.get("error").and_then(JsonValue::as_str),
+            Some("bin_secs 0.0000001 rounds to zero microseconds"),
+        );
+        // One microsecond is the finest bin.
+        let finest = QueryRequest {
+            bin_secs: Some(1e-6),
+            ..request
+        };
+        assert_eq!(evaluate(&db(), &finest).unwrap().series[0].points.len(), 10);
+    }
+
+    /// Error objects are valid JSON even when the message quotes the
+    /// offending input.
+    #[test]
+    fn error_objects_escape_their_message() {
+        let error = evaluate_json(
+            &db(),
+            r#"{"filter":"a//b","from_secs":0,"to_secs":1,"bin_secs":null,"aggregation":null}"#,
+        )
+        .unwrap_err();
+        let message = JsonValue::parse(&error).unwrap();
+        assert_eq!(
+            message.get("error").and_then(JsonValue::as_str),
+            Some(r#"bad filter: invalid topic "a//b": empty segment"#),
+        );
+    }
+
+    /// Downsampling costs what the data costs: a range that runs a
+    /// billion seconds past the last point, in 1 s bins over every
+    /// series, returns exactly the bins of the range that ends at it.
+    #[test]
+    fn far_ranges_bin_like_the_data_they_cover() {
+        let mut store = db();
+        for t in 0..100u64 {
+            store.insert(
+                &"node/b/power".parse().unwrap(),
+                Payload::new(t as f64 * 0.5, SimTime::from_millis(250 * t)),
+            );
+        }
+        for aggregation in ["Mean", "Sum", "Count", "Last"] {
+            let request = |to_secs: f64| {
+                format!(
+                    r##"{{"filter":"#","from_secs":0,"to_secs":{to_secs},"bin_secs":1,"aggregation":"{aggregation}"}}"##
+                )
+            };
+            let near = evaluate_json(&store, &request(25.0)).unwrap();
+            assert!(near.contains(r#""name":"node/b/power""#), "{near}");
+            assert_eq!(evaluate_json(&store, &request(1e9)).unwrap(), near);
+        }
+    }
+
     #[test]
     fn json_round_trip() {
         let json = r#"{"filter":"node/a/power","from_secs":0,"to_secs":3,"bin_secs":null,"aggregation":null}"#;
@@ -396,6 +485,44 @@ mod tests {
         let parsed = QueryResponse::from_json(&out).unwrap();
         assert_eq!(parsed.series[0].points.len(), 3);
         assert!(evaluate_json(&db(), "not json").is_err());
+    }
+
+    /// The direct writer renders exactly what the equivalent `JsonValue`
+    /// tree renders: escapes, integral and fractional numbers alike.
+    #[test]
+    fn response_json_matches_the_value_tree() {
+        let response = QueryResponse {
+            series: vec![
+                SeriesData {
+                    name: "node/\"a\"\\b\n\u{1}é".to_owned(),
+                    points: vec![(0.0, -2.0), (1.5, 1e15), (2.0, 0.1 + 0.2)],
+                },
+                SeriesData {
+                    name: "empty".to_owned(),
+                    points: vec![],
+                },
+            ],
+        };
+        let tree = JsonValue::object([(
+            "series".to_owned(),
+            JsonValue::Array(
+                response
+                    .series
+                    .iter()
+                    .map(|s| {
+                        let points = s.points.iter().map(|&(t, v)| {
+                            JsonValue::Array(vec![JsonValue::Number(t), JsonValue::Number(v)])
+                        });
+                        JsonValue::object([
+                            ("name".to_owned(), JsonValue::String(s.name.clone())),
+                            ("points".to_owned(), JsonValue::Array(points.collect())),
+                        ])
+                    })
+                    .collect(),
+            ),
+        )]);
+        assert_eq!(response.to_json(), tree.to_string());
+        assert_eq!(QueryResponse::from_json(&response.to_json()), Ok(response));
     }
 
     #[test]

@@ -93,6 +93,7 @@ proptest! {
         }
         let points = db.query("prop/series", SimTime::ZERO, SimTime::from_secs(3600));
         prop_assert_eq!(points.len(), times.len());
+        let points = points.to_vec();
         prop_assert!(points.windows(2).all(|w| w[0].0 <= w[1].0), "sorted");
         // The multiset of timestamps is preserved.
         let mut got: Vec<u64> = points.iter().map(|(t, _)| t.as_micros()).collect();

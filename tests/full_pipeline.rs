@@ -98,7 +98,7 @@ fn stack_then_jobs_then_queries() {
     let series = "org/unibo/cluster/cimone/node/mc-node-01/plugin/pmu_pub/chnl/data/core/0/instret";
     let points = engine.store().query(series, SimTime::ZERO, engine.now());
     assert!(points.len() > 10);
-    assert!(points.windows(2).all(|w| w[1].1 >= w[0].1));
+    assert!(points.values().windows(2).all(|w| w[1] >= w[0]));
 }
 
 #[test]
