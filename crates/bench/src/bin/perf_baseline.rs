@@ -33,7 +33,8 @@
 //! routing table, plus the compiled-route count, and a `per_call_ns`
 //! table: median nanoseconds per call of the eigensolver, the L2 cache
 //! simulator, the thermal step, TSDB insert and downsampling, one
-//! dashboard query, and the concretiser with its DAG install.
+//! monitored tick's telemetry landing, one dashboard query, and the
+//! concretiser with its DAG install.
 //!
 //! `--smoke` shrinks the problem sizes for CI; `REPS` overrides the
 //! repetition count; `--out-dir DIR` redirects the JSON snapshots (so CI
@@ -60,9 +61,11 @@ use cimone_kernels::pool::WorkerPool;
 use cimone_kernels::stream::{StreamConfig, StreamKernel, StreamRun};
 use cimone_mem::cache::{AccessKind, CacheConfig, SetAssocCache};
 use cimone_monitor::broker::Broker;
+use cimone_monitor::collector::Collector;
 use cimone_monitor::json::JsonValue;
 use cimone_monitor::payload::Payload;
 use cimone_monitor::query::evaluate_json;
+use cimone_monitor::scrub::ScrubPolicy;
 use cimone_monitor::topic::Topic;
 use cimone_monitor::tsdb::{Aggregation, TimeSeriesStore};
 use cimone_pkg::concretize::concretize;
@@ -94,7 +97,7 @@ const DENSE_TICK_RATIO_FLOOR: f64 = 10.0;
 /// Minimum wall-clock speedup (fixed-dt seconds / event-driven seconds,
 /// best-of-reps each) the dense monitored scenario must reach. The
 /// interned-topic publish path, the precompiled routing table and the
-/// columnar span-batched ingest exist to make the sampled-span replay
+/// land-at-delivery ingest exist to make the sampled-span replay
 /// cheap enough that the event clock wins by at least this factor even
 /// with every tick monitored.
 const DENSE_WALL_SPEEDUP_FLOOR: f64 = 2.0;
@@ -624,6 +627,56 @@ fn bench_calls(sizes: &Sizes) -> JsonValue {
     row("query_instret_panel_60s", 100, &mut || {
         black_box(evaluate_json(monitored.store(), &panel).expect("valid request"));
     });
+
+    // One monitored tick of telemetry, from publish to column: 171
+    // samples shaped like the engine's tick batch (the 8 power samples,
+    // then per node its 16 pmu series and 4 or 5 of its stats series),
+    // published with `publish_batch_serial` to a scrubbing collector that
+    // holds a warm copy of the same 368-series store.
+    let stored: Vec<Topic> = monitored
+        .store()
+        .series_names()
+        .map(|name| name.parse().expect("stored names parse"))
+        .collect();
+    let pick = |plugin: &str, node: usize| -> Vec<Topic> {
+        let host = format!("mc-node-{:02}", node + 1);
+        stored
+            .iter()
+            .filter(|t| t.segments()[5] == host && t.segments()[7] == plugin)
+            .copied()
+            .collect()
+    };
+    let mut topics: Vec<Topic> = (0..8).flat_map(|node| pick("pwr_pub", node)).collect();
+    for node in 0..8 {
+        topics.extend(pick("pmu_pub", node));
+        topics.extend(
+            pick("dstat_pub", node)
+                .into_iter()
+                .take(if node < 3 { 5 } else { 4 }),
+        );
+    }
+    assert_eq!(topics.len(), 171, "the batch shape");
+    let calls = 1000;
+    let mut warm = monitored.store().clone();
+    let before = warm.point_count();
+    warm.reserve_points(sizes.reps * calls + 1);
+    let broker = Broker::new();
+    let mut collector = Collector::attach(&broker, "#".parse().expect("valid filter"))
+        .with_scrub(ScrubPolicy::monte_cimone());
+    collector.lend(warm);
+    let mut batch = Vec::with_capacity(topics.len());
+    let mut at = SimTime::from_secs(1545);
+    row("ingest_tick_171_samples", calls, &mut || {
+        at += SimDuration::from_millis(500);
+        batch.extend(topics.iter().map(|t| (*t, Payload::new(5.0, at))));
+        broker.publish_batch_serial(&mut batch);
+    });
+    let landed = collector.reclaim().expect("lent above").point_count() - before;
+    assert_eq!(
+        landed,
+        topics.len() * (sizes.reps * calls + 1),
+        "every sample landed"
+    );
 
     let repo = PackageRepo::builtin();
     let targets = TargetRegistry::builtin();

@@ -438,8 +438,8 @@ struct RunningJob {
 }
 
 /// The slices of a tick that [`SimEngine::tick`] can mask out. Heartbeat
-/// publication and the sensor draws are observation: they run on every
-/// tick.
+/// publication, the sensor draws and the ingest are observation: they run
+/// on every tick.
 #[derive(Debug, Clone, Copy)]
 struct Phases {
     /// Faults and window closes (0), the control plane's decisions (0b),
@@ -450,8 +450,6 @@ struct Phases {
     plant: bool,
     /// Node counters and plugin sampling (6).
     advance: bool,
-    /// The collector pump into the store and the scrub drain (6).
-    ingest: bool,
 }
 
 impl Phases {
@@ -459,7 +457,6 @@ impl Phases {
         decide: true,
         plant: true,
         advance: true,
-        ingest: true,
     };
 }
 
@@ -555,6 +552,7 @@ pub struct SimEngine {
     broker: Broker,
     /// `None` while the ingestion subscriber is disconnected by a fault.
     collector: Option<Collector>,
+    /// Lent to the collector from the end of phase 0 to the ingest.
     store: TimeSeriesStore,
     pmu: Vec<PluginRunner<PmuPlugin>>,
     stats: Vec<PluginRunner<StatsPlugin>>,
@@ -1130,6 +1128,10 @@ impl SimEngine {
         if phases.decide {
             self.apply_due_faults();
         }
+        // Lent after phase 0, which may drop or re-attach the collector.
+        if let Some(collector) = self.collector.as_mut() {
+            collector.lend(std::mem::take(&mut self.store));
+        }
 
         // 0b. Recovery: heartbeats out through the broker, then the
         //     control plane turns their absence into fencing decisions.
@@ -1181,9 +1183,7 @@ impl SimEngine {
         }
         self.broker.publish_batch_serial(&mut batch);
         self.tick_batch = batch;
-        if phases.ingest {
-            self.ingest();
-        }
+        self.ingest();
 
         self.now += dt;
         Tick { beat, changed }
@@ -1481,26 +1481,19 @@ impl SimEngine {
         }
     }
 
-    /// Phase 6 ingest: pumps the collector's queue into the store, then
-    /// turns every sample the ingestion scrub quarantined since the last
-    /// drain into an [`EngineEvent::SdcSuspected`], in arrival order. The
-    /// event carries the sample's own timestamp, so the one span-end
-    /// ingest of a fast-forward yields the same events as per-tick
-    /// ingest.
+    /// Phase 6 ingest: takes back the store the collector has held since
+    /// phase 0, where every sample of the tick already landed, then turns
+    /// each sample the ingestion scrub quarantined into an
+    /// [`EngineEvent::SdcSuspected`], in arrival order.
     fn ingest(&mut self) {
         let Some(collector) = self.collector.as_mut() else {
             return;
         };
-        collector.pump(&mut self.store);
+        self.store = collector.reclaim().expect("lent after phase 0");
         for (topic, payload) in collector.take_quarantined() {
-            let node = topic
-                .segments()
-                .iter()
-                .find(|s| s.starts_with("mc-node-"))
-                .map(|s| hostname_index(s))
-                .expect("scrubbed topics carry a node segment");
+            let host = ExamonSchema::hostname_of(&topic).expect("scrubbed topics name a node");
             self.events.push(EngineEvent::SdcSuspected {
-                node,
+                node: hostname_index(host),
                 at: payload.timestamp,
                 value: payload.value,
             });
@@ -1748,22 +1741,22 @@ impl SimEngine {
     /// (DESIGN.md §13, §16). Entered when
     /// [`SimEngine::tick_is_observation_only`] holds, it wakes at
     /// [`SimEngine::next_due`]. Every fast-forwarded tick is a
-    /// [`SimEngine::tick`] with the decision and ingest phases masked —
-    /// and node advance too when monitoring is off, since nothing then
-    /// reads the counters — so heartbeats, sensor draws, plugin samples
-    /// and the plant replay exactly. Once the temperatures reach their
-    /// f64 fixed point the plant is masked as well; if nothing is
-    /// observed either, the clock jumps straight to the next heartbeat,
-    /// phi crossing or wake.
+    /// [`SimEngine::tick`] with the decision phases masked — and node
+    /// advance too when monitoring is off, since nothing then reads the
+    /// counters — so heartbeats, sensor draws, plugin samples, their
+    /// ingest and the plant replay exactly, and each replayed tick logs
+    /// its `SdcSuspected` events where a step would. Once the
+    /// temperatures reach their f64 fixed point the plant is masked as
+    /// well; if nothing is observed either, the clock jumps straight to
+    /// the next heartbeat, phi crossing or wake.
     ///
     /// Phi-accrual suspicion is scheduled, not polled: between heartbeat
     /// arrivals a detector's state is frozen and phi is monotone in
     /// silence, so the solved first crossing is exact until the next
-    /// arrival, after which it is solved again from the following tick. A crossing fences, which only a full step applies, so the
-    /// span stops just before it; a trip, governor move or watchdog
-    /// arming finishes its tick, then stops the span. The collector is
-    /// pumped once, at the span end: nothing reads the store mid-span
-    /// and the queue keeps each series' order. Fast-forwarded ticks count
+    /// arrival, after which it is solved again from the following tick.
+    /// A crossing fences, which only a full step applies, so the span
+    /// stops just before it; a trip, governor move or watchdog arming
+    /// finishes its tick, then stops the span. Fast-forwarded ticks count
     /// as skipped. Returns whether the clock advanced (`false` ⇒ the
     /// caller steps).
     fn fast_forward_to(&mut self, cap: SimTime) -> bool {
@@ -1780,7 +1773,6 @@ impl SimEngine {
             decide: false,
             plant: true,
             advance: self.config.monitoring,
-            ingest: false,
         };
         self.set_expected_scales();
         let mut crossing = self.next_crossing(wake);
@@ -1817,9 +1809,6 @@ impl SimEngine {
             }
         }
         self.temps = prev_temps;
-        if self.now > start {
-            self.ingest();
-        }
         self.now > start
     }
 
@@ -3118,14 +3107,13 @@ mod tests {
         ));
         engine.run_for(SimDuration::from_secs(40));
         let series = power_series(4);
-        let during = engine
-            .store()
-            .query(&series, SimTime::from_secs(10), SimTime::from_secs(25));
-        assert!(during.is_empty(), "disconnected window must be lost");
-        let after = engine
-            .store()
-            .query(&series, SimTime::from_secs(25), SimTime::from_secs(40));
-        assert_eq!(after.len(), 15, "ingestion must recover");
+        let stored = |from, to| {
+            let (from, to) = (SimTime::from_secs(from), SimTime::from_secs(to));
+            engine.store().query(&series, from, to).len()
+        };
+        assert_eq!(stored(0, 10), 10, "the disconnect must not take the store");
+        assert_eq!(stored(10, 25), 0, "disconnected window must be lost");
+        assert_eq!(stored(25, 40), 15, "ingestion must recover");
     }
 
     #[test]

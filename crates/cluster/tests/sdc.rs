@@ -12,6 +12,7 @@ use cimone_cluster::engine::{
 };
 use cimone_cluster::faults::{FaultKind, FaultPlan, SdcTarget};
 use cimone_cluster::healing::{CheckpointConfig, RecoveryConfig};
+use cimone_cluster::thermal::AirflowConfig;
 use cimone_kernels::abft::AbftMode;
 use cimone_soc::units::{SimDuration, SimTime};
 use cimone_soc::workload::Workload;
@@ -279,10 +280,11 @@ fn clean_runs_are_never_scrubbed() {
 }
 
 /// Two telemetry corruption windows on different nodes overlap inside
-/// one monitored replay span. The event clock ingests the span in one
-/// pump at its end, fixed-dt in one pump per tick; both must raise the
-/// same `SdcSuspected` sequence, in arrival order — the two nodes'
-/// samples interleaved tick by tick, not grouped by series.
+/// one monitored replay span. Both clocks land each sample as it is
+/// delivered and drain the quarantine at the end of every tick, replayed
+/// or stepped; both must raise the same `SdcSuspected` sequence, in
+/// arrival order — the two nodes' samples interleaved tick by tick, not
+/// grouped by series.
 #[test]
 fn overlapping_corruption_windows_quarantine_in_arrival_order() {
     let run = |clock: ClockMode| {
@@ -346,4 +348,60 @@ fn overlapping_corruption_windows_quarantine_in_arrival_order() {
         event.ticks_skipped()
     );
     assert_bit_identical(&fixed, &event, "overlapping corruption windows");
+}
+
+/// A node trips inside a monitored replay span while a payload
+/// corruption window is open: the lid-on tight stack heats idle node 6
+/// to its 107 °C trip at t = 1028 s. The replay must log the trip among
+/// the span's `SdcSuspected` events exactly where fixed-dt's tick-by-tick
+/// ingest puts it, with and without the failure detector: a replay that
+/// drained its quarantine only at the span end would log the trip ahead
+/// of the whole span's suspicions.
+#[test]
+fn a_trip_inside_a_corrupted_replay_span_logs_in_step_order() {
+    for recovery in [None, Some(RecoveryConfig::detection_only())] {
+        let run = |clock: ClockMode| {
+            let mut engine = SimEngine::new(EngineConfig {
+                airflow: AirflowConfig::LidOnTightStack,
+                dt: SimDuration::from_secs(2),
+                recovery,
+                clock,
+                ..EngineConfig::default()
+            })
+            .with_fault_plan(FaultPlan::new().with(
+                SimTime::from_secs(4),
+                FaultKind::PayloadCorruption {
+                    node: 0,
+                    span: SimDuration::from_secs(3000),
+                },
+            ));
+            engine.run_for(SimDuration::from_secs(3600));
+            engine
+        };
+        let label = format!("trip in a corrupted span, recovery {recovery:?}");
+        let fixed = run(ClockMode::FixedDt);
+        assert!(
+            fixed.events().iter().any(|e| matches!(
+                e,
+                EngineEvent::NodeTripped { node: 6, at, .. } if *at == SimTime::from_secs(1028)
+            )),
+            "{label}: node 6 must trip mid-window"
+        );
+        assert!(
+            fixed
+                .events()
+                .iter()
+                .filter(|e| matches!(e, EngineEvent::SdcSuspected { .. }))
+                .count()
+                > 1000,
+            "{label}: the window must quarantine every tick's sample"
+        );
+        let event = run(ClockMode::EventDriven);
+        assert!(
+            event.ticks_skipped() > 100,
+            "{label}: the trip must fall inside a replay span ({} ticks skipped)",
+            event.ticks_skipped()
+        );
+        assert_bit_identical(&fixed, &event, &label);
+    }
 }

@@ -1,7 +1,7 @@
 //! Heap probe for an unmonitored engine with recovery on: every
 //! heartbeat the nodes publish must be consumed by the one subscriber
 //! that reads it, the control plane's failure detector. An ingestion
-//! collector attached with nothing to pump it would queue every beat
+//! collector attached with no store lent to it would queue every beat
 //! forever, so the live heap would grow with simulated time.
 //!
 //! A live-bytes counting allocator makes the claim falsifiable. This

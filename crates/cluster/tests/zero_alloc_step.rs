@@ -4,8 +4,8 @@
 //! thermal, node advance, plugin sampling, the tick's one batch publish
 //! and collector ingest included. So does a warm event-driven
 //! fast-forward span of a monitored idle machine with recovery on:
-//! heartbeats, phi bookkeeping, sensor draws, plugin samples and the
-//! span-end ingest. So does a warm fixed-dt step with recovery on and the
+//! heartbeats, phi bookkeeping, sensor draws, plugin samples and their
+//! ingest on every replayed tick. So does a warm fixed-dt step with recovery on and the
 //! same jobs running: heartbeats, the control plane's suspicion and
 //! partition checks, and everything a plain step does.
 //!

@@ -16,12 +16,14 @@
 //! matched subscriber — no string matching, no topic deep-clone, and (for
 //! pre-registered topics) no heap allocation at all.
 //!
-//! A subscription holds its pending deliveries in one of two layouts:
-//! ordinary subscribers get a FIFO of whole messages, and a
-//! [`Collector`](crate::collector::Collector) gets per-topic point runs,
-//! scrubbed as they are staged. Every delivery site goes through one
-//! `push` on the queue state, so loss draws, dead-subscriber pruning and
-//! [`BrokerStats`] do not depend on the layout.
+//! A subscription takes its deliveries in one of two ways: an ordinary
+//! subscriber queues whole messages in a FIFO, and a
+//! [`Collector`](crate::collector::Collector)'s lane scrubs each sample
+//! and inserts it into the store lent to it before the publish returns
+//! (or, with no store lent, queues it for the next pump). Every delivery
+//! site goes through one `push` on the queue state, so loss draws,
+//! dead-subscriber pruning and [`BrokerStats`] do not depend on the
+//! consumer.
 
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
@@ -30,7 +32,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::collector::Runs;
+use crate::collector::Lane;
 use crate::payload::Payload;
 use crate::topic::{Topic, TopicFilter};
 
@@ -50,18 +52,18 @@ pub struct PublishedMessage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubscriptionId(u64);
 
-/// A subscription's deliveries not yet consumed.
+/// Where a subscription's deliveries go.
 #[derive(Debug)]
 enum Pending {
     /// Whole messages in arrival order: ordinary subscribers.
     Messages(VecDeque<PublishedMessage>),
-    /// A collector's samples, staged per topic and scrubbed as they
-    /// arrive.
-    Runs(Runs),
+    /// A collector's lane, which lands each sample in the store lent to
+    /// it or holds it for the next pump.
+    Lane(Lane),
 }
 
 /// A subscription's queue, shared by the broker's routing table and the
-/// subscription handle. The deque and the point runs keep their capacity
+/// subscription handle. The deque and the lane keep their capacity
 /// across deliveries and drains, so steady-state delivery allocates
 /// nothing.
 #[derive(Debug)]
@@ -75,25 +77,23 @@ struct QueueState {
 type Queue = Rc<RefCell<QueueState>>;
 
 impl QueueState {
-    /// Stages one delivery in the subscription's layout.
+    /// Hands one delivery to the subscription's consumer.
     #[inline]
     fn push(&mut self, topic: Topic, payload: Payload) {
         match &mut self.pending {
             Pending::Messages(buf) => buf.push_back(PublishedMessage { topic, payload }),
-            Pending::Runs(runs) => runs.push(topic, payload),
+            Pending::Lane(lane) => lane.push(topic, payload),
         }
     }
 
-    /// The message FIFO; panics on a columnar subscription, whose
-    /// samples only [`Collector::pump`](crate::collector::Collector::pump)
-    /// can consume.
+    /// The message FIFO; panics on a collector's subscription, whose
+    /// samples land in a store.
     fn messages(&mut self) -> &mut VecDeque<PublishedMessage> {
         match &mut self.pending {
             Pending::Messages(buf) => buf,
-            Pending::Runs(_) => panic!(
-                "a collector's columnar subscription holds per-topic point runs, \
-                 not messages: consume it with Collector::pump"
-            ),
+            Pending::Lane(_) => {
+                panic!("a collector lands samples in a store: consume it with Collector::pump")
+            }
         }
     }
 }
@@ -102,7 +102,6 @@ impl QueueState {
 #[derive(Debug)]
 pub struct Subscription {
     id: SubscriptionId,
-    filter: TopicFilter,
     queue: Queue,
 }
 
@@ -112,18 +111,13 @@ impl Subscription {
         self.id
     }
 
-    /// The filter subscribed to.
-    pub fn filter(&self) -> &TopicFilter {
-        &self.filter
-    }
-
     /// Deliveries held and not yet consumed: queued messages, or, on a
-    /// collector's columnar subscription, staged plus quarantined samples
-    /// awaiting the next pump.
+    /// collector's subscription, the samples waiting for its next pump —
+    /// none while a store is lent to it, since those land at delivery.
     pub fn queued(&self) -> usize {
         match &self.queue.borrow().pending {
             Pending::Messages(buf) => buf.len(),
-            Pending::Runs(runs) => runs.len(),
+            Pending::Lane(lane) => lane.waiting.len(),
         }
     }
 
@@ -132,34 +126,21 @@ impl Subscription {
     ///
     /// # Panics
     ///
-    /// Panics on a collector's columnar subscription, as does the
-    /// `drain*` family: its samples are consumed by
-    /// [`Collector::pump`](crate::collector::Collector::pump).
+    /// Panics on a collector's subscription, as does the `drain*`
+    /// family: its samples land in a store
+    /// ([`Collector`](crate::collector::Collector)).
     pub fn try_recv(&self) -> Option<PublishedMessage> {
         self.queue.borrow_mut().messages().pop_front()
     }
 
     /// Drains everything currently queued.
     pub fn drain(&self) -> Vec<PublishedMessage> {
-        let mut out = Vec::new();
-        self.drain_into(&mut out);
-        out
-    }
-
-    /// Drains everything currently queued into `out`; returns how many
-    /// messages were appended. The queue keeps its capacity, so a warm
-    /// steady-state drain allocates nothing.
-    pub fn drain_into(&self, out: &mut Vec<PublishedMessage>) -> usize {
-        let mut state = self.queue.borrow_mut();
-        let buf = state.messages();
-        let n = buf.len();
-        out.extend(buf.drain(..));
-        n
+        self.queue.borrow_mut().messages().drain(..).collect()
     }
 
     /// Drains everything currently queued, calling `f` on each message —
-    /// the copy-free variant of [`drain_into`](Subscription::drain_into)
-    /// for consumers that ingest in place. The queue stays borrowed
+    /// the copy-free variant of [`drain`](Subscription::drain) for
+    /// consumers that ingest in place. The queue stays borrowed
     /// across the calls, so `f` must not publish to the broker: a
     /// delivery to this queue would panic. Returns how many messages were
     /// consumed.
@@ -173,11 +154,11 @@ impl Subscription {
         n
     }
 
-    /// The columnar subscription's point runs.
-    pub(crate) fn runs(&self) -> RefMut<'_, Runs> {
+    /// A collector subscription's lane.
+    pub(crate) fn lane(&self) -> RefMut<'_, Lane> {
         RefMut::map(self.queue.borrow_mut(), |state| match &mut state.pending {
-            Pending::Runs(runs) => runs,
-            Pending::Messages(_) => unreachable!("collectors subscribe columnar"),
+            Pending::Lane(lane) => lane,
+            Pending::Messages(_) => unreachable!("collectors subscribe with a lane"),
         })
     }
 }
@@ -189,7 +170,7 @@ impl Drop for Subscription {
         // Release what is held; later deliveries are refused as dead.
         state.pending = match state.pending {
             Pending::Messages(_) => Pending::Messages(VecDeque::new()),
-            Pending::Runs(_) => Pending::Runs(Runs::default()),
+            Pending::Lane(_) => Pending::Lane(Lane::default()),
         };
     }
 }
@@ -325,10 +306,10 @@ impl Broker {
         self.subscribe_inner(filter, Pending::Messages(VecDeque::new()))
     }
 
-    /// Subscribes a collector: deliveries are staged as per-topic point
-    /// runs instead of messages.
-    pub(crate) fn subscribe_columnar(&self, filter: TopicFilter) -> Subscription {
-        self.subscribe_inner(filter, Pending::Runs(Runs::default()))
+    /// Subscribes a collector: deliveries go to its lane instead of a
+    /// message queue.
+    pub(crate) fn subscribe_collector(&self, filter: TopicFilter) -> Subscription {
+        self.subscribe_inner(filter, Pending::Lane(Lane::default()))
     }
 
     fn subscribe_inner(&self, filter: TopicFilter, pending: Pending) -> Subscription {
@@ -341,11 +322,11 @@ impl Broker {
         let mut table = self.table.borrow_mut();
         table.subs.push(SubEntry {
             id,
-            filter: filter.clone(),
+            filter,
             queue: Rc::clone(&queue),
         });
         table.routes.clear();
-        Subscription { id, filter, queue }
+        Subscription { id, queue }
     }
 
     /// Removes a subscription; returns whether it existed.

@@ -4,13 +4,15 @@ use crate::broker::{Broker, Subscription};
 use crate::payload::Payload;
 use crate::scrub::{admits, ScrubPolicy};
 use crate::topic::{Topic, TopicFilter};
-use crate::tsdb::{Point, TimeSeriesStore};
+use crate::tsdb::TimeSeriesStore;
 
-/// Subscribes to a broker and drains matching messages into a store.
+/// Subscribes to a broker and writes matching samples into a store.
 ///
-/// The collector receives its deliveries as per-topic point runs,
-/// scrubbed as they arrive, and [`Collector::pump`] lands them
-/// deterministically from the simulation loop.
+/// While a store is lent to it ([`Collector::lend`] to
+/// [`Collector::reclaim`]), every sample lands as it is delivered.
+/// Deliveries made with no store lent wait, in arrival order, for
+/// [`Collector::pump`], which lands them through the same scrub and
+/// insert.
 ///
 /// # Examples
 ///
@@ -26,120 +28,89 @@ use crate::tsdb::{Point, TimeSeriesStore};
 /// broker.publish(&"a/b".parse()?, Payload::new(1.0, SimTime::ZERO));
 /// let mut db = TimeSeriesStore::new();
 /// assert_eq!(collector.pump(&mut db), 1);
-/// assert_eq!(db.point_count(), 1);
+/// collector.lend(db);
+/// broker.publish(&"a/b".parse()?, Payload::new(2.0, SimTime::from_secs(1)));
+/// assert_eq!(collector.reclaim().expect("lent").point_count(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
 pub struct Collector {
     subscription: Subscription,
-    /// Samples the scrub refused, in arrival order, awaiting the engine's
-    /// drain.
+}
+
+/// A collector's side of its subscription. Every sample reaches a store
+/// through [`Gate::land`], at delivery or at the pump, so each column
+/// and the quarantine keep arrival order.
+#[derive(Debug, Default)]
+pub(crate) struct Lane {
+    gate: Gate,
+    store: Option<TimeSeriesStore>,
+    /// Deliveries made while no store was lent, in arrival order.
+    pub(crate) waiting: Vec<(Topic, Payload)>,
+}
+
+/// The scrub in front of the store. Each topic is classified on its
+/// first landing, into one byte of a table small enough to stay cached,
+/// so the per-sample check is two small-table loads and two compares.
+#[derive(Debug, Default)]
+struct Gate {
+    policy: Option<ScrubPolicy>,
+    /// Indexed densely by interned topic id: 0 until the topic's first
+    /// landing, then one more than the index of its range in `ranges`.
+    classes: Vec<u8>,
+    /// The distinct [`ScrubPolicy::range_for`] answers met so far; `None`
+    /// admits every value.
+    ranges: Vec<Option<(f64, f64)>>,
+    /// Samples the scrub refused, in arrival order.
     quarantine: Vec<(Topic, Payload)>,
 }
 
-/// A columnar subscription's pending samples: one point run per topic,
-/// staged by the broker at delivery and landed by [`Collector::pump`].
-///
-/// The scrub runs as each sample is staged, so the quarantine keeps
-/// arrival order across topics while the runs keep it per topic — all
-/// the store and the engine's `SdcSuspected` log can observe. Each
-/// topic's scrub range is classified once, on its first delivery, so the
-/// per-sample check is one table load and two compares.
-#[derive(Debug, Default)]
-pub(crate) struct Runs {
-    /// Indexed densely by interned topic id; capacities are recycled
-    /// across pumps.
-    runs: Vec<Run>,
-    /// Points staged across all runs.
-    staged: usize,
-    scrub: Option<ScrubPolicy>,
-    /// Samples the scrub refused since the last pump, in arrival order.
-    quarantine: Vec<(Topic, Payload)>,
-}
-
-/// One topic's staged points and its cached scrub range.
-#[derive(Debug, Default)]
-struct Run {
-    /// Set on the topic's first delivery.
-    topic: Option<Topic>,
-    /// [`ScrubPolicy::range_for`] of the topic; `None` admits every value.
-    range: Option<(f64, f64)>,
-    points: Vec<Point>,
-}
-
-impl Runs {
-    /// Stages one delivery, or quarantines it if the scrub refuses it.
-    /// Forced inline: left to the compiler, it can stay an out-of-line
-    /// call in the broker's batch loop, which costs several nanoseconds
-    /// per staged sample.
-    #[inline(always)]
-    pub(crate) fn push(&mut self, topic: Topic, payload: Payload) {
-        let idx = topic.id().index();
-        if self.runs.get(idx).is_none_or(|run| run.topic.is_none()) {
-            self.open(topic);
+impl Gate {
+    /// Inserts one sample, or quarantines it if the scrub refuses it.
+    #[inline]
+    fn land(&mut self, store: &mut TimeSeriesStore, topic: Topic, payload: Payload) {
+        let class = match self.classes.get(topic.id().index()) {
+            Some(&0) | None => self.classify(&topic),
+            Some(&class) => class,
+        };
+        match self.ranges[usize::from(class - 1)] {
+            Some(range) if !admits(range, payload.value) => self.quarantine.push((topic, payload)),
+            _ => store.insert(&topic, payload),
         }
-        let run = &mut self.runs[idx];
-        if run.range.is_some_and(|range| !admits(range, payload.value)) {
-            self.quarantine.push((topic, payload));
-            return;
-        }
-        run.points.push((payload.timestamp, payload.value));
-        self.staged += 1;
     }
 
-    /// First delivery of `topic`: opens its run and classifies its scrub
-    /// range. Kept out of line so the per-sample `push` inlines into the
-    /// broker's delivery loops.
+    /// First landing of `topic`: caches its class, out of line so `land`
+    /// stays small.
     #[cold]
     #[inline(never)]
-    fn open(&mut self, topic: Topic) {
+    fn classify(&mut self, topic: &Topic) -> u8 {
         let idx = topic.id().index();
-        if self.runs.len() <= idx {
-            self.runs.resize_with(idx + 1, Run::default);
+        if self.classes.len() <= idx {
+            self.classes.resize(idx + 1, 0);
         }
-        let run = &mut self.runs[idx];
-        run.topic = Some(topic);
-        run.range = self.scrub.and_then(|policy| policy.range_for(&topic));
-    }
-
-    /// Samples held: staged plus quarantined.
-    pub(crate) fn len(&self) -> usize {
-        self.staged + self.quarantine.len()
-    }
-
-    /// Installs `policy` and reclassifies every topic seen so far.
-    fn set_scrub(&mut self, policy: ScrubPolicy) {
-        assert_eq!(
-            self.len(),
-            0,
-            "install the scrub before the first delivery: staged samples were not scrubbed"
-        );
-        self.scrub = Some(policy);
-        for run in &mut self.runs {
-            run.range = run.topic.and_then(|topic| policy.range_for(&topic));
-        }
-    }
-
-    /// Lands every run in `store` with one `extend_series` call each and
-    /// moves the quarantine to `quarantine`; returns the samples consumed.
-    fn land(
-        &mut self,
-        store: &mut TimeSeriesStore,
-        quarantine: &mut Vec<(Topic, Payload)>,
-    ) -> usize {
-        let consumed = self.len();
-        for run in &mut self.runs {
-            if self.staged == 0 {
-                break;
+        let range = self.policy.and_then(|policy| policy.range_for(topic));
+        let bits = |r: Option<(f64, f64)>| r.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        let k = match self.ranges.iter().position(|&r| bits(r) == bits(range)) {
+            Some(k) => k,
+            None => {
+                self.ranges.push(range);
+                self.ranges.len() - 1
             }
-            if let Some(topic) = run.topic.filter(|_| !run.points.is_empty()) {
-                store.extend_series(&topic, &run.points);
-                self.staged -= run.points.len();
-                run.points.clear();
-            }
+        };
+        self.classes[idx] = u8::try_from(k + 1).expect("a policy has few ranges");
+        self.classes[idx]
+    }
+}
+
+impl Lane {
+    /// Takes one delivery: lands it in the lent store, or queues it for
+    /// the next pump.
+    #[inline]
+    pub(crate) fn push(&mut self, topic: Topic, payload: Payload) {
+        match &mut self.store {
+            Some(store) => self.gate.land(store, topic, payload),
+            None => self.waiting.push((topic, payload)),
         }
-        quarantine.append(&mut self.quarantine);
-        consumed
     }
 }
 
@@ -147,28 +118,47 @@ impl Collector {
     /// Subscribes `filter` on `broker`.
     pub fn attach(broker: &Broker, filter: TopicFilter) -> Self {
         Collector {
-            subscription: broker.subscribe_columnar(filter),
-            quarantine: Vec::new(),
+            subscription: broker.subscribe_collector(filter),
         }
     }
 
-    /// Installs a plausibility scrub: samples `policy` rejects are held in
-    /// quarantine (see [`Collector::take_quarantined`]) instead of being
-    /// written to the store.
+    /// Installs a plausibility scrub: from the next landing on, samples
+    /// `policy` rejects are held in quarantine (see
+    /// [`Collector::take_quarantined`]) instead of being written to the
+    /// store.
+    #[must_use]
+    pub fn with_scrub(self, policy: ScrubPolicy) -> Self {
+        let mut lane = self.subscription.lane();
+        lane.gate.policy = Some(policy);
+        lane.gate.classes.clear();
+        drop(lane);
+        self
+    }
+
+    /// Lends `store` to the collector: the deliveries waiting for a pump
+    /// land in it now, and every later one before its publish returns,
+    /// until [`Collector::reclaim`]. Dropping the collector drops a
+    /// store still lent to it.
     ///
     /// # Panics
     ///
-    /// Panics if samples are staged and not yet pumped.
-    #[must_use]
-    pub fn with_scrub(self, policy: ScrubPolicy) -> Self {
-        self.subscription.runs().set_scrub(policy);
-        self
+    /// Panics if a store is already lent.
+    pub fn lend(&mut self, mut store: TimeSeriesStore) {
+        self.pump(&mut store);
+        let mut lane = self.subscription.lane();
+        assert!(lane.store.is_none(), "a store is already lent");
+        lane.store = Some(store);
+    }
+
+    /// Takes back the store lent by [`Collector::lend`], if any.
+    pub fn reclaim(&mut self) -> Option<TimeSeriesStore> {
+        self.subscription.lane().store.take()
     }
 
     /// Drains the samples the scrub refused since the last call, in
     /// arrival order.
     pub fn take_quarantined(&mut self) -> Vec<(Topic, Payload)> {
-        std::mem::take(&mut self.quarantine)
+        std::mem::take(&mut self.subscription.lane().gate.quarantine)
     }
 
     /// The underlying subscription.
@@ -176,18 +166,18 @@ impl Collector {
         &self.subscription
     }
 
-    /// Drains everything delivered into `store`; returns the samples
-    /// consumed, quarantined ones included.
-    ///
-    /// The broker has already staged each sample in its topic's run and
-    /// scrubbed it, so the pump bulk-appends each run to its column with
-    /// one [`TimeSeriesStore::extend_series`] call. Per-topic arrival
-    /// order is preserved, so the stored columns are identical to
-    /// per-message inserts, and the quarantine is in arrival order.
-    /// Steady state (pre-registered topics, warm capacities) the lane
-    /// performs zero heap allocations per sample.
+    /// Lands the deliveries made while no store was lent in `store`, in
+    /// arrival order and through the scrub; returns how many, quarantined
+    /// ones included. The store is identical to per-message inserts, and
+    /// steady state (pre-registered topics, warm capacities) the lane
+    /// allocates nothing per sample.
     pub fn pump(&mut self, store: &mut TimeSeriesStore) -> usize {
-        self.subscription.runs().land(store, &mut self.quarantine)
+        let lane = &mut *self.subscription.lane();
+        let landed = lane.waiting.len();
+        for (topic, payload) in lane.waiting.drain(..) {
+            lane.gate.land(store, topic, payload);
+        }
+        landed
     }
 }
 
@@ -288,7 +278,7 @@ mod tests {
         }
         assert_eq!(collector.subscription().queued(), 24);
         let mut db = TimeSeriesStore::new();
-        assert_eq!(collector.pump(&mut db), 24, "staged and quarantined");
+        assert_eq!(collector.pump(&mut db), 24, "landed and quarantined");
         assert_eq!(collector.subscription().queued(), 0);
         assert_eq!(db.point_count(), 12, "only plausible samples land");
         let held: Vec<(Topic, f64)> = collector
@@ -299,20 +289,54 @@ mod tests {
         assert_eq!(held, refused);
     }
 
+    /// With a store lent, each sample is in the store (or the
+    /// quarantine) as soon as `publish` or `publish_batch_serial`
+    /// returns, nothing waits for a pump, and the broker's books read as
+    /// they do for an ordinary subscriber.
+    #[test]
+    fn a_lent_store_holds_each_sample_when_its_publish_returns() {
+        let power = power_topic(0);
+        let (broker, plain) = (Broker::new(), Broker::new());
+        let mut collector = Collector::attach(&broker, "#".parse().unwrap())
+            .with_scrub(crate::scrub::ScrubPolicy::monte_cimone());
+        let _twin = plain.subscribe("#".parse().unwrap());
+        collector.lend(TimeSeriesStore::new());
+        for (t, value) in [5.5, -5.5, 6.0, -6.0, 7.0].into_iter().enumerate() {
+            let sample = (power, Payload::new(value, SimTime::from_secs(t as u64)));
+            for broker in [&broker, &plain] {
+                match t % 2 {
+                    0 => broker.publish(&sample.0, sample.1),
+                    _ => broker.publish_batch_serial(&mut vec![sample]),
+                };
+            }
+            assert_eq!(broker.stats(), plain.stats());
+            assert_eq!(collector.subscription().queued(), 0);
+            let (store, refused) = (
+                collector.reclaim().expect("lent"),
+                collector.take_quarantined(),
+            );
+            assert_eq!(refused.len(), usize::from(value < 0.0));
+            assert_eq!(store.point_count(), t / 2 + 1);
+            let latest = store.latest(power.as_str()).map(|(_, v)| v);
+            assert_eq!(latest, Some(value.abs()), "the last plausible sample");
+            collector.lend(store);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "consume it with Collector::pump")]
-    fn columnar_subscriptions_refuse_message_receives() {
+    fn collector_subscriptions_refuse_message_receives() {
         let broker = Broker::new();
         let collector = Collector::attach(&broker, "#".parse().unwrap());
         broker.publish(&"x".parse().unwrap(), Payload::new(1.0, SimTime::ZERO));
         collector.subscription().try_recv();
     }
 
-    /// A dropped collector's staged samples go with it; the broker then
+    /// A dropped collector's waiting samples go with it; the broker then
     /// finds the subscriber dead, counts the delivery as dropped and
     /// prunes it.
     #[test]
-    fn dropping_a_collector_releases_its_runs() {
+    fn dropping_a_collector_releases_its_lane() {
         let broker = Broker::new();
         let collector = Collector::attach(&broker, "#".parse().unwrap());
         broker.publish(&"x".parse().unwrap(), Payload::new(1.0, SimTime::ZERO));

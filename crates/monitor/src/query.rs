@@ -23,7 +23,7 @@ pub struct QueryRequest {
     pub from_secs: f64,
     /// Range end (exclusive), seconds.
     pub to_secs: f64,
-    /// Optional downsampling bin, seconds.
+    /// Optional downsampling bin, seconds (`None` returns raw points).
     pub bin_secs: Option<f64>,
     /// Aggregation for downsampling (default mean).
     pub aggregation: Option<Aggregation>,
@@ -52,8 +52,8 @@ pub enum QueryError {
     BadFilter(String),
     /// `to <= from` or a non-finite bound.
     BadRange,
-    /// A positive `bin_secs` that rounds to less than the store's
-    /// one-microsecond resolution.
+    /// A `bin_secs` that is zero, negative or NaN, or rounds to less
+    /// than the store's one-microsecond resolution.
     BadBin(f64),
 }
 
@@ -62,7 +62,9 @@ impl fmt::Display for QueryError {
         match self {
             QueryError::BadFilter(s) => write!(f, "bad filter: {s}"),
             QueryError::BadRange => write!(f, "range must be finite with to > from >= 0"),
-            QueryError::BadBin(secs) => write!(f, "bin_secs {secs} rounds to zero microseconds"),
+            QueryError::BadBin(secs) => {
+                write!(f, "bin_secs {secs} is not a bin of one microsecond or more")
+            }
         }
     }
 }
@@ -73,8 +75,8 @@ impl std::error::Error for QueryError {}
 ///
 /// # Errors
 ///
-/// Fails for malformed filters or ranges, and for a bin under one
-/// microsecond.
+/// Fails for malformed filters or ranges, and for a bin that is not at
+/// least one microsecond (zero, negative and NaN included).
 ///
 /// # Examples
 ///
@@ -116,13 +118,14 @@ pub fn evaluate(
     }
     let from = SimTime::from_micros((request.from_secs * 1e6) as u64);
     let to = SimTime::from_micros((request.to_secs * 1e6) as u64);
-    let bin = match request.bin_secs {
-        Some(bin_secs) if bin_secs > 0.0 => match SimDuration::from_secs_f64(bin_secs) {
-            bin if bin.is_zero() => return Err(QueryError::BadBin(bin_secs)),
-            bin => Some(bin),
-        },
-        _ => None,
-    };
+    // `from_secs_f64` maps zero, negative and NaN seconds to zero too.
+    let bin = request
+        .bin_secs
+        .map(|secs| match SimDuration::from_secs_f64(secs) {
+            bin if bin.is_zero() => Err(QueryError::BadBin(secs)),
+            bin => Ok(bin),
+        })
+        .transpose()?;
     let aggregation = request.aggregation.unwrap_or(Aggregation::Mean);
 
     let series = store
@@ -428,7 +431,7 @@ mod tests {
         let message = JsonValue::parse(&error).unwrap();
         assert_eq!(
             message.get("error").and_then(JsonValue::as_str),
-            Some("bin_secs 0.0000001 rounds to zero microseconds"),
+            Some("bin_secs 0.0000001 is not a bin of one microsecond or more"),
         );
         // One microsecond is the finest bin.
         let finest = QueryRequest {
@@ -436,6 +439,46 @@ mod tests {
             ..request
         };
         assert_eq!(evaluate(&db(), &finest).unwrap().series[0].points.len(), 10);
+    }
+
+    /// Zero, negative and NaN bins are refused too, instead of falling
+    /// back to the raw points of every series in range; `null` still
+    /// means raw.
+    #[test]
+    fn non_positive_and_nan_bins_are_rejected() {
+        let request = |bin_secs| QueryRequest {
+            filter: "#".to_owned(),
+            from_secs: 0.0,
+            to_secs: 10.0,
+            bin_secs,
+            aggregation: None,
+        };
+        for secs in [0.0, -0.0, -3.0, f64::NEG_INFINITY] {
+            assert_eq!(
+                evaluate(&db(), &request(Some(secs))),
+                Err(QueryError::BadBin(secs))
+            );
+        }
+        assert!(matches!(
+            evaluate(&db(), &request(Some(f64::NAN))),
+            Err(QueryError::BadBin(secs)) if secs.is_nan()
+        ));
+        let raw = evaluate(&db(), &request(None)).unwrap();
+        assert_eq!(raw.series[0].points.len(), 10);
+        let json = |bin: &str| {
+            evaluate_json(
+                &db(),
+                &format!(
+                    r##"{{"filter":"#","from_secs":0,"to_secs":10,"bin_secs":{bin},"aggregation":null}}"##
+                ),
+            )
+        };
+        let error = JsonValue::parse(&json("0").unwrap_err()).unwrap();
+        assert_eq!(
+            error.get("error").and_then(JsonValue::as_str),
+            Some("bin_secs 0 is not a bin of one microsecond or more"),
+        );
+        assert_eq!(json("null").unwrap(), raw.to_json());
     }
 
     /// Error objects are valid JSON even when the message quotes the

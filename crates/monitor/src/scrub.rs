@@ -7,10 +7,11 @@
 //! plausibility check the corrupted point lands in the TSDB and poisons
 //! every downstream aggregate: MTTF dashboards, the thermal-anomaly
 //! detector, energy accounting. A [`ScrubPolicy`] installed on the
-//! [`crate::collector::Collector`] range-checks each payload as it is
-//! staged for the store — at delivery, for a collector that only pumps —
-//! and implausible samples are quarantined, in arrival order, for the
-//! engine to turn into `SdcSuspected` events instead of being ingested.
+//! [`crate::collector::Collector`] range-checks each payload as it lands
+//! in the store — at delivery while a store is lent to the collector, at
+//! the pump otherwise — and implausible samples are quarantined, in
+//! arrival order, for the engine to turn into `SdcSuspected` events
+//! instead of being ingested.
 //! [`ScrubPolicy::range_for`] classifies a topic once, so a consumer can
 //! cache its range and check each sample with two compares.
 //!

@@ -184,15 +184,20 @@ impl Column {
         }
     }
 
-    /// Inserts one point after every point timed at or before it.
+    /// Inserts one point after every point timed at or before it. The
+    /// steady-state point continues the last run's comb: one compare.
+    #[inline]
     fn place(&mut self, (t, v): Point) {
         let t = t.as_micros();
-        if self.last_time().is_some_and(|last| last > t) {
-            self.place_out_of_order(t, v);
+        let comb = |run: &&mut TimeRun| run.len > 1 && t.checked_sub(run.last()) == Some(run.step);
+        if let Some(run) = self.runs.last_mut().filter(comb) {
+            run.len += 1;
+        } else if self.last_time().is_some_and(|last| last > t) {
+            return self.place_out_of_order(t, v);
         } else {
             push_time(&mut self.runs, t, self.values.len());
-            self.values.push(v);
         }
+        self.values.push(v);
     }
 
     /// Decodes the runs from the one holding the slot of `t`, inserts the
@@ -343,12 +348,12 @@ impl<'a> SeriesView<'a> {
 /// (see the [module docs](self)), and interned
 /// [`TopicId`](crate::interner::TopicId)s map to column handles through a
 /// dense index vector. The steady-state ingest path,
-/// [`TimeSeriesStore::extend_series`] (one call per topic run from
-/// [`Collector::pump`](crate::collector::Collector::pump)), is one O(1)
-/// handle lookup per run plus a column extension, and a single
-/// [`TimeSeriesStore::insert`] is a lookup plus a push — no string
-/// rendering, hashing or tree walk per sample. Names are kept in a sorted
-/// side index for the query paths.
+/// [`TimeSeriesStore::insert`] (one call per sample from the
+/// [`Collector`](crate::collector::Collector)), is an O(1) handle lookup
+/// plus a push, and [`TimeSeriesStore::extend_series`] is one lookup per
+/// run plus a column extension — no string rendering, hashing or tree
+/// walk per sample. Names are kept in a sorted side index for the query
+/// paths.
 ///
 /// # Examples
 ///
@@ -428,6 +433,7 @@ impl TimeSeriesStore {
     }
 
     /// Inserts one sample under `topic`.
+    #[inline]
     pub fn insert(&mut self, topic: &Topic, payload: Payload) {
         self.column_mut(topic)
             .place((payload.timestamp, payload.value));
@@ -436,10 +442,9 @@ impl TimeSeriesStore {
     /// Bulk-appends points of a single series: one handle resolution for
     /// the whole run, and a straight column extension when the run is
     /// internally time-sorted and starts at or after the column tail (the
-    /// steady-state shape — the collector stages its deliveries per topic
-    /// and lands each run with one call). Out-of-order runs fall back to
-    /// per-point sorted insertion; the stored column is identical to
-    /// calling [`TimeSeriesStore::insert`] once per point in order.
+    /// steady-state shape of a series' samples). Out-of-order runs fall
+    /// back to per-point sorted insertion; the stored column is identical
+    /// to calling [`TimeSeriesStore::insert`] once per point in order.
     pub fn extend_series(&mut self, topic: &Topic, points: &[Point]) {
         let Some(&(head, _)) = points.first() else {
             return;

@@ -1,9 +1,9 @@
 //! Property-based tests for the topic algebra, the time-series store,
-//! broker routing and the collector's columnar lane.
+//! broker routing and the collector's landing lane.
 
 use proptest::prelude::*;
 
-use cimone_monitor::broker::Broker;
+use cimone_monitor::broker::{Broker, Subscription};
 use cimone_monitor::collector::Collector;
 use cimone_monitor::payload::Payload;
 use cimone_monitor::scrub::ScrubPolicy;
@@ -308,7 +308,8 @@ fn sample_value() -> impl Strategy<Value = f64> {
 }
 
 /// One step of a collector's life: a publish (per message or as one
-/// batch) of samples with out-of-order timestamps, or a pump.
+/// batch) of samples with out-of-order timestamps, a pump, or a lend of
+/// the store (its return, if it is lent).
 #[derive(Debug, Clone)]
 enum LaneStep {
     Publish {
@@ -316,17 +317,37 @@ enum LaneStep {
         samples: Vec<(Topic, Payload)>,
     },
     Pump,
+    Lend,
 }
 
 fn lane_step() -> impl Strategy<Value = LaneStep> {
     let sample = (scrub_class_topic(), sample_value(), 0u64..40)
         .prop_map(|(topic, v, t)| (topic, Payload::new(v, SimTime::from_secs(t))));
-    (0u32..4, any::<bool>(), prop::collection::vec(sample, 0..12)).prop_map(
+    (0u32..5, any::<bool>(), prop::collection::vec(sample, 0..12)).prop_map(
         |(kind, batched, samples)| match kind {
             0 => LaneStep::Pump,
+            1 => LaneStep::Lend,
             _ => LaneStep::Publish { batched, samples },
         },
     )
+}
+
+/// The oracle's landing: drains `sub` in arrival order, storing what
+/// `policy` finds plausible with `insert` and quarantining the rest;
+/// returns how many messages it drained.
+fn oracle_land(
+    sub: &Subscription,
+    policy: &ScrubPolicy,
+    store: &mut TimeSeriesStore,
+    quarantine: &mut Vec<(Topic, Payload)>,
+) -> usize {
+    sub.drain_each(|msg| {
+        if policy.is_plausible(&msg.topic, &msg.payload) {
+            store.insert(&msg.topic, msg.payload);
+        } else {
+            quarantine.push((msg.topic, msg.payload));
+        }
+    })
 }
 
 /// A store's contents at bit level (NaN and ±∞ land on unjudged metrics).
@@ -355,12 +376,14 @@ fn sample_bits((topic, payload): &(Topic, Payload)) -> (Topic, u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The columnar collector against a per-message oracle: a plain
-    /// subscription on a twin broker whose messages are scrubbed with
-    /// `is_plausible` and stored with `insert`, in arrival order, at the
-    /// same pump points. Store, quarantine order, the subscription's
-    /// `queued`, pump counts and `BrokerStats` must all agree, under loss,
-    /// both publish paths and (with a bystander subscriber) both
+    /// The collector against a per-message oracle: a plain subscription
+    /// on a twin broker whose messages are scrubbed with `is_plausible`
+    /// and stored with `insert`, in arrival order, at the same pump
+    /// points — and, while the store is lent to the collector, after
+    /// every publish, since the collector lands those at delivery. Store,
+    /// quarantine order, the subscription's `queued`, pump counts and
+    /// `BrokerStats` must all agree, under loss, both publish paths, a
+    /// random lend/pump cadence and (with a bystander subscriber) both
     /// batch-delivery paths.
     #[test]
     fn columnar_collector_matches_the_per_message_oracle(
@@ -384,7 +407,8 @@ proptest! {
         lane_broker.set_loss(loss, seed);
         oracle_broker.set_loss(loss, seed);
 
-        let mut lane_store = TimeSeriesStore::new();
+        // `None` while the store is lent to the collector.
+        let mut lane_store = Some(TimeSeriesStore::new());
         let mut oracle_store = TimeSeriesStore::new();
         let mut oracle_quarantine = Vec::new();
         let mut lane_quarantine = Vec::new();
@@ -400,23 +424,37 @@ proptest! {
                             oracle_broker.publish(topic, *payload);
                         }
                     }
+                    if lane_store.is_none() {
+                        oracle_land(&oracle, &policy, &mut oracle_store, &mut oracle_quarantine);
+                    }
                 }
                 LaneStep::Pump => {
-                    let consumed = collector.pump(&mut lane_store);
+                    // While the store is lent nothing waits, so a pump
+                    // into a spare store must land nothing.
+                    let mut spare = TimeSeriesStore::new();
+                    let consumed = collector.pump(lane_store.as_mut().unwrap_or(&mut spare));
+                    prop_assert!(spare.is_empty());
                     lane_quarantine.extend(collector.take_quarantined());
-                    let drained = oracle.drain_each(|msg| {
-                        if policy.is_plausible(&msg.topic, &msg.payload) {
-                            oracle_store.insert(&msg.topic, msg.payload);
-                        } else {
-                            oracle_quarantine.push((msg.topic, msg.payload));
-                        }
-                    });
+                    let drained =
+                        oracle_land(&oracle, &policy, &mut oracle_store, &mut oracle_quarantine);
                     prop_assert_eq!(consumed, drained, "pump count");
                 }
+                LaneStep::Lend => match lane_store.take() {
+                    Some(store) => {
+                        collector.lend(store);
+                        oracle_land(&oracle, &policy, &mut oracle_store, &mut oracle_quarantine);
+                    }
+                    None => {
+                        lane_store = collector.reclaim();
+                        prop_assert!(lane_store.is_some(), "the lent store comes back");
+                    }
+                },
             }
             prop_assert_eq!(collector.subscription().queued(), oracle.queued());
             prop_assert_eq!(lane_broker.stats(), oracle_broker.stats());
         }
+        let lane_store = lane_store.or_else(|| collector.reclaim()).expect("one store");
+        lane_quarantine.extend(collector.take_quarantined());
         prop_assert_eq!(store_bits(&lane_store), store_bits(&oracle_store));
         prop_assert_eq!(
             lane_quarantine.iter().map(sample_bits).collect::<Vec<_>>(),
@@ -424,7 +462,7 @@ proptest! {
             "quarantine order"
         );
         if let Some((lane_side, oracle_side)) = bystanders {
-            let bits = |sub: &cimone_monitor::broker::Subscription| {
+            let bits = |sub: &Subscription| {
                 sub.drain()
                     .iter()
                     .map(|m| sample_bits(&(m.topic, m.payload)))

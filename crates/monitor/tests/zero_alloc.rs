@@ -69,8 +69,11 @@ fn snapshot(cores: usize, at: SimTime) -> NodeSnapshot {
     }
 }
 
-/// One monitoring tick: sample both plugins into the reused scratch
-/// batch, publish the batch, pump the collector into the store.
+/// One monitoring tick, through both of the collector's landing paths:
+/// the pmu batch is published with no store lent and waits; lending the
+/// store lands it, and the stats batch then lands as it is delivered,
+/// before the store is taken back — the engine's lend, moved with
+/// `std::mem::take`.
 #[allow(clippy::too_many_arguments)]
 fn tick(
     at: SimTime,
@@ -88,9 +91,12 @@ fn tick(
         core.instret += 700_000 + i as u64;
     }
     pmu.sample_into(snap, batch);
+    broker.publish_batch_serial(batch);
+    collector.lend(std::mem::take(store));
     stats.sample_into(snap, batch);
     broker.publish_batch_serial(batch);
-    collector.pump(store);
+    *store = collector.reclaim().expect("lent above");
+    assert_eq!(collector.pump(store), 0, "nothing waits after a lend");
 }
 
 #[test]
