@@ -171,14 +171,6 @@ fn time_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (median(times), last.expect("at least one rep"))
 }
 
-fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::object(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)))
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
-
 fn bench_lu(sizes: &Sizes, pool: &WorkerPool, divergences: &mut Vec<String>) -> JsonValue {
     let (n, nb, reps) = (sizes.lu_n, sizes.lu_nb, sizes.reps);
     let mut rng = StdRng::seed_from_u64(2022);
@@ -250,21 +242,21 @@ fn bench_lu(sizes: &Sizes, pool: &WorkerPool, divergences: &mut Vec<String>) -> 
         overhead_q3 * 100.0,
         abft_flop_overhead * 100.0,
     );
-    obj(vec![
-        ("n", num(n as f64)),
-        ("nb", num(nb as f64)),
-        ("serial_ms", num(serial_s * 1e3)),
-        ("threaded_ms", num(threaded_s * 1e3)),
-        ("serial_gflops", num(flops / serial_s / 1e9)),
-        ("threaded_gflops", num(flops / threaded_s / 1e9)),
-        ("speedup", num(speedup)),
+    JsonValue::object([
+        ("n", n.into()),
+        ("nb", nb.into()),
+        ("serial_ms", (serial_s * 1e3).into()),
+        ("threaded_ms", (threaded_s * 1e3).into()),
+        ("serial_gflops", (flops / serial_s / 1e9).into()),
+        ("threaded_gflops", (flops / threaded_s / 1e9).into()),
+        ("speedup", speedup.into()),
         ("bit_identical", JsonValue::Bool(identical)),
-        ("abft_detect_ms", num(detect_s * 1e3)),
-        ("abft_time_overhead", num(abft_time_overhead)),
-        ("abft_time_overhead_q1", num(overhead_q1)),
-        ("abft_time_overhead_q3", num(overhead_q3)),
-        ("abft_pairs", num(ABFT_PAIRS as f64)),
-        ("abft_flop_overhead", num(abft_flop_overhead)),
+        ("abft_detect_ms", (detect_s * 1e3).into()),
+        ("abft_time_overhead", abft_time_overhead.into()),
+        ("abft_time_overhead_q1", overhead_q1.into()),
+        ("abft_time_overhead_q3", overhead_q3.into()),
+        ("abft_pairs", ABFT_PAIRS.into()),
+        ("abft_flop_overhead", abft_flop_overhead.into()),
         ("abft_bit_identical", JsonValue::Bool(detect_identical)),
     ])
 }
@@ -304,14 +296,14 @@ fn bench_dgemm(sizes: &Sizes, pool: &WorkerPool, divergences: &mut Vec<String>) 
         threaded_s * 1e3,
         flops / threaded_s / 1e9,
     );
-    obj(vec![
-        ("n", num(n as f64)),
-        ("block", num(block as f64)),
-        ("serial_ms", num(serial_s * 1e3)),
-        ("threaded_ms", num(threaded_s * 1e3)),
-        ("serial_gflops", num(flops / serial_s / 1e9)),
-        ("threaded_gflops", num(flops / threaded_s / 1e9)),
-        ("speedup", num(speedup)),
+    JsonValue::object([
+        ("n", n.into()),
+        ("block", block.into()),
+        ("serial_ms", (serial_s * 1e3).into()),
+        ("threaded_ms", (threaded_s * 1e3).into()),
+        ("serial_gflops", (flops / serial_s / 1e9).into()),
+        ("threaded_gflops", (flops / threaded_s / 1e9).into()),
+        ("speedup", speedup.into()),
         ("bit_identical", JsonValue::Bool(identical)),
     ])
 }
@@ -340,11 +332,14 @@ fn bench_stream(sizes: &Sizes, divergences: &mut Vec<String>) -> JsonValue {
         serial_triad.best_mb_per_s / 1e3,
         threaded_triad.best_mb_per_s / 1e3,
     );
-    obj(vec![
-        ("elements", num(elements as f64)),
-        ("serial_gb_per_s", num(serial_triad.best_mb_per_s / 1e3)),
-        ("threaded_gb_per_s", num(threaded_triad.best_mb_per_s / 1e3)),
-        ("speedup", num(speedup)),
+    JsonValue::object([
+        ("elements", elements.into()),
+        ("serial_gb_per_s", (serial_triad.best_mb_per_s / 1e3).into()),
+        (
+            "threaded_gb_per_s",
+            (threaded_triad.best_mb_per_s / 1e3).into(),
+        ),
+        ("speedup", speedup.into()),
         ("bit_identical", JsonValue::Bool(identical)),
     ])
 }
@@ -379,9 +374,9 @@ fn bench_engine(sizes: &Sizes) -> JsonValue {
         "ENGINE  steps={steps:<7} serial {:>8.0} steps/s",
         steps as f64 / serial_s,
     );
-    obj(vec![
-        ("steps", num(steps as f64)),
-        ("serial_steps_per_s", num(steps as f64 / serial_s)),
+    JsonValue::object([
+        ("steps", steps.into()),
+        ("serial_steps_per_s", (steps as f64 / serial_s).into()),
     ])
 }
 
@@ -440,12 +435,12 @@ fn bench_broker(sizes: &Sizes) -> JsonValue {
         batched_msgs_per_s,
         per_message_msgs_per_s,
     );
-    obj(vec![
-        ("topics", num(topics.len() as f64)),
-        ("rounds", num(rounds as f64)),
-        ("batched_msgs_per_s", num(batched_msgs_per_s)),
-        ("per_message_msgs_per_s", num(per_message_msgs_per_s)),
-        ("compiled_routes", num(compiled_routes as f64)),
+    JsonValue::object([
+        ("topics", topics.len().into()),
+        ("rounds", rounds.into()),
+        ("batched_msgs_per_s", batched_msgs_per_s.into()),
+        ("per_message_msgs_per_s", per_message_msgs_per_s.into()),
+        ("compiled_routes", compiled_routes.into()),
     ])
 }
 
@@ -542,20 +537,20 @@ fn bench_engine_event(sizes: &Sizes, divergences: &mut Vec<String>) -> JsonValue
         );
         section.push((
             label,
-            obj(vec![
-                ("horizon_s", num(horizon as f64)),
-                ("fixed_wall_s", num(fixed_s)),
-                ("event_wall_s", num(event_s)),
-                ("wall_speedup", num(wall_speedup)),
-                ("fixed_ticks", num(stepped.0 as f64)),
-                ("event_ticks_stepped", num(stepped.1 as f64)),
-                ("event_ticks_skipped", num(skipped as f64)),
-                ("tick_ratio", num(tick_ratio)),
+            JsonValue::object([
+                ("horizon_s", horizon.into()),
+                ("fixed_wall_s", fixed_s.into()),
+                ("event_wall_s", event_s.into()),
+                ("wall_speedup", wall_speedup.into()),
+                ("fixed_ticks", stepped.0.into()),
+                ("event_ticks_stepped", stepped.1.into()),
+                ("event_ticks_skipped", skipped.into()),
+                ("tick_ratio", tick_ratio.into()),
                 ("bit_identical", JsonValue::Bool(identical)),
             ]),
         ));
     }
-    obj(section)
+    JsonValue::object(section)
 }
 
 /// Per-call costs of the pieces no other section times: the symmetric
@@ -570,7 +565,7 @@ fn bench_calls(sizes: &Sizes) -> JsonValue {
         let (s, ()) = time_reps(sizes.reps, || (0..calls).for_each(|_| call()));
         let ns = s * 1e9 / calls as f64;
         println!("CALL    {name:<26} {ns:>14.1} ns/call");
-        section.push((name, num(ns)));
+        section.push((name, ns.into()));
     };
 
     let sym = Matrix::random_symmetric(96, &mut StdRng::seed_from_u64(3));
@@ -689,7 +684,7 @@ fn bench_calls(sizes: &Sizes) -> JsonValue {
         let mut tree = InstallTree::new("/opt/cimone");
         black_box(tree.install_dag(&dag).expect("installs"));
     });
-    obj(section)
+    JsonValue::object(section)
 }
 
 /// Parses `--out-dir DIR` (defaulting to the working directory) so CI
@@ -729,18 +724,18 @@ fn main() {
     let broker = bench_broker(&sizes);
     let calls = bench_calls(&sizes);
 
-    let config = obj(vec![
+    let config = JsonValue::object([
         ("mode", JsonValue::String(sizes.mode.to_owned())),
-        ("reps", num(sizes.reps as f64)),
-        ("workers", num(WORKERS as f64)),
+        ("reps", sizes.reps.into()),
+        ("workers", WORKERS.into()),
     ]);
-    let kernels = obj(vec![
+    let kernels = JsonValue::object([
         ("config", config.clone()),
         ("lu", lu),
         ("dgemm", gemm),
         ("stream", stream),
     ]);
-    let engine_doc = obj(vec![
+    let engine_doc = JsonValue::object([
         ("config", config),
         ("engine", engine),
         ("engine_event", engine_event),

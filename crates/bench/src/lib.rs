@@ -3,12 +3,17 @@
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see `DESIGN.md` §3 for the full index); the logic lives in
 //! `cimone_cluster::experiments`, and this crate only adds argument
-//! handling and the renderers for the configuration tables (II–IV) that
-//! describe the monitoring stack rather than measure the machine.
+//! handling, the one runner of the five fault-campaign sweeps
+//! ([`sweep`]), and the renderers for the configuration tables (II–IV)
+//! that describe the monitoring stack rather than measure the machine.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use std::process::ExitCode;
+
+use cimone_cluster::engine::ClockMode;
+use cimone_cluster::report::{Campaign, Cell, Gate, Report};
 use cimone_monitor::plugins::{HWMON_SYSFS, STATS_METRICS};
 use cimone_monitor::topic::ExamonSchema;
 
@@ -27,6 +32,52 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
             .unwrap_or_else(|_| panic!("{name}={v:?} is not an unsigned integer")),
         Err(e) => panic!("{name} is not an unsigned integer: {e}"),
     }
+}
+
+/// Runs a fault campaign under [`ClockMode::EventDriven`] and
+/// [`ClockMode::FixedDt`] and compares the two typed results with `==`.
+/// Returns the event-clock result's report with the comparison as its
+/// first gate, `bit_identical`.
+fn evaluate<R: Campaign>(name: &str, run: impl Fn(ClockMode) -> R) -> Report {
+    let event = run(ClockMode::EventDriven);
+    let identical = event == run(ClockMode::FixedDt);
+    let mut report = event.report();
+    let divergence = format!("event-driven and fixed-dt {name} sweeps diverged");
+    let gate = Gate::new("bit_identical", (!identical).then_some(divergence));
+    report.gates.insert(0, gate);
+    report
+}
+
+/// The whole of a fault-campaign sweep binary. `configure` reads the
+/// binary's env knobs, given whether `--smoke` was passed, and returns
+/// the campaign's run for a clock. The sweep runs it under both clocks,
+/// adds their `==` comparison to the report as the gate `bit_identical`,
+/// prints the event-clock report, writes `BENCH_<name>.json` (with
+/// `config.mode` `smoke` or `full`) to the working directory, and exits
+/// non-zero, naming each failure on stderr, if a gate fails.
+///
+/// # Panics
+///
+/// If the JSON file cannot be written.
+pub fn sweep<R: Campaign, F: Fn(ClockMode) -> R>(
+    name: &str,
+    configure: impl FnOnce(bool) -> F,
+) -> ExitCode {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let mode = if smoke { "smoke" } else { "full" };
+    let mut report = evaluate(name, configure(smoke));
+    report.config.push(Cell::json("mode", mode));
+    print!("{}", report.render());
+    let path = format!("BENCH_{name}.json");
+    std::fs::write(&path, format!("{}\n", report.to_json()))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+    let mut status = ExitCode::SUCCESS;
+    for failure in report.gates.iter().flat_map(|g| &g.failures) {
+        eprintln!("FAIL: {failure}");
+        status = ExitCode::FAILURE;
+    }
+    status
 }
 
 /// Renders Table II: the ExaMon topic and payload formats.
@@ -85,7 +136,63 @@ pub fn render_table4() -> String {
 
 #[cfg(test)]
 mod tests {
+    use cimone_cluster::report::Table;
+
     use super::*;
+
+    /// A one-row campaign gated on its value staying within 5.
+    #[derive(PartialEq)]
+    struct Toy(f64);
+
+    impl Campaign for Toy {
+        fn report(&self) -> Report {
+            let row = vec![Cell::fixed("Value", "value", self.0, 1)];
+            let over = (self.0 > 5.0).then(|| format!("value {} over the limit 5", self.0));
+            Report {
+                config: vec![Cell::json("limit", 5.0)],
+                tables: vec![Table {
+                    key: "rows",
+                    caption: "Toy".to_owned(),
+                    rows: vec![row],
+                }],
+                notes: Vec::new(),
+                gates: vec![Gate::new("within_limit", over)],
+            }
+        }
+    }
+
+    fn failures(report: &Report) -> Vec<&str> {
+        report
+            .gates
+            .iter()
+            .flat_map(|g| &g.failures)
+            .map(String::as_str)
+            .collect()
+    }
+
+    #[test]
+    fn diverging_clocks_fail_the_campaign() {
+        let report = evaluate("toy", |clock| Toy(f64::from(clock == ClockMode::FixedDt)));
+        assert_eq!(
+            failures(&report),
+            ["event-driven and fixed-dt toy sweeps diverged"]
+        );
+        assert_eq!(report.render(), "Toy\n| Value |\n|-------|\n|   0.0 |\n");
+        assert_eq!(
+            report.to_json().to_string(),
+            r#"{"bit_identical":false,"config":{"limit":5},"rows":[{"value":0}],"within_limit":true}"#
+        );
+    }
+
+    #[test]
+    fn a_failing_gate_fails_the_campaign() {
+        let report = evaluate("toy", |_| Toy(7.0));
+        assert_eq!(failures(&report), ["value 7 over the limit 5"]);
+        assert_eq!(
+            report.to_json().to_string(),
+            r#"{"bit_identical":true,"config":{"limit":5},"rows":[{"value":7}],"within_limit":false}"#
+        );
+    }
 
     #[test]
     fn table2_shows_both_plugin_formats() {

@@ -15,7 +15,7 @@ use cimone_soc::units::SimDuration;
 use crate::engine::{ClockMode, ClusterWorkload, EngineConfig, EngineEvent, JobRequest, SimEngine};
 use crate::faults::FaultPlan;
 use crate::perf::{HplModel, HplProblem};
-use crate::report::{render_table, Stats};
+use crate::report::{Campaign, Cell, Report, Stats, Table};
 
 /// Outcome of the campaign at one fault rate.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +65,8 @@ const NODES: usize = 8;
 
 /// Runs the sweep: one 8-node HPL campaign of `jobs` back-to-back jobs
 /// per entry of `rates` (crashes per node-hour), with `repair` downtime
-/// after each crash. Fully deterministic for fixed arguments.
+/// after each crash. Fully deterministic for fixed arguments, and
+/// identical across [`ClockMode`]s.
 ///
 /// # Panics
 ///
@@ -74,6 +75,7 @@ const NODES: usize = 8;
 /// # Examples
 ///
 /// ```
+/// use cimone_cluster::engine::ClockMode;
 /// use cimone_cluster::experiments::availability;
 /// use cimone_cluster::perf::HplProblem;
 /// use cimone_soc::units::SimDuration;
@@ -84,6 +86,7 @@ const NODES: usize = 8;
 ///     &[0.0],
 ///     SimDuration::from_secs(300),
 ///     2022,
+///     ClockMode::EventDriven,
 /// );
 /// assert_eq!(result.points[0].availability, 1.0);
 /// ```
@@ -93,6 +96,7 @@ pub fn run(
     rates: &[f64],
     repair: SimDuration,
     seed: u64,
+    clock: ClockMode,
 ) -> AvailabilityResult {
     assert!(jobs > 0, "need at least one job");
     assert!(!rates.is_empty(), "need at least one fault rate");
@@ -116,9 +120,7 @@ pub fn run(
             dt: SimDuration::from_secs(2),
             seed,
             monitoring: false,
-            // Telemetry is off and repairs leave hours of idle tail: the
-            // event clock fast-forwards those spans bit-identically.
-            clock: ClockMode::EventDriven,
+            clock,
             ..EngineConfig::default()
         })
         .with_fault_plan(plan);
@@ -193,51 +195,47 @@ fn measure(engine: &SimEngine, rate: f64, jobs: usize, problem: HplProblem) -> R
     }
 }
 
-impl AvailabilityResult {
-    /// Renders the sweep table.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Availability under node-crash injection (HPL N={}, {} jobs x {} nodes, repair {} s)\n",
-            self.problem.n, self.jobs, NODES, self.repair_secs
-        );
-        let fmt_opt = |v: Option<f64>| match v {
-            Some(x) => format!("{x:.0}"),
-            None => "-".to_owned(),
-        };
-        let rows: Vec<Vec<String>> = self
+impl Campaign for AvailabilityResult {
+    fn report(&self) -> Report {
+        let rows = self
             .points
             .iter()
             .map(|p| {
+                let rate = p.rate_per_node_hour;
+                let done = format!("{}/{}", p.jobs_completed, p.jobs_submitted);
                 vec![
-                    format!("{:.2}", p.rate_per_node_hour),
-                    format!("{}/{}", p.jobs_completed, p.jobs_submitted),
-                    p.jobs_lost.to_string(),
-                    p.requeues.to_string(),
-                    p.failures.to_string(),
-                    format!("{:.0}", p.makespan_secs),
-                    format!("{:.2}%", p.availability * 100.0),
-                    fmt_opt(p.mttf_secs),
-                    fmt_opt(p.mttr_secs),
-                    p.gflops.as_ref().map_or("-".to_owned(), |s| s.format(2)),
+                    Cell::fixed("Crash/node-h", "rate_per_node_hour", rate, 2),
+                    Cell::new("Done", "jobs_completed", p.jobs_completed, done),
+                    Cell::json("jobs_submitted", p.jobs_submitted),
+                    Cell::count("Lost", "jobs_lost", p.jobs_lost),
+                    Cell::count("Requeues", "requeues", p.requeues),
+                    Cell::count("Outages", "failures", p.failures),
+                    Cell::fixed("Makespan [s]", "makespan_s", p.makespan_secs, 0),
+                    Cell::json("downtime_node_s", p.downtime_node_secs),
+                    Cell::percent("Avail.", "availability", p.availability, 2),
+                    Cell::fixed("MTTF [s]", "mttf_s", p.mttf_secs, 0),
+                    Cell::fixed("MTTR [s]", "mttr_s", p.mttr_secs, 0),
+                    Cell::stats("GFLOP/s", "gflops", p.gflops.as_ref()),
                 ]
             })
             .collect();
-        out.push_str(&render_table(
-            &[
-                "Crash/node-h",
-                "Done",
-                "Lost",
-                "Requeues",
-                "Outages",
-                "Makespan [s]",
-                "Avail.",
-                "MTTF [s]",
-                "MTTR [s]",
-                "GFLOP/s",
+        Report {
+            config: vec![
+                Cell::json("jobs", self.jobs),
+                Cell::json("repair_s", self.repair_secs),
+                Cell::json("seed", self.seed),
             ],
-            &rows,
-        ));
-        out
+            tables: vec![Table {
+                key: "points",
+                caption: format!(
+                    "Availability under node-crash injection (HPL N={}, {} jobs x {} nodes, repair {} s)",
+                    self.problem.n, self.jobs, NODES, self.repair_secs
+                ),
+                rows,
+            }],
+            notes: Vec::new(),
+            gates: Vec::new(),
+        }
     }
 }
 
@@ -245,13 +243,14 @@ impl AvailabilityResult {
 mod tests {
     use super::*;
 
-    fn quick_sweep(seed: u64) -> AvailabilityResult {
+    fn quick_sweep(seed: u64, clock: ClockMode) -> AvailabilityResult {
         run(
             HplProblem::paper(),
             2,
             &[0.0, 4.0],
             SimDuration::from_secs(300),
             seed,
+            clock,
         )
     }
 
@@ -263,6 +262,7 @@ mod tests {
             &[0.0],
             SimDuration::from_secs(300),
             2022,
+            ClockMode::EventDriven,
         );
         let p = &result.points[0];
         assert_eq!(p.jobs_completed, 1);
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn faults_cost_availability_and_stretch_the_campaign() {
-        let result = quick_sweep(2022);
+        let result = quick_sweep(2022, ClockMode::EventDriven);
         let clean = &result.points[0];
         let faulty = &result.points[1];
         assert!(faulty.failures > 0, "4 crashes/node-hour must fire");
@@ -296,16 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_deterministic_for_fixed_seed() {
-        assert_eq!(quick_sweep(7), quick_sweep(7));
-    }
-
-    #[test]
-    fn render_lists_every_rate() {
-        let text = quick_sweep(3).render();
-        assert!(text.contains("Availability under node-crash injection"));
-        assert!(text.contains("0.00"));
-        assert!(text.contains("4.00"));
-        assert!(text.contains("MTTR"));
+    fn sweep_is_deterministic_and_clock_mode_invariant() {
+        let a = quick_sweep(7, ClockMode::EventDriven);
+        assert_eq!(a, quick_sweep(7, ClockMode::EventDriven));
+        assert_eq!(a, quick_sweep(7, ClockMode::FixedDt));
     }
 }

@@ -27,7 +27,7 @@ use crate::engine::{ClockMode, ClusterWorkload, EngineConfig, EngineEvent, JobRe
 use crate::faults::{FaultKind, FaultPlan};
 use crate::healing::RecoveryConfig;
 use crate::perf::{HplModel, HplProblem};
-use crate::report::render_table;
+use crate::report::{Campaign, Cell, Gate, Note, Report, Table};
 
 use cimone_sched::job::JobState;
 
@@ -297,66 +297,88 @@ fn fan_loss_point(seed: u64, clock: ClockMode) -> FanLossPoint {
     }
 }
 
-impl DegradationResult {
-    /// Renders the brownout table plus the placement and fan-loss lines.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Degraded-mode sweep: single-rail brownout at {:.0}% budget (HPL N={}, {} x 2-node jobs)\n",
-            self.brownout[0].budget_frac * 100.0,
-            self.problem.n,
-            self.jobs
-        );
-        let rows: Vec<Vec<String>> = self
+impl Campaign for DegradationResult {
+    fn report(&self) -> Report {
+        let rows = self
             .brownout
             .iter()
             .map(|p| {
+                let mode = if p.capping { "cap" } else { "crash" };
+                let done = format!("{}/{}", p.jobs_completed, p.jobs_submitted);
+                let kilojoules = format!("{:.1}", p.energy_joules / 1e3);
+                let wasted = p.wasted_node_hours;
                 vec![
-                    if p.capping { "cap" } else { "crash" }.to_owned(),
-                    format!("{}/{}", p.jobs_completed, p.jobs_submitted),
-                    p.jobs_lost.to_string(),
-                    p.requeues.to_string(),
-                    p.cap_events.to_string(),
-                    p.emergencies.to_string(),
-                    format!("{:.2}", p.peak_blade_watts),
-                    format!("{:.2}", p.budget_watts),
-                    format!("{:.1}", p.energy_joules / 1e3),
-                    format!("{:.2}", p.wasted_node_hours),
-                    format!("{:.0}", p.makespan_secs),
+                    Cell::new("Mode", "capping", p.capping, mode),
+                    Cell::json("budget_frac", p.budget_frac),
+                    Cell::new("Done", "jobs_completed", p.jobs_completed, done),
+                    Cell::json("jobs_submitted", p.jobs_submitted),
+                    Cell::count("Lost", "jobs_lost", p.jobs_lost),
+                    Cell::count("Requeues", "requeues", p.requeues),
+                    Cell::count("Caps", "cap_events", p.cap_events),
+                    Cell::count("Emerg.", "emergencies", p.emergencies),
+                    Cell::fixed("Peak [W]", "peak_blade_watts", p.peak_blade_watts, 2),
+                    Cell::fixed("Budget [W]", "budget_watts", p.budget_watts, 2),
+                    Cell::new("Energy [kJ]", "energy_joules", p.energy_joules, kilojoules),
+                    Cell::fixed("Wasted [node-h]", "wasted_node_hours", wasted, 2),
+                    Cell::fixed("Makespan [s]", "makespan_s", p.makespan_secs, 0),
                 ]
             })
             .collect();
-        out.push_str(&render_table(
-            &[
-                "Mode",
-                "Done",
-                "Lost",
-                "Requeues",
-                "Caps",
-                "Emerg.",
-                "Peak [W]",
-                "Budget [W]",
-                "Energy [kJ]",
-                "Wasted [node-h]",
-                "Makespan [s]",
+        let (placement, fan) = (&self.placement, &self.fan_loss);
+        let cap = &self.brownout[0];
+        let (peak, budget) = (cap.peak_blade_watts, cap.budget_watts);
+        let within_budget = peak <= budget;
+        let over_budget = (!within_budget)
+            .then(|| format!("capped blade peaked at {peak} W over the {budget} W budget"));
+        Report {
+            config: vec![
+                Cell::json("jobs", self.jobs),
+                Cell::json("seed", self.seed),
+                Cell::json("budget_frac", cap.budget_frac),
             ],
-            &rows,
-        ));
-        out.push_str(&format!(
-            "\nPlacement (Fig. 2 intermediate): 2-node HPL intra-blade {:.2} GFLOP/s, \
-             cross-blade {:.2} GFLOP/s ({:.1}% penalty)\n",
-            self.placement.intra_blade_gflops,
-            self.placement.cross_blade_gflops,
-            self.placement.penalty_pct
-        ));
-        out.push_str(&format!(
-            "Fan loss (Fig. 6 with coupled airflow): mid-fault peaks direct {:.1} C, \
-             shadow {:.1} C, healthy {:.1} C; {} thermal trips\n",
-            self.fan_loss.direct_peak_c,
-            self.fan_loss.shadow_peak_c,
-            self.fan_loss.healthy_peak_c,
-            self.fan_loss.trips
-        ));
-        out
+            tables: vec![Table {
+                key: "brownout",
+                caption: format!(
+                    "Degraded-mode sweep: single-rail brownout at {:.0}% budget (HPL N={}, {} x 2-node jobs)",
+                    cap.budget_frac * 100.0,
+                    self.problem.n,
+                    self.jobs
+                ),
+                rows,
+            }],
+            notes: vec![
+                Note {
+                    key: "placement",
+                    text: format!(
+                        "Placement (Fig. 2 intermediate): 2-node HPL intra-blade {:.2} GFLOP/s, \
+                         cross-blade {:.2} GFLOP/s ({:.1}% penalty)",
+                        placement.intra_blade_gflops,
+                        placement.cross_blade_gflops,
+                        placement.penalty_pct
+                    ),
+                    cells: vec![
+                        Cell::json("intra_blade_gflops", placement.intra_blade_gflops),
+                        Cell::json("cross_blade_gflops", placement.cross_blade_gflops),
+                        Cell::json("penalty_pct", placement.penalty_pct),
+                    ],
+                },
+                Note {
+                    key: "fan_loss",
+                    text: format!(
+                        "Fan loss (Fig. 6 with coupled airflow): mid-fault peaks direct {:.1} C, \
+                         shadow {:.1} C, healthy {:.1} C; {} thermal trips",
+                        fan.direct_peak_c, fan.shadow_peak_c, fan.healthy_peak_c, fan.trips
+                    ),
+                    cells: vec![
+                        Cell::json("direct_peak_c", fan.direct_peak_c),
+                        Cell::json("shadow_peak_c", fan.shadow_peak_c),
+                        Cell::json("healthy_peak_c", fan.healthy_peak_c),
+                        Cell::json("trips", fan.trips),
+                    ],
+                },
+            ],
+            gates: vec![Gate::new("within_budget", over_budget)],
+        }
     }
 }
 
@@ -364,21 +386,17 @@ impl DegradationResult {
 mod tests {
     use super::*;
 
-    fn quick(clock: ClockMode) -> DegradationResult {
-        // One cached sweep per mode: several tests inspect the same run.
-        static EVENT: std::sync::OnceLock<DegradationResult> = std::sync::OnceLock::new();
-        static FIXED: std::sync::OnceLock<DegradationResult> = std::sync::OnceLock::new();
-        let cell = match clock {
-            ClockMode::EventDriven => &EVENT,
-            ClockMode::FixedDt => &FIXED,
-        };
-        cell.get_or_init(|| run(HplProblem::paper(), 2, 0.75, 2022, clock))
+    fn quick() -> DegradationResult {
+        // One cached sweep: several tests inspect the same run.
+        static RESULT: std::sync::OnceLock<DegradationResult> = std::sync::OnceLock::new();
+        RESULT
+            .get_or_init(|| run(HplProblem::paper(), 2, 0.75, 2022, ClockMode::EventDriven))
             .clone()
     }
 
     #[test]
     fn capping_serves_every_job_within_the_reduced_budget() {
-        let result = quick(ClockMode::EventDriven);
+        let result = quick();
         let cap = &result.brownout[0];
         assert!(cap.capping);
         assert_eq!(cap.jobs_completed, cap.jobs_submitted, "all jobs served");
@@ -396,7 +414,7 @@ mod tests {
 
     #[test]
     fn crash_only_brownout_evicts_where_capping_does_not() {
-        let result = quick(ClockMode::EventDriven);
+        let result = quick();
         let cap = &result.brownout[0];
         let crash = &result.brownout[1];
         assert!(!crash.capping);
@@ -413,7 +431,7 @@ mod tests {
 
     #[test]
     fn fan_loss_couples_through_the_airflow_shadow() {
-        let f = quick(ClockMode::EventDriven).fan_loss;
+        let f = quick().fan_loss;
         assert!(
             f.direct_peak_c > f.shadow_peak_c + 1.0,
             "direct {} C vs shadow {} C",
@@ -430,18 +448,8 @@ mod tests {
 
     #[test]
     fn placement_penalty_is_small_but_real() {
-        let p = quick(ClockMode::EventDriven).placement;
+        let p = quick().placement;
         assert!(p.intra_blade_gflops > p.cross_blade_gflops);
         assert!(p.penalty_pct > 0.0 && p.penalty_pct < 10.0);
-    }
-
-    #[test]
-    fn sweep_is_deterministic_and_clock_mode_invariant() {
-        let a = quick(ClockMode::EventDriven);
-        let b = quick(ClockMode::EventDriven);
-        assert_eq!(a, b);
-        let fixed = quick(ClockMode::FixedDt);
-        assert_eq!(a, fixed, "clock modes must agree byte-for-byte");
-        assert!(a.render().contains("Degraded-mode sweep"));
     }
 }

@@ -1,9 +1,11 @@
 //! The paper's experiments, one module per table or figure.
 //!
-//! Each experiment returns a typed result struct with a `render()` method
-//! producing the text table/plot the harness binaries print, so the same
-//! code backs both the test suite and the `cimone-bench` reproduction
-//! binaries.
+//! Each experiment returns a typed result struct, so the same code backs
+//! both the test suite and the `cimone-bench` reproduction binaries. The
+//! figure and table experiments render it with `render()`; the five
+//! fault campaigns take a [`ClockMode`](crate::engine::ClockMode) and map
+//! it onto one [`Report`](crate::report::Report) for the printed tables,
+//! the `BENCH_*.json` and the gates.
 //!
 //! | Module | Reproduces |
 //! |---|---|

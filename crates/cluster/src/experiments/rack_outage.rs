@@ -33,7 +33,7 @@ use crate::engine::{ClockMode, ClusterWorkload, EngineConfig, EngineEvent, JobRe
 use crate::faults::{FaultKind, FaultPlan};
 use crate::healing::{CheckpointConfig, RecoveryConfig};
 use crate::perf::{HplModel, HplProblem};
-use crate::report::render_table;
+use crate::report::{Campaign, Cell, Gate, Report, Table};
 
 /// Blades on the machine (the rack budget spans all of them).
 const BLADES: usize = 4;
@@ -290,64 +290,75 @@ fn campaign(
     }
 }
 
-impl RackOutageResult {
-    /// Renders the campaign table.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Rack-outage sweep: switch {SWITCH_SPAN} s + /ckpt export {NFS_SPAN} s (crash inside) \
-             + multi-rail {:.0}% x {RACK_SPAN} s (HPL N={}, {} x 2-node jobs)\n",
-            self.budget_frac * 100.0,
-            self.problem.n,
-            self.jobs
-        );
-        let rows: Vec<Vec<String>> = self
+impl Campaign for RackOutageResult {
+    fn report(&self) -> Report {
+        let rows = self
             .campaigns
             .iter()
             .map(|c| {
+                let done = format!("{}/{}", c.jobs_completed, c.jobs_submitted);
+                let kilojoules = format!("{:.1}", c.energy_joules / 1e3);
+                let wasted = c.wasted_node_hours;
                 vec![
-                    c.label.clone(),
-                    format!("{}/{}", c.jobs_completed, c.jobs_submitted),
-                    c.jobs_lost.to_string(),
-                    c.suspicions.to_string(),
-                    c.fences.to_string(),
-                    c.partitions.to_string(),
-                    c.requeues.to_string(),
-                    c.checkpoints.to_string(),
-                    c.ckpt_deferred.to_string(),
-                    c.ckpt_spilled.to_string(),
-                    c.ckpt_abandoned.to_string(),
-                    c.spill_flushed.to_string(),
-                    format!("{:.2}", c.rack_peak_watts),
-                    format!("{:.2}", c.rack_budget_watts),
-                    format!("{:.1}", c.energy_joules / 1e3),
-                    format!("{:.2}", c.wasted_node_hours),
-                    format!("{:.0}", c.makespan_secs),
+                    Cell::new("Config", "label", c.label.as_str(), c.label.as_str()),
+                    Cell::json("partition_aware", c.partition_aware),
+                    Cell::json("spill", c.spill),
+                    Cell::new("Done", "jobs_completed", c.jobs_completed, done),
+                    Cell::json("jobs_submitted", c.jobs_submitted),
+                    Cell::count("Lost", "jobs_lost", c.jobs_lost),
+                    Cell::count("Susp", "suspicions", c.suspicions),
+                    Cell::count("Fences", "fences", c.fences),
+                    Cell::count("Part.", "partitions", c.partitions),
+                    Cell::count("Requeues", "requeues", c.requeues),
+                    Cell::count("Ckpts", "checkpoints", c.checkpoints),
+                    Cell::count("Defer", "ckpt_deferred", c.ckpt_deferred),
+                    Cell::count("Spill", "ckpt_spilled", c.ckpt_spilled),
+                    Cell::count("Aband", "ckpt_abandoned", c.ckpt_abandoned),
+                    Cell::count("Flushed", "spill_flushed", c.spill_flushed),
+                    Cell::json("rack_emergencies", c.rack_emergencies),
+                    Cell::fixed("Peak [W]", "rack_peak_watts", c.rack_peak_watts, 2),
+                    Cell::fixed("Budget [W]", "rack_budget_watts", c.rack_budget_watts, 2),
+                    Cell::new("Energy [kJ]", "energy_joules", c.energy_joules, kilojoules),
+                    Cell::fixed("Wasted [node-h]", "wasted_node_hours", wasted, 2),
+                    Cell::fixed("Makespan [s]", "makespan_s", c.makespan_secs, 0),
                 ]
             })
             .collect();
-        out.push_str(&render_table(
-            &[
-                "Config",
-                "Done",
-                "Lost",
-                "Susp",
-                "Fences",
-                "Part.",
-                "Requeues",
-                "Ckpts",
-                "Defer",
-                "Spill",
-                "Aband",
-                "Flushed",
-                "Peak [W]",
-                "Budget [W]",
-                "Energy [kJ]",
-                "Wasted [node-h]",
-                "Makespan [s]",
+        // A campaign that declared a rack emergency has proven the budget
+        // infeasible (even all-floor OPPs exceed it) and is draining; the
+        // peak during the drain legitimately exceeds the budget. The
+        // invariant gated here is the arbiter's: while it claims the
+        // budget *fits*, the machine never exceeds it.
+        let over_budget = self
+            .campaigns
+            .iter()
+            .filter(|c| !(c.rack_emergencies > 0 || c.rack_peak_watts <= c.rack_budget_watts))
+            .map(|c| {
+                format!(
+                    "{} peaked at {} W over the {} W machine budget",
+                    c.label, c.rack_peak_watts, c.rack_budget_watts
+                )
+            });
+        Report {
+            config: vec![
+                Cell::json("jobs", self.jobs),
+                Cell::json("seed", self.seed),
+                Cell::json("budget_frac", self.budget_frac),
             ],
-            &rows,
-        ));
-        out
+            tables: vec![Table {
+                key: "campaigns",
+                caption: format!(
+                    "Rack-outage sweep: switch {SWITCH_SPAN} s + /ckpt export {NFS_SPAN} s (crash inside) \
+                     + multi-rail {:.0}% x {RACK_SPAN} s (HPL N={}, {} x 2-node jobs)",
+                    self.budget_frac * 100.0,
+                    self.problem.n,
+                    self.jobs
+                ),
+                rows,
+            }],
+            notes: Vec::new(),
+            gates: vec![Gate::new("within_budget", over_budget)],
+        }
     }
 }
 
@@ -355,21 +366,17 @@ impl RackOutageResult {
 mod tests {
     use super::*;
 
-    fn quick(clock: ClockMode) -> RackOutageResult {
-        // One cached sweep per mode: several tests inspect the same run.
-        static EVENT: std::sync::OnceLock<RackOutageResult> = std::sync::OnceLock::new();
-        static FIXED: std::sync::OnceLock<RackOutageResult> = std::sync::OnceLock::new();
-        let cell = match clock {
-            ClockMode::EventDriven => &EVENT,
-            ClockMode::FixedDt => &FIXED,
-        };
-        cell.get_or_init(|| run(HplProblem::paper(), 4, 0.6, 2022, clock))
+    fn quick() -> RackOutageResult {
+        // One cached sweep: several tests inspect the same run.
+        static RESULT: std::sync::OnceLock<RackOutageResult> = std::sync::OnceLock::new();
+        RESULT
+            .get_or_init(|| run(HplProblem::paper(), 4, 0.6, 2022, ClockMode::EventDriven))
             .clone()
     }
 
     #[test]
     fn naive_plane_mass_fences_where_the_aware_plane_defers() {
-        let result = quick(ClockMode::EventDriven);
+        let result = quick();
         let naive = &result.campaigns[0];
         let aware = &result.campaigns[1];
         assert!(!naive.partition_aware && aware.partition_aware);
@@ -391,7 +398,7 @@ mod tests {
 
     #[test]
     fn spill_buffer_saves_the_in_window_checkpoint() {
-        let result = quick(ClockMode::EventDriven);
+        let result = quick();
         let aware = &result.campaigns[1];
         let spill = &result.campaigns[2];
         // Without spill, the in-window commits burn their retry budget and
@@ -414,7 +421,7 @@ mod tests {
 
     #[test]
     fn rack_arbitration_keeps_the_machine_inside_the_budget() {
-        let result = quick(ClockMode::EventDriven);
+        let result = quick();
         for c in &result.campaigns {
             assert!(
                 c.rack_peak_watts > 0.0,
@@ -434,7 +441,7 @@ mod tests {
 
     #[test]
     fn every_posture_eventually_serves_the_whole_campaign() {
-        let result = quick(ClockMode::EventDriven);
+        let result = quick();
         for c in &result.campaigns {
             assert_eq!(
                 c.jobs_completed, c.jobs_submitted,
@@ -443,15 +450,5 @@ mod tests {
             );
             assert_eq!(c.jobs_lost, 0, "{}: no job abandoned", c.label);
         }
-    }
-
-    #[test]
-    fn sweep_is_deterministic_and_clock_mode_invariant() {
-        let a = quick(ClockMode::EventDriven);
-        let b = quick(ClockMode::EventDriven);
-        assert_eq!(a, b);
-        let fixed = quick(ClockMode::FixedDt);
-        assert_eq!(a, fixed, "clock modes must agree byte-for-byte");
-        assert!(a.render().contains("Rack-outage sweep"));
     }
 }

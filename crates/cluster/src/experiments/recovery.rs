@@ -23,7 +23,7 @@ use crate::engine::{ClockMode, ClusterWorkload, EngineConfig, EngineEvent, JobRe
 use crate::faults::{FaultKind, FaultPlan};
 use crate::healing::RecoveryConfig;
 use crate::perf::{HplModel, HplProblem};
-use crate::report::{render_table, Stats};
+use crate::report::{Campaign, Cell, Report, Stats, Table};
 
 /// Outcome at one (crash rate, checkpoint interval) grid point.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +86,7 @@ const NODES: usize = 8;
 /// Runs the sweep: for every crash rate (per node-hour) and checkpoint
 /// interval (`None` = off), one campaign of `jobs` back-to-back HPL jobs
 /// on `job_nodes` nodes under the recovery subsystem. Fully deterministic
-/// for fixed arguments.
+/// for fixed arguments, and identical across [`ClockMode`]s.
 ///
 /// # Panics
 ///
@@ -96,6 +96,7 @@ const NODES: usize = 8;
 /// # Examples
 ///
 /// ```
+/// use cimone_cluster::engine::ClockMode;
 /// use cimone_cluster::experiments::recovery;
 /// use cimone_cluster::perf::HplProblem;
 /// use cimone_soc::units::SimDuration;
@@ -108,6 +109,7 @@ const NODES: usize = 8;
 ///     &[None],
 ///     SimDuration::from_secs(300),
 ///     2022,
+///     ClockMode::EventDriven,
 /// );
 /// assert_eq!(result.points[0].availability, 1.0);
 /// ```
@@ -120,6 +122,7 @@ pub fn run(
     intervals: &[Option<u64>],
     repair: SimDuration,
     seed: u64,
+    clock: ClockMode,
 ) -> RecoveryResult {
     assert!(jobs > 0, "need at least one job");
     assert!(!rates.is_empty(), "need at least one fault rate");
@@ -154,9 +157,7 @@ pub fn run(
                 seed,
                 monitoring: false,
                 recovery: Some(recovery),
-                // Idle spans between crash campaigns fast-forward; the
-                // event clock is bit-identical to fixed-dt.
-                clock: ClockMode::EventDriven,
+                clock,
                 ..EngineConfig::default()
             })
             .with_fault_plan(plan);
@@ -295,60 +296,54 @@ fn measure(
     }
 }
 
-impl RecoveryResult {
-    /// Renders the sweep table.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Recovery sweep: checkpoint interval x crash rate (HPL N={}, {} jobs x {} nodes, repair {} s)\n",
-            self.problem.n, self.jobs, self.job_nodes, self.repair_secs
-        );
-        let fmt_opt = |v: Option<f64>| match v {
-            Some(x) => format!("{x:.0}"),
-            None => "-".to_owned(),
-        };
-        let rows: Vec<Vec<String>> = self
+impl Campaign for RecoveryResult {
+    fn report(&self) -> Report {
+        let rows = self
             .points
             .iter()
             .map(|p| {
+                let (rate, wasted) = (p.rate_per_node_hour, p.wasted_node_hours);
+                let interval = p.checkpoint_interval_secs;
+                let ckpt = interval.map_or("off".to_owned(), |s| s.to_string());
+                let done = format!("{}/{}", p.jobs_completed, p.jobs_submitted);
                 vec![
-                    format!("{:.2}", p.rate_per_node_hour),
-                    p.checkpoint_interval_secs
-                        .map_or("off".to_owned(), |s| format!("{s}")),
-                    format!("{}/{}", p.jobs_completed, p.jobs_submitted),
-                    p.jobs_lost.to_string(),
-                    p.requeues.to_string(),
-                    p.fences.to_string(),
-                    p.checkpoints.to_string(),
-                    p.resumes.to_string(),
-                    format!("{:.2}", p.wasted_node_hours),
-                    fmt_opt(p.mean_ttd_secs),
-                    fmt_opt(p.mean_ttr_secs),
-                    format!("{:.0}", p.makespan_secs),
-                    format!("{:.2}%", p.availability * 100.0),
-                    p.gflops.as_ref().map_or("-".to_owned(), |s| s.format(2)),
+                    Cell::fixed("Crash/node-h", "rate_per_node_hour", rate, 2),
+                    Cell::new("Ckpt [s]", "checkpoint_interval_s", interval, ckpt),
+                    Cell::new("Done", "jobs_completed", p.jobs_completed, done),
+                    Cell::json("jobs_submitted", p.jobs_submitted),
+                    Cell::count("Lost", "jobs_lost", p.jobs_lost),
+                    Cell::count("Requeues", "requeues", p.requeues),
+                    Cell::json("failures", p.failures),
+                    Cell::count("Fences", "fences", p.fences),
+                    Cell::count("Ckpts", "checkpoints", p.checkpoints),
+                    Cell::count("Resumes", "resumes", p.resumes),
+                    Cell::fixed("Wasted [node-h]", "wasted_node_hours", wasted, 2),
+                    Cell::fixed("TTD [s]", "mean_ttd_s", p.mean_ttd_secs, 0),
+                    Cell::fixed("TTR [s]", "mean_ttr_s", p.mean_ttr_secs, 0),
+                    Cell::fixed("Makespan [s]", "makespan_s", p.makespan_secs, 0),
+                    Cell::percent("Avail.", "availability", p.availability, 2),
+                    Cell::stats("GFLOP/s", "gflops", p.gflops.as_ref()),
                 ]
             })
             .collect();
-        out.push_str(&render_table(
-            &[
-                "Crash/node-h",
-                "Ckpt [s]",
-                "Done",
-                "Lost",
-                "Requeues",
-                "Fences",
-                "Ckpts",
-                "Resumes",
-                "Wasted [node-h]",
-                "TTD [s]",
-                "TTR [s]",
-                "Makespan [s]",
-                "Avail.",
-                "GFLOP/s",
+        Report {
+            config: vec![
+                Cell::json("jobs", self.jobs),
+                Cell::json("job_nodes", self.job_nodes),
+                Cell::json("repair_s", self.repair_secs),
+                Cell::json("seed", self.seed),
             ],
-            &rows,
-        ));
-        out
+            tables: vec![Table {
+                key: "points",
+                caption: format!(
+                    "Recovery sweep: checkpoint interval x crash rate (HPL N={}, {} jobs x {} nodes, repair {} s)",
+                    self.problem.n, self.jobs, self.job_nodes, self.repair_secs
+                ),
+                rows,
+            }],
+            notes: Vec::new(),
+            gates: Vec::new(),
+        }
     }
 }
 
@@ -371,6 +366,7 @@ mod tests {
             &[None],
             SimDuration::from_secs(300),
             2022,
+            ClockMode::EventDriven,
         );
         let oracle = availability::run(
             HplProblem::paper(),
@@ -378,6 +374,7 @@ mod tests {
             &[0.0],
             SimDuration::from_secs(300),
             2022,
+            ClockMode::EventDriven,
         );
         let r = &recovered.points[0];
         let o = &oracle.points[0];
@@ -395,7 +392,7 @@ mod tests {
         );
     }
 
-    fn quick_sweep(seed: u64) -> RecoveryResult {
+    fn quick_sweep(seed: u64, clock: ClockMode) -> RecoveryResult {
         run(
             HplProblem::paper(),
             2,
@@ -404,12 +401,13 @@ mod tests {
             &[None, Some(120)],
             SimDuration::from_secs(300),
             seed,
+            clock,
         )
     }
 
     #[test]
     fn checkpointing_cuts_wasted_work_under_crashes() {
-        let result = quick_sweep(2022);
+        let result = quick_sweep(2022, ClockMode::EventDriven);
         let off = &result.points[0];
         let on = &result.points[1];
         assert!(off.failures > 0, "crashes must fire");
@@ -431,20 +429,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_deterministic_for_fixed_seed() {
-        let a = quick_sweep(7);
-        let b = quick_sweep(7);
+    fn sweep_is_deterministic_and_clock_mode_invariant() {
+        let a = quick_sweep(7, ClockMode::EventDriven);
+        let b = quick_sweep(7, ClockMode::EventDriven);
         assert_eq!(a, b);
-        assert_eq!(a.render(), b.render());
-    }
-
-    #[test]
-    fn render_lists_the_grid() {
-        let text = quick_sweep(3).render();
-        assert!(text.contains("Recovery sweep"));
-        assert!(text.contains("off"));
-        assert!(text.contains("120"));
-        assert!(text.contains("TTD"));
-        assert!(text.contains("Wasted"));
+        assert_eq!(a, quick_sweep(7, ClockMode::FixedDt));
     }
 }

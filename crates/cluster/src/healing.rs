@@ -121,10 +121,6 @@ pub struct RecoveryConfig {
     /// Whether suspicion fences the node (evicting its jobs). Disabling
     /// leaves detection observable but inert.
     pub fence_on_suspicion: bool,
-    /// Whether a fenced node returns to service automatically once its
-    /// heartbeat stream resumes (covers both real repair and false
-    /// suspicion).
-    pub auto_unfence: bool,
     /// Optional closed-loop thermal watchdog.
     pub thermal_watchdog: Option<ThermalWatchdog>,
     /// Whether the failure detector is told about DVFS slowdowns. A capped
@@ -158,7 +154,6 @@ impl RecoveryConfig {
             phi_threshold: DEFAULT_PHI_THRESHOLD,
             checkpoint: None,
             fence_on_suspicion: true,
-            auto_unfence: true,
             thermal_watchdog: None,
             cap_aware_suspicion: true,
             partition_aware: true,
@@ -469,11 +464,12 @@ impl ControlPlane {
                     self.fenced[node] = true;
                     continue;
                 }
-            } else if self.config.auto_unfence {
-                // Unfence once the stream has demonstrably resumed: a
-                // fresh arrival and suspicion back under half the line.
-                // A thermally fenced node keeps heartbeating, so it must
-                // additionally have cooled below the release line.
+            } else {
+                // A fenced node returns to service once its stream has
+                // demonstrably resumed (a real repair or a false
+                // suspicion): a fresh arrival and suspicion back under half
+                // the line. A thermally fenced node keeps heartbeating, so
+                // it must additionally have cooled below the release line.
                 let resumed = detector
                     .last_heard()
                     .is_some_and(|t| now.saturating_since(t) < self.config.heartbeat_interval * 2);

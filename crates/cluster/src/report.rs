@@ -1,5 +1,8 @@
 //! Small statistics and table-formatting helpers shared by the
-//! experiment harnesses.
+//! experiment harnesses, and the one [`Report`] shape of the fault
+//! campaigns.
+
+use cimone_monitor::json::JsonValue;
 
 /// Mean and standard deviation of repeated measurements.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,6 +71,189 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push_str(&render_row(row, &widths));
     }
     out
+}
+
+/// A fault campaign's typed result. Its one mapping onto a [`Report`]
+/// feeds the printed tables, the `BENCH_*.json` and the gates; the
+/// harness runs it under both clocks and compares the results with `==`.
+pub trait Campaign: PartialEq {
+    /// The report of this result.
+    fn report(&self) -> Report;
+}
+
+/// What a fault campaign reports.
+#[derive(Debug, PartialEq)]
+pub struct Report {
+    /// Run parameters, written to JSON only, under `config`.
+    pub config: Vec<Cell>,
+    /// Printed in order; written as arrays of row objects.
+    pub tables: Vec<Table>,
+    /// Printed after the tables; written as objects.
+    pub notes: Vec<Note>,
+    /// Written as top-level pass flags.
+    pub gates: Vec<Gate>,
+}
+
+/// A table printed under its caption line, keyed by `key` in JSON.
+#[derive(Debug, PartialEq)]
+pub struct Table {
+    /// JSON key.
+    pub key: &'static str,
+    /// The line printed above the table.
+    pub caption: String,
+    /// One row per measured point, all with the same cells.
+    pub rows: Vec<Vec<Cell>>,
+}
+
+/// A printed line and the values it quotes, keyed by `key` in JSON.
+#[derive(Debug, PartialEq)]
+pub struct Note {
+    /// JSON key.
+    pub key: &'static str,
+    /// The printed line.
+    pub text: String,
+    /// The quoted values.
+    pub cells: Vec<Cell>,
+}
+
+/// A pass/fail check, keyed by `key` in JSON.
+#[derive(Debug, PartialEq)]
+pub struct Gate {
+    /// JSON key.
+    pub key: &'static str,
+    /// One message per offender; empty when the check passes.
+    pub failures: Vec<String>,
+}
+
+impl Gate {
+    /// A gate failing with each of `failures` (an `Option` for a single
+    /// condition).
+    pub fn new(key: &'static str, failures: impl IntoIterator<Item = String>) -> Gate {
+        let failures = failures.into_iter().collect();
+        Gate { key, failures }
+    }
+}
+
+/// One value: written to JSON as `key: value`, and shown in its table
+/// under a header unless it is JSON-only.
+#[derive(Debug, PartialEq)]
+pub struct Cell {
+    /// JSON key.
+    pub key: &'static str,
+    /// JSON value.
+    pub value: JsonValue,
+    /// Header and table text; `None` for a JSON-only value.
+    pub shown: Option<(&'static str, String)>,
+}
+
+impl Cell {
+    /// A value shown as `text` under `header`.
+    pub fn new(
+        header: &'static str,
+        key: &'static str,
+        value: impl Into<JsonValue>,
+        text: impl Into<String>,
+    ) -> Cell {
+        Cell {
+            shown: Some((header, text.into())),
+            ..Cell::json(key, value)
+        }
+    }
+
+    /// A value written to JSON only.
+    pub fn json(key: &'static str, value: impl Into<JsonValue>) -> Cell {
+        Cell {
+            key,
+            value: value.into(),
+            shown: None,
+        }
+    }
+
+    /// A count, shown in full.
+    pub fn count(header: &'static str, key: &'static str, n: usize) -> Cell {
+        Cell::new(header, key, n, n.to_string())
+    }
+
+    /// A value shown to `precision` decimals; `-` (JSON `null`) when
+    /// absent.
+    pub fn fixed(
+        header: &'static str,
+        key: &'static str,
+        v: impl Into<Option<f64>>,
+        precision: usize,
+    ) -> Cell {
+        let v = v.into();
+        let text = v.map_or("-".to_owned(), |v| format!("{v:.precision$}"));
+        Cell::new(header, key, v, text)
+    }
+
+    /// A fraction shown as a percentage to `precision` decimals.
+    pub fn percent(header: &'static str, key: &'static str, frac: f64, precision: usize) -> Cell {
+        Cell::new(header, key, frac, format!("{:.precision$}%", frac * 100.0))
+    }
+
+    /// Repeated measurements shown as `mean ± std` to two decimals; `-`
+    /// (JSON `null`) when there are none.
+    pub fn stats(header: &'static str, key: &'static str, stats: Option<&Stats>) -> Cell {
+        let text = stats.map_or("-".to_owned(), |s| s.format(2));
+        let value = stats.map(|s| {
+            let (mean, std_dev, n) = (s.mean.into(), s.std_dev.into(), s.n.into());
+            JsonValue::object([("mean", mean), ("std_dev", std_dev), ("n", n)])
+        });
+        Cell::new(header, key, value, text)
+    }
+}
+
+impl Report {
+    /// The text: each table under its caption, then the notes, with a
+    /// blank line between blocks.
+    pub fn render(&self) -> String {
+        let mut blocks = Vec::new();
+        for table in &self.tables {
+            let shown = |row: &Vec<Cell>| -> Vec<_> {
+                row.iter().filter_map(|c| c.shown.clone()).collect()
+            };
+            let (headers, texts): (Vec<Vec<&str>>, Vec<Vec<String>>) = table
+                .rows
+                .iter()
+                .map(|row| shown(row).into_iter().unzip())
+                .unzip();
+            let headers = headers.first().map_or(&[][..], Vec::as_slice);
+            blocks.push(format!(
+                "{}\n{}",
+                table.caption,
+                render_table(headers, &texts)
+            ));
+        }
+        if !self.notes.is_empty() {
+            blocks.push(
+                self.notes
+                    .iter()
+                    .map(|note| format!("{}\n", note.text))
+                    .collect(),
+            );
+        }
+        blocks.join("\n")
+    }
+
+    /// The JSON document: `config`, each table's rows, each note's
+    /// values and each gate's pass flag.
+    pub fn to_json(&self) -> JsonValue {
+        let object =
+            |cells: &[Cell]| JsonValue::object(cells.iter().map(|c| (c.key, c.value.clone())));
+        let mut fields = vec![("config", object(&self.config))];
+        for table in &self.tables {
+            let rows = table.rows.iter().map(|row| object(row)).collect();
+            fields.push((table.key, JsonValue::Array(rows)));
+        }
+        for note in &self.notes {
+            fields.push((note.key, object(&note.cells)));
+        }
+        for gate in &self.gates {
+            fields.push((gate.key, gate.failures.is_empty().into()));
+        }
+        JsonValue::object(fields)
+    }
 }
 
 #[cfg(test)]

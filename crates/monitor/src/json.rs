@@ -100,8 +100,47 @@ impl JsonValue {
     }
 
     /// Builds an object from key/value pairs.
-    pub fn object(pairs: impl IntoIterator<Item = (String, JsonValue)>) -> JsonValue {
-        JsonValue::Object(pairs.into_iter().collect())
+    pub fn object<K: Into<String>>(pairs: impl IntoIterator<Item = (K, JsonValue)>) -> JsonValue {
+        JsonValue::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> Self {
+        JsonValue::Number(n)
+    }
+}
+
+/// Exact below 2^53, as every JSON number held as `f64`.
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> Self {
+        JsonValue::Number(n as f64)
+    }
+}
+
+/// Exact below 2^53, like `usize`.
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> Self {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::String(s.to_owned())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(JsonValue::Null, Into::into)
     }
 }
 
@@ -411,5 +450,22 @@ mod tests {
         assert_eq!(JsonValue::Number(3.0).to_string(), "3");
         assert_eq!(JsonValue::Number(3.5).to_string(), "3.5");
         assert_eq!(JsonValue::Null.to_string(), "null");
+    }
+
+    #[test]
+    fn objects_build_from_converted_values() {
+        let doc = JsonValue::object([
+            ("count", 3usize.into()),
+            ("seed", 2022u64.into()),
+            ("frac", 0.25.into()),
+            ("ok", true.into()),
+            ("mode", "smoke".into()),
+            ("ttd", None::<f64>.into()),
+            ("ttr", Some(12.0).into()),
+        ]);
+        assert_eq!(
+            doc.to_string(),
+            r#"{"count":3,"frac":0.25,"mode":"smoke","ok":true,"seed":2022,"ttd":null,"ttr":12}"#
+        );
     }
 }

@@ -175,15 +175,6 @@ impl Column {
         }
     }
 
-    /// Appends time-sorted points that start at or after the last one.
-    fn append(&mut self, points: &[Point]) {
-        self.values.reserve(points.len());
-        for &(t, v) in points {
-            push_time(&mut self.runs, t.as_micros(), self.values.len());
-            self.values.push(v);
-        }
-    }
-
     /// Inserts one point after every point timed at or before it. The
     /// steady-state point continues the last run's comb: one compare.
     #[inline]
@@ -350,10 +341,8 @@ impl<'a> SeriesView<'a> {
 /// dense index vector. The steady-state ingest path,
 /// [`TimeSeriesStore::insert`] (one call per sample from the
 /// [`Collector`](crate::collector::Collector)), is an O(1) handle lookup
-/// plus a push, and [`TimeSeriesStore::extend_series`] is one lookup per
-/// run plus a column extension — no string rendering, hashing or tree
-/// walk per sample. Names are kept in a sorted side index for the query
-/// paths.
+/// plus a push — no string rendering, hashing or tree walk per sample.
+/// Names are kept in a sorted side index for the query paths.
 ///
 /// # Examples
 ///
@@ -437,27 +426,6 @@ impl TimeSeriesStore {
     pub fn insert(&mut self, topic: &Topic, payload: Payload) {
         self.column_mut(topic)
             .place((payload.timestamp, payload.value));
-    }
-
-    /// Bulk-appends points of a single series: one handle resolution for
-    /// the whole run, and a straight column extension when the run is
-    /// internally time-sorted and starts at or after the column tail (the
-    /// steady-state shape of a series' samples). Out-of-order runs fall
-    /// back to per-point sorted insertion; the stored column is identical
-    /// to calling [`TimeSeriesStore::insert`] once per point in order.
-    pub fn extend_series(&mut self, topic: &Topic, points: &[Point]) {
-        let Some(&(head, _)) = points.first() else {
-            return;
-        };
-        let column = self.column_mut(topic);
-        let sorted = points.windows(2).all(|w| w[0].0 <= w[1].0);
-        if sorted && column.last_time().is_none_or(|t| t <= head.as_micros()) {
-            column.append(points);
-        } else {
-            for &point in points {
-                column.place(point);
-            }
-        }
     }
 
     /// Reserves room for `additional` further points on every series, and
@@ -802,54 +770,18 @@ mod tests {
         assert_eq!(db.latest("missing"), None);
     }
 
-    /// `extend_series` must store exactly what per-point `insert` would,
-    /// through both its paths: the sorted tail-append fast path and the
-    /// out-of-order fallback (runs that are internally unsorted, or start
-    /// before the existing column tail).
-    #[test]
-    fn extend_series_matches_per_point_inserts() {
-        let topic: Topic = "ext/equiv".parse().unwrap();
-        let runs: [&[(u64, f64)]; 4] = [
-            &[(0, 1.0), (5, 2.0), (10, 3.0)],   // sorted, fresh column
-            &[(10, 4.0), (20, 5.0)],            // sorted, starts at the tail
-            &[(30, 8.0), (25, 7.0), (40, 9.0)], // internally unsorted
-            &[(15, 6.0)],                       // starts before the tail
-        ];
-        let mut bulk = TimeSeriesStore::new();
-        let mut reference = TimeSeriesStore::new();
-        for run in runs {
-            let points = secs(run);
-            bulk.extend_series(&topic, &points);
-            for &(t, v) in &points {
-                reference.insert(&topic, Payload::new(v, t));
-            }
-        }
-        let all = (SimTime::ZERO, SimTime::from_secs(1000));
-        assert_eq!(
-            bulk.query("ext/equiv", all.0, all.1).to_vec(),
-            reference.query("ext/equiv", all.0, all.1).to_vec(),
-        );
-        assert!(bulk == reference);
-    }
-
-    #[test]
-    fn extend_series_with_empty_run_creates_nothing() {
-        let mut db = TimeSeriesStore::new();
-        let topic: Topic = "ext/empty".parse().unwrap();
-        db.extend_series(&topic, &[]);
-        assert_eq!(db.series_count(), 0);
-    }
-
     /// A regular comb is one time run, a gap opens one more, and trimming
     /// the front of a run keeps the rest of its progression.
     #[test]
     fn time_runs_follow_the_comb() {
         let topic: Topic = "runs/comb".parse().unwrap();
         let mut db = TimeSeriesStore::new();
-        let comb: Vec<Point> = (0..100u64)
-            .map(|i| (SimTime::from_millis(500 * i), i as f64))
-            .collect();
-        db.extend_series(&topic, &comb);
+        for i in 0..100u64 {
+            db.insert(
+                &topic,
+                Payload::new(i as f64, SimTime::from_millis(500 * i)),
+            );
+        }
         let runs = |db: &TimeSeriesStore| db.column("runs/comb").unwrap().runs.clone();
         assert_eq!(
             runs(&db),
@@ -985,17 +917,16 @@ mod tests {
         enum Step {
             /// `count` points `step` µs apart, starting `offset` µs after
             /// the series' last point (0 repeats it), every `dup`-th point
-            /// twice; per point, or as one `extend_series` run.
+            /// twice.
             Comb {
                 series: usize,
                 offset: u64,
                 step: u64,
                 count: usize,
                 dup: usize,
-                bulk: bool,
             },
-            /// One `extend_series` run at arbitrary times, sorted or not.
-            Extend {
+            /// A run of inserts at arbitrary times, sorted or not.
+            Run {
                 series: usize,
                 times: Vec<u64>,
                 sorted: bool,
@@ -1033,9 +964,8 @@ mod tests {
                             step,
                             count,
                             dup,
-                            bulk: flag,
                         },
-                        5..=6 => Step::Extend {
+                        5..=6 => Step::Run {
                             series,
                             times,
                             sorted: flag,
@@ -1061,7 +991,6 @@ mod tests {
                     step,
                     count,
                     dup,
-                    bulk,
                 } => {
                     let name = SERIES[series];
                     let tail = model.get(name).and_then(|p| p.last()).map(|&(t, _)| t);
@@ -1074,9 +1003,9 @@ mod tests {
                             points.push((t, value()));
                         }
                     }
-                    land(db, model, name, &points, bulk);
+                    land(db, model, name, &points);
                 }
-                Step::Extend {
+                Step::Run {
                     series,
                     ref times,
                     sorted,
@@ -1086,10 +1015,10 @@ mod tests {
                         times.sort_unstable();
                     }
                     let points: Vec<Point> = times.iter().map(|&t| (at(t), value())).collect();
-                    land(db, model, SERIES[series], &points, true);
+                    land(db, model, SERIES[series], &points);
                 }
                 Step::Insert { series, t } => {
-                    land(db, model, SERIES[series], &[(at(t), value())], false);
+                    land(db, model, SERIES[series], &[(at(t), value())]);
                 }
                 Step::Evict { cutoff } => {
                     let evicted = db.evict_before(at(cutoff));
@@ -1105,20 +1034,10 @@ mod tests {
             }
         }
 
-        fn land(
-            db: &mut TimeSeriesStore,
-            model: &mut Model,
-            name: &'static str,
-            points: &[Point],
-            bulk: bool,
-        ) {
+        fn land(db: &mut TimeSeriesStore, model: &mut Model, name: &'static str, points: &[Point]) {
             let topic: Topic = name.parse().expect("valid");
-            if bulk {
-                db.extend_series(&topic, points);
-            } else {
-                for &(t, v) in points {
-                    db.insert(&topic, Payload::new(v, t));
-                }
+            for &(t, v) in points {
+                db.insert(&topic, Payload::new(v, t));
             }
             if !points.is_empty() {
                 let column = model.entry(name).or_default();
@@ -1253,7 +1172,7 @@ mod tests {
             }
 
             /// A gap-free series sampled on every tick is one time run,
-            /// however the collector chunks its landing.
+            /// however other series' samples interleave with its own.
             #[test]
             fn an_every_tick_series_is_one_time_run(
                 start in 0u64..1_000_000_000,
@@ -1264,9 +1183,13 @@ mod tests {
                 let points: Vec<Point> = (0..10_000u64)
                     .map(|i| (SimTime::from_micros(start + i * tick), i as f64))
                     .collect();
+                let other: Topic = "model/other".parse().expect("valid");
                 let mut db = TimeSeriesStore::new();
-                for run in points.chunks(chunk) {
-                    db.extend_series(&topic, run);
+                for (i, run) in points.chunks(chunk).enumerate() {
+                    for &(t, v) in run {
+                        db.insert(&topic, Payload::new(v, t));
+                    }
+                    db.insert(&other, Payload::new(i as f64, run[0].0));
                 }
                 let column = db.column("model/every-tick").expect("stored");
                 prop_assert_eq!(column.values.len(), 10_000);
