@@ -46,7 +46,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cimone_bench::env_u64;
+use cimone_bench::{env_u64, out_path};
 use cimone_cluster::engine::{ClockMode, ClusterWorkload, EngineConfig, JobRequest, SimEngine};
 use cimone_cluster::faults::{FaultKind, FaultPlan};
 use cimone_cluster::healing::RecoveryConfig;
@@ -687,22 +687,6 @@ fn bench_calls(sizes: &Sizes) -> JsonValue {
     JsonValue::object(section)
 }
 
-/// Parses `--out-dir DIR` (defaulting to the working directory) so CI
-/// can write its artifacts next to the job instead of over the committed
-/// repo-root snapshots.
-fn out_dir() -> std::path::PathBuf {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--out-dir" {
-            let dir = args
-                .next()
-                .expect("--out-dir requires a directory argument");
-            return std::path::PathBuf::from(dir);
-        }
-    }
-    std::path::PathBuf::from(".")
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut sizes = if smoke { Sizes::smoke() } else { Sizes::full() };
@@ -742,10 +726,8 @@ fn main() {
         ("broker", broker),
         ("per_call_ns", calls),
     ]);
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).expect("create --out-dir");
-    let kernels_path = dir.join("BENCH_kernels.json");
-    let engine_path = dir.join("BENCH_engine.json");
+    let kernels_path = out_path("BENCH_kernels.json");
+    let engine_path = out_path("BENCH_engine.json");
     std::fs::write(&kernels_path, format!("{kernels}\n")).expect("write BENCH_kernels.json");
     std::fs::write(&engine_path, format!("{engine_doc}\n")).expect("write BENCH_engine.json");
     println!(

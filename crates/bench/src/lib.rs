@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use cimone_cluster::engine::ClockMode;
@@ -34,6 +35,30 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
     }
 }
 
+/// Where a harness binary writes its JSON snapshot `file`: into the
+/// directory named by `--out-dir DIR` (created if missing), so a run can
+/// keep its output apart from the tracked repo-root snapshots, or else
+/// the working directory, as the bare file name.
+///
+/// # Panics
+///
+/// If `--out-dir` has no argument or its directory cannot be created.
+pub fn out_path(file: &str) -> PathBuf {
+    let mut args = std::env::args();
+    while let Some(arg) = args.next() {
+        if arg == "--out-dir" {
+            let dir = PathBuf::from(
+                args.next()
+                    .expect("--out-dir requires a directory argument"),
+            );
+            std::fs::create_dir_all(&dir)
+                .unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+            return dir.join(file);
+        }
+    }
+    PathBuf::from(file)
+}
+
 /// Runs a fault campaign under [`ClockMode::EventDriven`] and
 /// [`ClockMode::FixedDt`] and compares the two typed results with `==`.
 /// Returns the event-clock result's report with the comparison as its
@@ -53,8 +78,9 @@ fn evaluate<R: Campaign>(name: &str, run: impl Fn(ClockMode) -> R) -> Report {
 /// the campaign's run for a clock. The sweep runs it under both clocks,
 /// adds their `==` comparison to the report as the gate `bit_identical`,
 /// prints the event-clock report, writes `BENCH_<name>.json` (with
-/// `config.mode` `smoke` or `full`) to the working directory, and exits
-/// non-zero, naming each failure on stderr, if a gate fails.
+/// `config.mode` `smoke` or `full`) to the working directory or to
+/// `--out-dir DIR` ([`out_path`]), and exits non-zero, naming each
+/// failure on stderr, if a gate fails.
 ///
 /// # Panics
 ///
@@ -68,10 +94,10 @@ pub fn sweep<R: Campaign, F: Fn(ClockMode) -> R>(
     let mut report = evaluate(name, configure(smoke));
     report.config.push(Cell::json("mode", mode));
     print!("{}", report.render());
-    let path = format!("BENCH_{name}.json");
+    let path = out_path(&format!("BENCH_{name}.json"));
     std::fs::write(&path, format!("{}\n", report.to_json()))
-        .unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
     let mut status = ExitCode::SUCCESS;
     for failure in report.gates.iter().flat_map(|g| &g.failures) {
         eprintln!("FAIL: {failure}");

@@ -3,7 +3,8 @@
 //! and recovery at their defaults, the other three with `--smoke`) in a
 //! scratch directory under the target dir, so its `BENCH_*.json` stays
 //! out of the tree. It must exit 0 (clocks identical, gates passed), and
-//! its report must appear verbatim as a fenced block of the doc.
+//! its report must appear verbatim as a fenced block of the doc. One more
+//! test holds `--out-dir` to moving the JSON and nothing else.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -60,6 +61,45 @@ fn degradation_sweep_smoke_is_quoted() {
 #[test]
 fn rack_sweep_smoke_is_quoted() {
     assert_quoted(env!("CARGO_BIN_EXE_rack_sweep"), &["--smoke"], "rack");
+}
+
+/// `--out-dir DIR` moves the JSON into `DIR` (creating it) and names it
+/// on the last line; the report and the JSON bytes are those of a run
+/// without the flag.
+#[test]
+fn out_dir_redirects_the_json() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sweep-out-dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the scratch directory");
+    let run = |args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_fault_sweep"))
+            .args(args)
+            .current_dir(&dir)
+            .env_remove("JOBS")
+            .env_remove("REPAIR_SECS")
+            .env_remove("SEED")
+            .output()
+            .expect("run the sweep");
+        assert!(output.status.success());
+        String::from_utf8(output.stdout).expect("UTF-8 report")
+    };
+    let plain = run(&[]);
+    let json = std::fs::read_to_string(dir.join("BENCH_fault.json")).expect("read the JSON");
+    std::fs::remove_file(dir.join("BENCH_fault.json")).expect("remove the JSON");
+    let redirected = run(&["--out-dir", "out/sub"]);
+    let report = plain
+        .strip_suffix("wrote BENCH_fault.json\n")
+        .expect("plain run");
+    assert_eq!(
+        redirected,
+        format!("{report}wrote out/sub/BENCH_fault.json\n")
+    );
+    let moved = std::fs::read_to_string(dir.join("out/sub/BENCH_fault.json")).expect("moved");
+    assert_eq!(moved, json);
+    assert!(
+        !dir.join("BENCH_fault.json").exists(),
+        "nothing in the working directory"
+    );
 }
 
 /// The smoke run also writes the tracked `BENCH_sdc.json`, byte for byte.

@@ -2875,7 +2875,7 @@ mod tests {
         let points = store.query(series, SimTime::ZERO, SimTime::from_secs(12));
         assert!(points.len() >= 20, "points: {}", points.len());
         // Counters are cumulative, hence non-decreasing.
-        assert!(points.values().windows(2).all(|w| w[1] >= w[0]));
+        assert!(points.values().to_vec().windows(2).all(|w| w[1] >= w[0]));
     }
 
     #[test]
@@ -3081,7 +3081,7 @@ mod tests {
         );
         assert_eq!(stuck.len(), 20);
         assert!(
-            stuck.values().windows(2).all(|w| w[0] == w[1]),
+            stuck.values().to_vec().windows(2).all(|w| w[0] == w[1]),
             "value must freeze"
         );
         // Both recover after the span.

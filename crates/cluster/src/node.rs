@@ -7,7 +7,7 @@ use cimone_mem::bandwidth::StreamBandwidthModel;
 use cimone_net::ib::IbHca;
 use cimone_soc::complex::U74McComplex;
 use cimone_soc::cpufreq::CpuFreq;
-use cimone_soc::hpm::{HpmEvent, UBootConfig};
+use cimone_soc::hpm::{HpmEvent, HpmUnit, UBootConfig};
 use cimone_soc::units::{Bytes, Celsius, SimDuration, SimTime};
 use cimone_soc::workload::Workload;
 
@@ -92,6 +92,43 @@ pub struct ComputeNode {
     load_1m: f64,
     load_5m: f64,
     load_15m: f64,
+    smoothing: Smoothing,
+}
+
+/// The load averages' windows, seconds: the classic 1, 5 and 15 minutes.
+const LOAD_WINDOWS: [f64; 3] = [60.0, 300.0, 900.0];
+
+/// The load averages' smoothing factors `1 − exp(−dt/window)` for the
+/// last `dt` [`ComputeNode::advance`] saw. The engine advances every node
+/// by the same `dt` each tick, so the three `exp` run once per node, not
+/// once per tick.
+///
+/// Purely a cache of a function of `dt`: it compares equal to any other,
+/// so derived equality stays semantic.
+#[derive(Debug, Clone, Copy, Default)]
+struct Smoothing {
+    dt: SimDuration,
+    /// The factors for `dt`; the default, all zero, is right for a zero
+    /// `dt`.
+    alpha: [f64; 3],
+}
+
+impl Smoothing {
+    /// The factors for `dt`, recomputed only when `dt` changed.
+    fn alpha(&mut self, dt: SimDuration) -> [f64; 3] {
+        if dt != self.dt {
+            let secs = dt.as_secs_f64();
+            self.alpha = LOAD_WINDOWS.map(|window| 1.0 - (-secs / window).exp());
+            self.dt = dt;
+        }
+        self.alpha
+    }
+}
+
+impl PartialEq for Smoothing {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl ComputeNode {
@@ -128,6 +165,7 @@ impl ComputeNode {
             load_1m: 0.0,
             load_5m: 0.0,
             load_15m: 0.0,
+            smoothing: Smoothing::default(),
         }
     }
 
@@ -251,12 +289,11 @@ impl ComputeNode {
         // Load averages: exponential smoothing towards the busy-core count
         // (runnable tasks), with the classic 1/5/15-minute constants.
         let target = self.conditions.busy_cores as f64;
-        for (load, window) in [
-            (&mut self.load_1m, 60.0),
-            (&mut self.load_5m, 300.0),
-            (&mut self.load_15m, 900.0),
-        ] {
-            let alpha = 1.0 - (-secs / window).exp();
+        let alpha = self.smoothing.alpha(dt);
+        for (load, alpha) in [&mut self.load_1m, &mut self.load_5m, &mut self.load_15m]
+            .into_iter()
+            .zip(alpha)
+        {
             *load += (target - *load) * alpha;
         }
     }
@@ -273,7 +310,7 @@ impl ComputeNode {
     /// In-place form of [`ComputeNode::snapshot`]: refills a reusable
     /// snapshot, so a warm steady-state caller (the §16 sampled-span
     /// replay, which snapshots every due tick) allocates nothing — the
-    /// core vector, event maps and hostname buffer are all recycled.
+    /// core vector, counter lists and hostname buffer are all recycled.
     pub fn snapshot_into(&self, now: SimTime, snap: &mut NodeSnapshot) {
         if snap.hostname != self.hostname {
             snap.hostname.clone_from(&self.hostname);
@@ -282,33 +319,26 @@ impl ComputeNode {
         let cores = self.soc.cores();
         snap.cores.resize_with(cores.len(), CoreCounters::default);
         for (out, core) in snap.cores.iter_mut().zip(cores) {
-            out.cycles = core.hpm().cycle();
-            out.instret = core.hpm().instret();
-            // Update programmed-event values in place; rebuild the map
-            // only when the programmed set itself changed (HPM slots are
-            // reprogrammed at job boundaries, not per tick).
+            let hpm = core.hpm();
+            out.cycles = hpm.cycle();
+            out.instret = hpm.instret();
+            // Refresh each slot's counter in place; rebuild the list, in
+            // event-name order, only when the programmed set itself
+            // changed (HPM slots are reprogrammed at job boundaries, not
+            // per tick).
             let mut programmed = 0;
             let mut hit = 0;
-            for slot in 0..core.hpm().programmable_len() {
-                if let (Some(event), Ok(value)) =
-                    (core.hpm().programmed_event(slot), core.hpm().read(slot))
-                {
-                    programmed += 1;
-                    if let Some(v) = out.events.get_mut(event.name()) {
-                        *v = value;
-                        hit += 1;
-                    }
+            for (event, value) in programmed_counters(hpm) {
+                programmed += 1;
+                if let Some(entry) = out.events.iter_mut().find(|(e, _)| *e == event) {
+                    entry.1 = value;
+                    hit += 1;
                 }
             }
             if hit != programmed || out.events.len() != programmed {
                 out.events.clear();
-                for slot in 0..core.hpm().programmable_len() {
-                    if let (Some(event), Ok(value)) =
-                        (core.hpm().programmed_event(slot), core.hpm().read(slot))
-                    {
-                        out.events.insert(event.name().to_owned(), value);
-                    }
-                }
+                out.events.extend(programmed_counters(hpm));
+                out.events.sort_by_key(|(event, _)| event.name());
             }
         }
 
@@ -360,8 +390,17 @@ impl ComputeNode {
     }
 }
 
+/// The programmed counters of `hpm`, slot by slot: each programmed
+/// slot's event and count.
+fn programmed_counters(hpm: &HpmUnit) -> impl Iterator<Item = (HpmEvent, u64)> + '_ {
+    (0..hpm.programmable_len())
+        .filter_map(|slot| Some((hpm.programmed_event(slot)?, hpm.read(slot).ok()?)))
+}
+
 #[cfg(test)]
 mod tests {
+    use cimone_soc::hpm::HpmEvent::{DCacheMiss, FpArithRetired};
+
     use super::*;
 
     #[test]
@@ -452,10 +491,75 @@ mod tests {
         node.advance(SimDuration::from_secs(1));
         let snap = node.snapshot(SimTime::from_secs(1));
         for core in &snap.cores {
-            let fp = core.events.get("fp_arith_retired").copied().unwrap_or(0);
-            let misses = core.events.get("dcache_miss").copied().unwrap_or(0);
+            let [(DCacheMiss, misses), (FpArithRetired, fp)] = core.events[..] else {
+                panic!("two events in name order: {:?}", core.events);
+            };
             assert!(fp > 100_000_000, "fp events {fp}");
             assert!(misses > 0, "miss events {misses}");
+        }
+    }
+
+    /// The snapshot lists counters in event-name order whatever slots
+    /// hold them, so a node with its two slots swapped publishes the same
+    /// tick batch, message for message.
+    #[test]
+    fn slot_order_does_not_change_the_tick_batch() {
+        use cimone_monitor::plugins::{Plugin, PmuPlugin};
+        use cimone_monitor::topic::ExamonSchema;
+
+        // `new` programs fp_arith_retired before dcache_miss: reverse name
+        // order. Reprogram one node in name order.
+        let mut reverse = ComputeNode::new(0);
+        let mut sorted = reverse.clone();
+        for core in sorted.soc.cores_mut() {
+            core.hpm_mut().program(0, DCacheMiss).expect("patched");
+            core.hpm_mut().program(1, FpArithRetired).expect("patched");
+        }
+        let batches = [&mut reverse, &mut sorted].map(|node| {
+            node.set_conditions(NodeConditions {
+                workload: Workload::Hpl,
+                busy_cores: 3,
+                ..NodeConditions::default()
+            });
+            let mut plugin = PmuPlugin::for_host(ExamonSchema::monte_cimone(), "mc-node-01", 4);
+            let mut snap = NodeSnapshot::default();
+            let mut batch = Vec::new();
+            for tick in 1..=3 {
+                node.advance(SimDuration::from_millis(500));
+                node.snapshot_into(SimTime::from_millis(500 * tick), &mut snap);
+                plugin.sample_into(&snap, &mut batch);
+            }
+            batch
+        });
+        assert_eq!(batches[0], batches[1]);
+        // Per core: cycles, instret, then dcache_miss before fp_arith_retired.
+        let names: Vec<String> = batches[0][..4].iter().map(|(t, _)| t.to_string()).collect();
+        assert!(names[2].ends_with("/dcache_miss") && names[3].ends_with("/fp_arith_retired"));
+    }
+
+    /// The cached smoothing factors give the load averages of evaluating
+    /// `1 − exp(−dt/window)` on every call, bit for bit, however `dt`
+    /// alternates.
+    #[test]
+    fn cached_smoothing_matches_per_call_factors() {
+        let mut node = ComputeNode::new(0);
+        let mut expected = [0.0f64; 3];
+        let steps = [2_000, 500, 500, 2_000, 0, 1_500, 500, 2_000, 2_000];
+        for (tick, millis) in steps.into_iter().cycle().take(40).enumerate() {
+            let busy_cores = tick % 5;
+            node.set_conditions(NodeConditions {
+                workload: Workload::Hpl,
+                busy_cores,
+                ..NodeConditions::default()
+            });
+            let dt = SimDuration::from_millis(millis);
+            node.advance(dt);
+            for (load, window) in expected.iter_mut().zip(LOAD_WINDOWS) {
+                let alpha = 1.0 - (-dt.as_secs_f64() / window).exp();
+                *load += (busy_cores as f64 - *load) * alpha;
+            }
+            let (a, b, c) = node.snapshot(SimTime::ZERO).load_avg;
+            assert_eq!([a, b, c].map(f64::to_bits), expected.map(f64::to_bits));
         }
     }
 

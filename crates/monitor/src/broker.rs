@@ -208,6 +208,34 @@ struct LossInjection {
     rng: StdRng,
 }
 
+/// One topic's compiled route: the ascending indices into `subs` of the
+/// subscriptions whose filters match it. The one- and zero-subscriber
+/// routes, which are nearly all of them, need no list.
+#[derive(Debug, Default, PartialEq)]
+enum Route {
+    /// Not compiled since the subscription set last changed.
+    #[default]
+    Uncompiled,
+    /// No subscription matches.
+    Empty,
+    /// Exactly one does.
+    Sole(u32),
+    /// Two or more do.
+    Many(Vec<u32>),
+}
+
+impl Route {
+    /// The matching subscriptions; the route must be compiled.
+    fn subscribers(&self) -> &[u32] {
+        match self {
+            Route::Uncompiled => unreachable!("route compiled before use"),
+            Route::Empty => &[],
+            Route::Sole(i) => std::slice::from_ref(i),
+            Route::Many(subs) => subs,
+        }
+    }
+}
+
 /// The subscription set and its compiled routing table, kept together so
 /// a cached route can never outlive the subscription list it indexes.
 #[derive(Debug, Default)]
@@ -215,51 +243,78 @@ struct SubTable {
     subs: Vec<SubEntry>,
     /// Indexed directly by `TopicId` value (interned ids are small and
     /// dense, so this is a flat array rather than a hash map — a route
-    /// hit is one bounds check and a pointer load, no hashing). Each
-    /// present entry is the ascending indices into `subs` of matching
-    /// subscriptions. Cleared wholesale on any subscription-set change;
-    /// recompiled lazily per topic on the next publish.
-    routes: Vec<Option<Vec<u32>>>,
+    /// hit is one bounds check and one load, no hashing). Cleared
+    /// wholesale on any subscription-set change; recompiled lazily per
+    /// topic on the next publish.
+    routes: Vec<Route>,
 }
 
 impl SubTable {
-    /// Compiles `topic`'s route unless it is cached.
+    /// `topic`'s route, compiled unless it is cached.
+    #[inline]
+    fn compiled(&mut self, topic: &Topic) -> &Route {
+        let idx = topic.id().index();
+        if matches!(self.routes.get(idx), None | Some(Route::Uncompiled)) {
+            self.compile(topic);
+        }
+        &self.routes[idx]
+    }
+
+    #[cold]
     fn compile(&mut self, topic: &Topic) {
         let idx = topic.id().index();
         if idx >= self.routes.len() {
-            self.routes.resize_with(idx + 1, || None);
+            self.routes.resize_with(idx + 1, Route::default);
         }
-        let subs = &self.subs;
-        self.routes[idx].get_or_insert_with(|| {
-            subs.iter()
-                .enumerate()
-                .filter(|(_, s)| s.filter.matches(topic))
-                .map(|(i, _)| i as u32)
-                .collect()
-        });
+        let mut matching = (0u32..)
+            .zip(&self.subs)
+            .filter(|(_, s)| s.filter.matches(topic))
+            .map(|(i, _)| i);
+        self.routes[idx] = match (matching.next(), matching.next()) {
+            (None, _) => Route::Empty,
+            (Some(i), None) => Route::Sole(i),
+            (Some(i), Some(j)) => Route::Many([i, j].into_iter().chain(matching).collect()),
+        };
     }
 
-    /// `topic`'s compiled route.
-    fn route(&self, topic: &Topic) -> &[u32] {
-        self.routes[topic.id().index()]
-            .as_deref()
-            .expect("route compiled before use")
-    }
-
-    /// Compiles the batch's routes and returns the one subscriber every
-    /// non-empty route consists of; `None` if the batch reaches two
-    /// subscribers or none.
-    fn sole_destination(&mut self, messages: &[(Topic, Payload)]) -> Option<u32> {
-        let mut sole = None;
-        for (topic, _) in messages {
-            self.compile(topic);
-            match *self.route(topic) {
-                [] => {}
-                [i] if sole.is_none_or(|s| s == i) => sole = Some(i),
-                _ => return None,
+    /// The fast path of a batch publish: lands the batch's leading
+    /// messages whose routes are empty or name the one live subscriber
+    /// the first non-empty route names, pushing them straight into its
+    /// queue and reading each message's route once. Returns how many
+    /// messages it consumed and how many of them it delivered; the rest
+    /// of the batch needs per-message delivery. Delivering a prefix this
+    /// way is exactly what per-message publishes of it would do: a live
+    /// sole subscriber takes each of its messages, and nothing is pruned.
+    fn deliver_to_sole(&mut self, messages: &[(Topic, Payload)]) -> (usize, usize) {
+        let mut at = 0;
+        let sole = loop {
+            let Some((topic, _)) = messages.get(at) else {
+                return (at, 0);
+            };
+            match *self.compiled(topic) {
+                Route::Empty => at += 1,
+                Route::Sole(i) => break i,
+                _ => return (at, 0),
             }
+        };
+        let queue = Rc::clone(&self.subs[sole as usize].queue);
+        let mut queue = queue.borrow_mut();
+        if queue.receiver_gone {
+            return (at, 0);
         }
-        sole
+        let mut reached = 0;
+        for &(topic, payload) in &messages[at..] {
+            match *self.compiled(&topic) {
+                Route::Empty => {}
+                Route::Sole(i) if i == sole => {
+                    queue.push(topic, payload);
+                    reached += 1;
+                }
+                _ => break,
+            }
+            at += 1;
+        }
+        (at, reached)
     }
 
     /// Removes dead subscriptions in one pass: sort the ids and
@@ -364,12 +419,13 @@ impl Broker {
     /// Publishes a batch of messages, with observable semantics identical
     /// to calling [`publish`](Broker::publish) once per message in order:
     /// the same loss-RNG draw sequence, the same per-queue delivery order,
-    /// and the same accounting. A batch whose every message goes to one
-    /// live subscriber or nowhere — the engine's tick batch, which only
-    /// its `#` collector matches — is pushed into that queue in one walk;
-    /// any other batch is delivered message by message. `messages` is
-    /// drained so the caller's buffer can be reused allocation-free.
-    /// Returns the total number of deliveries made.
+    /// and the same accounting. While the messages go to one live
+    /// subscriber or nowhere — all of the engine's tick batch, which only
+    /// its `#` collector matches — they are pushed into that queue in one
+    /// walk; the rest of the batch, from the first message that goes
+    /// elsewhere, is delivered message by message. `messages` is drained
+    /// so the caller's buffer can be reused allocation-free. Returns the
+    /// total number of deliveries made.
     pub fn publish_batch_serial(&self, messages: &mut Vec<(Topic, Payload)>) -> usize {
         if messages.is_empty() {
             return 0;
@@ -384,38 +440,24 @@ impl Broker {
             s.published += published;
             s.suppressed += suppressed;
         });
-        let mut table = self.table.borrow_mut();
-        if let Some(i) = table.sole_destination(messages) {
-            let table = &*table;
-            let mut queue = table.subs[i as usize].queue.borrow_mut();
-            if !queue.receiver_gone {
-                // Each route is either empty or exactly this queue.
-                let mut reached = 0;
-                for (topic, payload) in messages.drain(..) {
-                    if !table.route(&topic).is_empty() {
-                        queue.push(topic, payload);
-                        reached += 1;
-                    }
-                }
-                self.tally(|s| s.delivered += reached as u64);
-                return reached;
-            }
-        }
-        drop(table);
-        messages
-            .drain(..)
-            .map(|(topic, payload)| self.deliver(&topic, payload))
-            .sum()
+        let (landed, reached) = self.table.borrow_mut().deliver_to_sole(messages);
+        self.tally(|s| s.delivered += reached as u64);
+        reached
+            + messages
+                .drain(..)
+                .skip(landed)
+                .map(|(topic, payload)| self.deliver(&topic, payload))
+                .sum::<usize>()
     }
 
     /// Delivers one message along its compiled route and prunes the
     /// subscribers found dead there; returns the subscribers reached.
     fn deliver(&self, topic: &Topic, payload: Payload) -> usize {
         let mut table = self.table.borrow_mut();
-        table.compile(topic);
+        table.compiled(topic);
         let mut reached = 0;
         let mut dead: Vec<SubscriptionId> = Vec::new();
-        for &i in table.route(topic) {
+        for &i in table.routes[topic.id().index()].subscribers() {
             let sub = &table.subs[i as usize];
             let mut queue = sub.queue.borrow_mut();
             if queue.receiver_gone {
@@ -476,7 +518,7 @@ impl Broker {
             .borrow()
             .routes
             .iter()
-            .filter(|r| r.is_some())
+            .filter(|r| **r != Route::Uncompiled)
             .count()
     }
 }
@@ -667,6 +709,63 @@ mod tests {
         assert_eq!(sa, ba, "wildcard subscriber sees identical stream");
         assert_eq!(ss, bs, "filtered subscriber sees identical stream");
         assert_eq!(sst, bst, "stats balance identically");
+    }
+
+    /// One topic's route goes sole → many → sole → empty through
+    /// subscribe, unsubscribe and drop, beside a topic of another sole
+    /// subscriber. After each change, a batch publish and the same
+    /// messages published one by one reach the same deliveries and leave
+    /// the same books.
+    #[test]
+    fn route_changes_keep_batched_and_per_message_publish_equal() {
+        let watched = t("node/a/temp");
+        // A sole-route prefix, then the watched topic, then more.
+        let batch: Vec<(Topic, Payload)> = ["node/b/temp", "misc/x", "node/a/temp", "node/b/temp"]
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                (
+                    t(name),
+                    Payload::new(i as f64, SimTime::from_secs(i as u64)),
+                )
+            })
+            .collect();
+        let [batched, single] = [Broker::new(), Broker::new()];
+        let mut subs: Vec<[Subscription; 2]> = Vec::new();
+        let stage = |subs: &[[Subscription; 2]], expected: Route| {
+            for _ in 0..2 {
+                let reached = batched.publish_batch_serial(&mut batch.clone());
+                let one_by_one: usize = batch.iter().map(|(t, p)| single.publish(t, *p)).sum();
+                assert_eq!(reached, one_by_one, "{expected:?}");
+                assert_eq!(batched.stats(), single.stats(), "{expected:?}");
+                for [a, b] in subs {
+                    assert_eq!(a.drain(), b.drain(), "{expected:?}");
+                }
+            }
+            let table = batched.table.borrow();
+            assert_eq!(table.routes[watched.id().index()], expected);
+        };
+        // The second subscriber takes misc/x: a batch of two sole routes.
+        for filter in ["node/#", "misc/#"] {
+            subs.push([batched.subscribe(f(filter)), single.subscribe(f(filter))]);
+            stage(&subs, Route::Sole(0));
+        }
+        subs.push([
+            batched.subscribe(f("node/a/+")),
+            single.subscribe(f("node/a/+")),
+        ]);
+        stage(&subs, Route::Many(vec![0, 2]));
+        let [a, b] = subs.remove(0);
+        assert!(batched.unsubscribe(a.id()) && single.unsubscribe(b.id()));
+        stage(&subs, Route::Sole(1));
+        subs.clear();
+        stage(&subs, Route::Empty);
+        assert_eq!(
+            batched.stats().dropped,
+            2,
+            "each dropped subscriber counts once"
+        );
+        assert_eq!(batched.subscription_count(), 0);
     }
 
     #[test]

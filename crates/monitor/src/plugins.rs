@@ -2,8 +2,7 @@
 //! `stats_pub` (OS statistics, 0.2 Hz), as configured on Monte Cimone
 //! (paper §IV-B, Tables II–IV).
 
-use std::collections::BTreeMap;
-
+use cimone_soc::hpm::HpmEvent;
 use cimone_soc::units::{Celsius, SimDuration, SimTime};
 
 use crate::broker::Broker;
@@ -17,9 +16,9 @@ pub struct CoreCounters {
     pub cycles: u64,
     /// The fixed INSTRET counter.
     pub instret: u64,
-    /// Programmable counters, by event name (present only with the U-Boot
-    /// HPM patch applied).
-    pub events: BTreeMap<String, u64>,
+    /// Programmable counters, one per programmed event, in event-name
+    /// order (present only with the U-Boot HPM patch applied).
+    pub events: Vec<(HpmEvent, u64)>,
 }
 
 /// Board temperatures, one per hwmon sensor (paper Table IV).
@@ -128,11 +127,10 @@ pub trait Plugin {
 struct PmuCoreTopics {
     cycles: Topic,
     instret: Topic,
-    /// Sorted by event name, mirroring the snapshot's `BTreeMap` order:
-    /// the sampling loop walks both in lockstep, so a steady-state
-    /// sample costs one string equality per event instead of a map
-    /// lookup.
-    events: Vec<(String, Topic)>,
+    /// Sorted by event name, as the snapshot's counters are: the
+    /// sampling loop walks both in lockstep, so a steady-state sample
+    /// costs one `HpmEvent` compare per event.
+    events: Vec<(HpmEvent, Topic)>,
 }
 
 /// The `pmu_pub` plugin: per-core CYCLE/INSTRET (and any programmed HPM
@@ -231,32 +229,33 @@ impl Plugin for PmuPlugin {
                 topics.instret,
                 Payload::new(counters.instret as f64, snapshot.time),
             ));
-            // The snapshot's event map iterates in sorted order and the
-            // cache is kept sorted, so in steady state (same programmed
-            // events every tick) this is a straight lockstep walk.
+            // The snapshot's counters and the cache are both in event-name
+            // order, so in steady state (same programmed events every
+            // tick) this is a straight lockstep walk.
             let mut cursor = 0usize;
-            for (event, value) in &counters.events {
+            for &(event, value) in &counters.events {
                 let topic = loop {
                     match topics.events.get(cursor) {
-                        Some((name, topic)) if name == event => {
+                        Some(&(cached, topic)) if cached == event => {
                             cursor += 1;
-                            break *topic;
+                            break topic;
                         }
                         // A cached event the snapshot no longer reports:
                         // step past it (kept for when it comes back).
-                        Some((name, _)) if name.as_str() < event.as_str() => cursor += 1,
+                        Some((cached, _)) if cached.name() < event.name() => cursor += 1,
                         // First sight of this programmed event (cursor is
                         // at the first cached name sorting after it, or
                         // the end): intern once, keeping the cache sorted.
                         _ => {
-                            let topic = self.schema.pmu_topic(&self.hostname, core_id, event);
-                            topics.events.insert(cursor, (event.clone(), topic));
+                            let topic =
+                                self.schema.pmu_topic(&self.hostname, core_id, event.name());
+                            topics.events.insert(cursor, (event, topic));
                             cursor += 1;
                             break topic;
                         }
                     }
                 };
-                out.push((topic, Payload::new(*value as f64, snapshot.time)));
+                out.push((topic, Payload::new(value as f64, snapshot.time)));
             }
         }
     }
@@ -507,6 +506,8 @@ impl<P: Plugin> PluginRunner<P> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn snapshot() -> NodeSnapshot {
@@ -517,7 +518,7 @@ mod tests {
                 CoreCounters {
                     cycles: 1_200_000,
                     instret: 900_000,
-                    events: BTreeMap::from([("dcache_miss".to_owned(), 42u64)]),
+                    events: vec![(HpmEvent::DCacheMiss, 42)],
                 },
                 CoreCounters::default(),
             ],

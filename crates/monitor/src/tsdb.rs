@@ -5,10 +5,12 @@
 //! progression of integer-microsecond timestamps, `{start, step, first,
 //! len}`. The engine samples every series on a fixed tick comb, so a
 //! series holds one run per regular stretch, and a point costs 8 bytes
-//! instead of a 16-byte `(SimTime, f64)` pair. Reads never copy: a range
-//! query returns a [`SeriesView`] that borrows the value slice and
-//! decodes times from the runs as it is read, and downsampling cuts its
-//! bins with the run arithmetic in one pass over the range.
+//! instead of a 16-byte `(SimTime, f64)` pair. The values sit in fixed
+//! 4 KiB pages, so a growing series never copies a value and holds less
+//! than one page of slack. Reads never copy: a range query returns a
+//! [`SeriesView`] that borrows the pages and decodes times from the runs
+//! as it is read, and downsampling cuts its bins with the run arithmetic
+//! in one pass over the range.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,11 +42,11 @@ pub enum Aggregation {
 
 impl Aggregation {
     /// Folds `values` in order (a sequential sum, never pairwise), so a
-    /// result is bit-identical however the range was cut.
-    fn apply(self, values: &[f64]) -> Option<f64> {
-        let &last = values.last()?;
+    /// result is bit-identical however the range was cut or paged.
+    fn apply(self, values: Values<'_>) -> Option<f64> {
+        let last = values.last()?;
         let count = values.len();
-        let values = values.iter().copied();
+        let values = values.iter();
         Some(match self {
             Aggregation::Mean => values.sum::<f64>() / count as f64,
             Aggregation::Min => values.fold(f64::INFINITY, f64::min),
@@ -139,13 +141,159 @@ fn times(runs: &[TimeRun], from: usize) -> impl Iterator<Item = u64> + '_ {
         .flat_map(move |run| (run.first.max(from)..run.end()).map(move |at| run.time_at(at)))
 }
 
+/// Values per page: 512 `f64`s, 4 KiB.
+const PAGE: usize = 512;
+
+/// One series' values in fixed pages. Full pages are boxed arrays; the
+/// open page, which takes the appends, is a `Vec` held inline. The first
+/// open page grows like a `Vec` (4, 8, … 512 values), so a short series
+/// costs what a `Vec` would; a full open page is sealed into a box
+/// without a copy, and the next one opens at a whole page. Growth never
+/// moves a value, and the slack stays under one page (plus whatever
+/// [`Pages::reserve`] set aside).
+#[derive(Debug, Clone, Default)]
+struct Pages {
+    full: Vec<Box<[f64; PAGE]>>,
+    /// The values after the full pages: at most `PAGE`, and at least one
+    /// while there is a full page. Its capacity never exceeds `PAGE`.
+    open: Vec<f64>,
+    /// Empty pages set aside by `reserve`, taken as the open page fills.
+    spare: Vec<Vec<f64>>,
+}
+
+impl Pages {
+    fn len(&self) -> usize {
+        self.full.len() * PAGE + self.open.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.full.is_empty() && self.open.is_empty()
+    }
+
+    /// Values the pages hold room for, reserved pages included.
+    fn capacity(&self) -> usize {
+        (self.full.len() + self.spare.len()) * PAGE + self.open.capacity()
+    }
+
+    /// The values at column indices `start..end`.
+    fn range(&self, start: usize, end: usize) -> Values<'_> {
+        debug_assert!(start <= end && end <= self.len());
+        Values {
+            full: &self.full,
+            open: &self.open,
+            start,
+            end,
+        }
+    }
+
+    fn all(&self) -> Values<'_> {
+        self.range(0, self.len())
+    }
+
+    #[inline]
+    fn push(&mut self, v: f64) {
+        if self.open.len() == self.open.capacity() {
+            self.grow();
+        }
+        self.open.push(v);
+    }
+
+    /// Makes room for one more value: doubles a short first page (up to a
+    /// page), or seals a full open page and opens the next, a reserved
+    /// one if there is one.
+    #[cold]
+    fn grow(&mut self) {
+        let len = self.open.len();
+        if len < PAGE {
+            self.open.reserve_exact((2 * len).clamp(4, PAGE) - len);
+            return;
+        }
+        let next = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(PAGE));
+        // A `Vec` whose length is its capacity boxes without a copy.
+        let sealed = std::mem::replace(&mut self.open, next).into_boxed_slice();
+        self.full
+            .push(sealed.try_into().expect("a sealed page holds PAGE values"));
+    }
+
+    /// Reserves room for `additional` more values, so that many pushes
+    /// allocate nothing.
+    fn reserve(&mut self, additional: usize) {
+        let room = self.open.len() + additional;
+        self.open
+            .reserve_exact(room.min(PAGE).saturating_sub(self.open.len()));
+        let seals = room.saturating_sub(1) / PAGE;
+        self.full.reserve(seals);
+        if self.spare.len() < seals {
+            self.spare.resize_with(seals, || Vec::with_capacity(PAGE));
+        }
+    }
+
+    /// Inserts `v` at index `at`, moving every later value up one slot.
+    fn insert(&mut self, at: usize, mut v: f64) {
+        let split = self.full.len() * PAGE;
+        if at < split {
+            for (i, page) in self.full[at / PAGE..].iter_mut().enumerate() {
+                let from = if i == 0 { at % PAGE } else { 0 };
+                page[from..].rotate_right(1);
+                std::mem::swap(&mut page[from], &mut v);
+            }
+        }
+        let from = at.saturating_sub(split);
+        if from < self.open.len() {
+            self.open[from..].rotate_right(1);
+            std::mem::swap(&mut self.open[from], &mut v);
+        }
+        self.push(v);
+    }
+
+    /// Drops the first `n` values, moving the rest down: whole pages go
+    /// at once, and the values left shift by the remainder page by page.
+    fn drain_front(&mut self, n: usize) {
+        let len = self.len();
+        if n >= len {
+            return self.truncate(0);
+        }
+        // `n < len`, so at most every full page goes.
+        self.full.drain(..n / PAGE);
+        let shift = n % PAGE;
+        if shift > 0 {
+            for i in 0..self.full.len() {
+                let (page, later) = self.full[i..].split_first_mut().expect("in range");
+                page.copy_within(shift.., 0);
+                let next = match later.first() {
+                    Some(next) => &next[..shift],
+                    None => &self.open[..shift.min(self.open.len())],
+                };
+                page[PAGE - shift..][..next.len()].copy_from_slice(next);
+            }
+            self.open.drain(..shift.min(self.open.len()));
+        }
+        self.truncate(len - n);
+    }
+
+    /// Keeps the first `len` values, at most as many as there are, and
+    /// frees the pages after them; the last page kept becomes the open
+    /// page.
+    fn truncate(&mut self, len: usize) {
+        let pages = len.div_ceil(PAGE);
+        if pages <= self.full.len() {
+            self.full.truncate(pages);
+            self.open = self.full.pop().map_or_else(Vec::new, |page| {
+                let page: Box<[f64]> = page;
+                page.into_vec()
+            });
+        }
+        self.open.truncate(len - self.full.len() * PAGE);
+    }
+}
+
 /// One series: its topic, its values and the time runs that time them.
 #[derive(Debug, Clone)]
 struct Column {
     /// The series' topic. A freed column keeps its last topic until a
     /// new series takes the slot.
     topic: Topic,
-    values: Vec<f64>,
+    values: Pages,
     runs: Vec<TimeRun>,
 }
 
@@ -170,8 +318,7 @@ impl Column {
         let b = self.runs.partition_point(|run| run.first < hi).max(a);
         SeriesView {
             runs: &self.runs[a..b],
-            first: lo,
-            values: &self.values[lo..hi],
+            values: self.values.range(lo, hi),
         }
     }
 
@@ -221,20 +368,102 @@ impl Column {
         for run in &mut self.runs {
             run.first -= evicted;
         }
-        self.values.drain(..evicted);
+        self.values.drain_front(evicted);
         evicted
     }
 
     /// The same values (by `==`) at the same times, however the runs
     /// split them.
     fn same_points(&self, other: &Column) -> bool {
-        self.values == other.values
+        let (ours, theirs) = (self.values.all(), other.values.all());
+        // Both ranges start at index 0, so their pages line up.
+        ours.len() == theirs.len()
+            && ours.chunks().eq(theirs.chunks())
             && (self.runs == other.runs || times(&self.runs, 0).eq(times(&other.runs, 0)))
     }
 }
 
-/// A borrowed range of one series, in time order: its values as one
-/// slice, and its times decoded from the time runs as they are read.
+/// A borrowed range of one series' values, in time order, read page by
+/// page: [`Values::chunks`] yields one slice per page the range touches.
+///
+/// Returned by [`SeriesView::values`]; it copies nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Values<'a> {
+    full: &'a [Box<[f64; PAGE]>],
+    open: &'a [f64],
+    /// The range's column indices, `start..end`.
+    start: usize,
+    end: usize,
+}
+
+impl<'a> Values<'a> {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Whether the range holds no value.
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// The values as contiguous slices, one per page the range touches,
+    /// in order; none is empty.
+    pub fn chunks(&self) -> impl Iterator<Item = &'a [f64]> + 'a {
+        let Values {
+            full,
+            open,
+            start,
+            end,
+        } = *self;
+        let pages = if start < end {
+            start / PAGE..(end - 1) / PAGE + 1
+        } else {
+            0..0
+        };
+        pages.map(move |p| {
+            let page = full.get(p).map_or(open, |page| &page[..]);
+            let base = p * PAGE;
+            &page[start.max(base) - base..end.min(base + PAGE) - base]
+        })
+    }
+
+    /// The values, in order.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
+        self.chunks().flatten().copied()
+    }
+
+    /// The last value.
+    pub fn last(&self) -> Option<f64> {
+        let at = self.end.checked_sub(1).filter(|&at| at >= self.start)?;
+        Some(match self.full.get(at / PAGE) {
+            Some(page) => page[at % PAGE],
+            None => self.open[at - self.full.len() * PAGE],
+        })
+    }
+
+    /// The values, copied out.
+    pub fn to_vec(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.len());
+        for chunk in self.chunks() {
+            out.extend_from_slice(chunk);
+        }
+        out
+    }
+
+    /// The values at column indices `start..end`, within this range.
+    fn slice(&self, start: usize, end: usize) -> Values<'a> {
+        debug_assert!(self.start <= start && start <= end && end <= self.end);
+        Values {
+            start,
+            end,
+            ..*self
+        }
+    }
+}
+
+/// A borrowed range of one series, in time order: its values, read page
+/// by page, and its times decoded from the time runs as they are read.
 ///
 /// Returned by [`TimeSeriesStore::query`] and
 /// [`TimeSeriesStore::query_filter`]; it copies nothing.
@@ -252,7 +481,8 @@ impl Column {
 ///     db.insert(&topic, Payload::new(i as f64, SimTime::from_secs(i)));
 /// }
 /// let view = db.query("sensors/temp", SimTime::from_secs(2), SimTime::from_secs(5));
-/// assert_eq!(view.values(), &[2.0, 3.0, 4.0]);
+/// assert_eq!(view.values().to_vec(), [2.0, 3.0, 4.0]);
+/// assert_eq!(view.values().last(), Some(4.0));
 /// assert_eq!(view.iter().next(), Some((SimTime::from_secs(2), 2.0)));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -261,9 +491,7 @@ pub struct SeriesView<'a> {
     /// The runs holding the view's points; the first and last may hold
     /// points outside it.
     runs: &'a [TimeRun],
-    /// Column index of `values[0]`.
-    first: usize,
-    values: &'a [f64],
+    values: Values<'a>,
 }
 
 impl<'a> SeriesView<'a> {
@@ -278,16 +506,16 @@ impl<'a> SeriesView<'a> {
     }
 
     /// The values, in time order.
-    pub fn values(&self) -> &'a [f64] {
+    pub fn values(&self) -> Values<'a> {
         self.values
     }
 
     /// The points, in time order.
     pub fn iter(&self) -> impl Iterator<Item = Point> + 'a {
         // The last run may time points past the view: the values end it.
-        times(self.runs, self.first)
-            .zip(self.values)
-            .map(|(t, &v)| (SimTime::from_micros(t), v))
+        times(self.runs, self.values.start)
+            .zip(self.values.iter())
+            .map(|(t, v)| (SimTime::from_micros(t), v))
     }
 
     /// The points, copied out.
@@ -308,8 +536,8 @@ impl<'a> SeriesView<'a> {
         mut emit: impl FnMut(u64, f64),
     ) {
         let (origin, bin) = (origin.as_micros(), bin.as_micros());
-        let end = self.first + self.values.len();
-        let mut at = self.first;
+        let end = self.values.end;
+        let mut at = self.values.start;
         // The run holding `at`.
         let mut r = 0;
         while at < end {
@@ -320,7 +548,7 @@ impl<'a> SeriesView<'a> {
             }
             let run = &self.runs[r];
             let stop = (run.first + run.count_before(bin_end)).min(end);
-            let values = &self.values[at - self.first..stop - self.first];
+            let values = self.values.slice(at, stop);
             emit(
                 index,
                 aggregation.apply(values).expect("a bin holds a point"),
@@ -366,9 +594,8 @@ impl<'a> SeriesView<'a> {
 pub struct TimeSeriesStore {
     /// Sorted series-name index → column handle.
     names: BTreeMap<String, u32>,
-    /// Columns, handle-indexed. Evicted columns are recycled via `free`
-    /// (their capacity retained), never removed, so handles held in
-    /// `by_topic` stay dense.
+    /// Columns, handle-indexed. Evicted columns are recycled via `free`,
+    /// never removed, so handles held in `by_topic` stay dense.
     columns: Vec<Column>,
     /// `TopicId::index()` → column handle, `NO_COLUMN` when unbound.
     by_topic: Vec<u32>,
@@ -410,7 +637,7 @@ impl TimeSeriesStore {
             None => {
                 self.columns.push(Column {
                     topic: *topic,
-                    values: Vec::new(),
+                    values: Pages::default(),
                     runs: Vec::new(),
                 });
                 (self.columns.len() - 1) as u32
@@ -428,15 +655,27 @@ impl TimeSeriesStore {
             .place((payload.timestamp, payload.value));
     }
 
-    /// Reserves room for `additional` further points on every series, and
-    /// for one more time run (a gap in a regular comb opens one) — lets a
-    /// steady-state ingest loop run allocation-free over a known horizon
-    /// (the zero-allocation probes use this).
+    /// Reserves room for `additional` further points on every series (the
+    /// pages they will fill, allocated now), and for one more time run (a
+    /// gap in a regular comb opens one) — lets a steady-state ingest loop
+    /// run allocation-free over a known horizon (the zero-allocation
+    /// probes use this).
     pub fn reserve_points(&mut self, additional: usize) {
         for column in &mut self.columns {
             column.values.reserve(additional);
             column.runs.reserve(1);
         }
+    }
+
+    /// How many values `series`' pages hold room for: its points, the
+    /// rest of its open page, and any pages [`reserve_points`] set aside
+    /// (0 for an unknown series). A diagnostic of the paged layout: a
+    /// series grown by inserts alone holds less than one page of slack.
+    ///
+    /// [`reserve_points`]: TimeSeriesStore::reserve_points
+    pub fn value_capacity(&self, series: &str) -> usize {
+        self.column(series)
+            .map_or(0, |column| column.values.capacity())
     }
 
     /// Series names, sorted.
@@ -477,7 +716,7 @@ impl TimeSeriesStore {
         let column = self.column(series)?;
         Some((
             SimTime::from_micros(column.last_time()?),
-            *column.values.last()?,
+            column.values.all().last()?,
         ))
     }
 
@@ -529,7 +768,7 @@ impl TimeSeriesStore {
             let slot = &mut columns[column as usize];
             evicted += slot.evict_before(cutoff.as_micros());
             if slot.values.is_empty() {
-                // Unbind and recycle the column (capacity retained).
+                // Unbind and recycle the column (its pages are freed).
                 by_topic[slot.topic.id().index()] = NO_COLUMN;
                 free.push(column);
                 false
@@ -808,6 +1047,30 @@ mod tests {
         );
     }
 
+    /// An open page whose capacity is no power of two (a clone's, or one
+    /// sized by `reserve_points`) still grows to exactly one page, so it
+    /// seals without a copy and the slack stays under a page.
+    #[test]
+    fn odd_capacity_pages_grow_to_one_page() {
+        let points: Vec<(u64, f64)> = (0..300).map(|i| (i, i as f64)).collect();
+        let cloned = store_with("s", &points).clone();
+        let mut reserved = cloned.clone();
+        reserved.reserve_points(20);
+        let topic: Topic = "s".parse().unwrap();
+        for mut db in [cloned, reserved] {
+            for i in 300..1_500u64 {
+                db.insert(&topic, Payload::new(i as f64, SimTime::from_secs(i)));
+            }
+            let pages = &db.column("s").unwrap().values;
+            assert!(pages.open.capacity() <= PAGE);
+            assert!(pages.capacity() < 1_500 + PAGE);
+            let values = db
+                .query("s", SimTime::ZERO, SimTime::from_secs(1_500))
+                .values();
+            assert!(values.to_vec().into_iter().eq((0..1_500).map(f64::from)));
+        }
+    }
+
     /// Fully evicting a series frees its column for recycling; a new
     /// series then reuses the slot, and the evicted topic rebinds to a
     /// fresh column if it comes back — with no stale points either way.
@@ -917,7 +1180,8 @@ mod tests {
         enum Step {
             /// `count` points `step` µs apart, starting `offset` µs after
             /// the series' last point (0 repeats it), every `dup`-th point
-            /// twice.
+            /// twice. One comb in five is long enough to cross page
+            /// boundaries on its own.
             Comb {
                 series: usize,
                 offset: u64,
@@ -947,7 +1211,7 @@ mod tests {
                 (
                     0u64..4,
                     prop::sample::select(vec![1u64, 3, 7, 40]),
-                    1usize..40,
+                    (0u32..5, 1usize..40, 600usize..1_600),
                     0usize..5,
                 ),
                 any::<bool>(),
@@ -955,14 +1219,20 @@ mod tests {
                 0u64..2_500,
             )
                 .prop_map(
-                    |((kind, series), (offset, step, count, dup), flag, times, t)| match kind {
+                    |(
+                        (kind, series),
+                        (offset, step, (long, short, long_count), dup),
+                        flag,
+                        times,
+                        t,
+                    )| match kind {
                         0..=4 => Step::Comb {
                             series,
                             // Continue the comb, repeat the last time, or
                             // open a gap.
                             offset: [step, 0, 2 * step + 1, 5 * step][offset as usize],
                             step,
-                            count,
+                            count: if long == 0 { long_count } else { short },
                             dup,
                         },
                         5..=6 => Step::Run {
@@ -1054,15 +1324,20 @@ mod tests {
                 .collect()
         }
 
-        /// The runs time every value exactly once, in order.
+        /// The runs time every value exactly once, in order, and the
+        /// pages hold the values with less than one page of slack.
         fn well_formed(column: &Column) -> bool {
             let mut end = 0;
             let mut last = 0;
+            let pages = &column.values;
             column.runs.iter().all(|run| {
                 let ok = run.len > 0 && run.first == end && run.start >= last;
                 (end, last) = (run.end(), run.last());
                 ok
-            }) && end == column.values.len()
+            }) && end == pages.len()
+                && pages.open.capacity() <= PAGE
+                && (pages.full.is_empty() || !pages.open.is_empty())
+                && pages.capacity() < pages.len() + PAGE
         }
 
         fn agrees(
@@ -1088,15 +1363,19 @@ mod tests {
                     let expected = model::query(points, from, to);
                     let view = db.query(name, from, to);
                     prop_assert_eq!(bits(view.iter()), bits(expected.iter().copied()));
+                    let values = view.values();
+                    let chunks: Vec<&[f64]> = values.chunks().collect();
+                    prop_assert!(chunks.iter().all(|c| !c.is_empty() && c.len() <= PAGE));
+                    let expected_bits: Vec<u64> =
+                        expected.iter().map(|(_, v)| v.to_bits()).collect();
+                    for copied in [values.iter().collect(), values.to_vec(), chunks.concat()] {
+                        let copied: Vec<u64> = copied.into_iter().map(f64::to_bits).collect();
+                        prop_assert_eq!(&copied, &expected_bits);
+                    }
+                    prop_assert_eq!(values.len(), expected.len());
                     prop_assert_eq!(
-                        view.values()
-                            .iter()
-                            .map(|v| v.to_bits())
-                            .collect::<Vec<_>>(),
-                        expected
-                            .iter()
-                            .map(|(_, v)| v.to_bits())
-                            .collect::<Vec<_>>()
+                        values.last().map(f64::to_bits),
+                        expected_bits.last().copied()
                     );
                     for aggregation in AGGREGATIONS {
                         prop_assert_eq!(
@@ -1153,10 +1432,13 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// The run-encoded store against per-series `Vec<Point>`s:
-            /// after every step, queries (times and values), all six
-            /// aggregations, downsampling, `latest`, `point_count` and
-            /// `PartialEq` agree bit for bit.
+            /// The run-encoded, paged store against per-series
+            /// `Vec<Point>`s: after every step, queries (times, and values
+            /// whole and page by page), all six aggregations,
+            /// downsampling, `latest`, `point_count` and `PartialEq` agree
+            /// bit for bit. Long combs take series across several pages,
+            /// where out-of-order inserts and evictions straddle page
+            /// boundaries.
             #[test]
             fn run_encoded_store_matches_the_point_model(
                 steps in prop::collection::vec(step(), 1..24),
