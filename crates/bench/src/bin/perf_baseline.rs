@@ -46,7 +46,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cimone_bench::{env_u64, out_path};
+use cimone_bench::{env_u64, Args};
 use cimone_cluster::engine::{ClockMode, ClusterWorkload, EngineConfig, JobRequest, SimEngine};
 use cimone_cluster::faults::{FaultKind, FaultPlan};
 use cimone_cluster::healing::RecoveryConfig;
@@ -688,8 +688,12 @@ fn bench_calls(sizes: &Sizes) -> JsonValue {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut sizes = if smoke { Sizes::smoke() } else { Sizes::full() };
+    let args = Args::from_env();
+    let mut sizes = if args.smoke {
+        Sizes::smoke()
+    } else {
+        Sizes::full()
+    };
     sizes.reps = env_u64("REPS", sizes.reps as u64) as usize;
     assert!(sizes.reps > 0, "REPS must be positive");
     println!(
@@ -726,8 +730,8 @@ fn main() {
         ("broker", broker),
         ("per_call_ns", calls),
     ]);
-    let kernels_path = out_path("BENCH_kernels.json");
-    let engine_path = out_path("BENCH_engine.json");
+    let kernels_path = args.out_path("BENCH_kernels.json");
+    let engine_path = args.out_path("BENCH_engine.json");
     std::fs::write(&kernels_path, format!("{kernels}\n")).expect("write BENCH_kernels.json");
     std::fs::write(&engine_path, format!("{engine_doc}\n")).expect("write BENCH_engine.json");
     println!(

@@ -3,7 +3,7 @@
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see `DESIGN.md` §3 for the full index); the logic lives in
 //! `cimone_cluster::experiments`, and this crate only adds argument
-//! handling, the one runner of the five fault-campaign sweeps
+//! handling ([`Args`]), the one runner of the five fault-campaign sweeps
 //! ([`sweep`]), and the renderers for the configuration tables (II–IV)
 //! that describe the monitoring stack rather than measure the machine.
 
@@ -35,28 +35,69 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
     }
 }
 
-/// Where a harness binary writes its JSON snapshot `file`: into the
-/// directory named by `--out-dir DIR` (created if missing), so a run can
-/// keep its output apart from the tracked repo-root snapshots, or else
-/// the working directory, as the bare file name.
-///
-/// # Panics
-///
-/// If `--out-dir` has no argument or its directory cannot be created.
-pub fn out_path(file: &str) -> PathBuf {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--out-dir" {
-            let dir = PathBuf::from(
-                args.next()
-                    .expect("--out-dir requires a directory argument"),
-            );
-            std::fs::create_dir_all(&dir)
-                .unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
-            return dir.join(file);
+/// The command line of a harness binary that writes a JSON snapshot:
+/// `[--smoke] [--out-dir DIR]`, in any order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Args {
+    /// `--smoke`: the small CI configuration.
+    pub smoke: bool,
+    /// `--out-dir DIR`: where JSON snapshots go, instead of the working
+    /// directory, so a run can keep its output apart from the tracked
+    /// repo-root snapshots.
+    pub out_dir: Option<PathBuf>,
+}
+
+impl Args {
+    /// Parses `args`, the command line after the program name.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first argument that is neither `--smoke` nor
+    /// `--out-dir` followed by a directory.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut parsed = Args::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--smoke" => parsed.smoke = true,
+                "--out-dir" => match args.next() {
+                    Some(dir) if !dir.starts_with("--") => parsed.out_dir = Some(dir.into()),
+                    _ => return Err("--out-dir requires a directory argument".to_owned()),
+                },
+                other => return Err(format!("unknown argument {other:?}")),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// The process's command line. A bad one prints the usage to stderr
+    /// and exits with code 2, before the binary runs or writes anything.
+    pub fn from_env() -> Args {
+        let mut argv = std::env::args();
+        let program = argv.next().unwrap_or_default();
+        Args::parse(argv).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {program} [--smoke] [--out-dir DIR]");
+            std::process::exit(2);
+        })
+    }
+
+    /// Where to write the JSON snapshot `file`: into
+    /// [`Args::out_dir`] (created if missing), or else the working
+    /// directory, as the bare file name.
+    ///
+    /// # Panics
+    ///
+    /// If the directory cannot be created.
+    pub fn out_path(&self, file: &str) -> PathBuf {
+        match &self.out_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir)
+                    .unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+                dir.join(file)
+            }
+            None => PathBuf::from(file),
         }
     }
-    PathBuf::from(file)
 }
 
 /// Runs a fault campaign under [`ClockMode::EventDriven`] and
@@ -73,14 +114,15 @@ fn evaluate<R: Campaign>(name: &str, run: impl Fn(ClockMode) -> R) -> Report {
     report
 }
 
-/// The whole of a fault-campaign sweep binary. `configure` reads the
-/// binary's env knobs, given whether `--smoke` was passed, and returns
-/// the campaign's run for a clock. The sweep runs it under both clocks,
-/// adds their `==` comparison to the report as the gate `bit_identical`,
-/// prints the event-clock report, writes `BENCH_<name>.json` (with
-/// `config.mode` `smoke` or `full`) to the working directory or to
-/// `--out-dir DIR` ([`out_path`]), and exits non-zero, naming each
-/// failure on stderr, if a gate fails.
+/// The whole of a fault-campaign sweep binary. It parses the command
+/// line first ([`Args::from_env`]). `configure` reads the binary's env
+/// knobs, given whether `--smoke` was passed, and returns the campaign's
+/// run for a clock. The sweep runs it under both clocks, adds their `==`
+/// comparison to the report as the gate `bit_identical`, prints the
+/// event-clock report, writes `BENCH_<name>.json` (with `config.mode`
+/// `smoke` or `full`) to the working directory or to `--out-dir DIR`
+/// ([`Args::out_path`]), and exits non-zero, naming each failure on
+/// stderr, if a gate fails.
 ///
 /// # Panics
 ///
@@ -89,12 +131,12 @@ pub fn sweep<R: Campaign, F: Fn(ClockMode) -> R>(
     name: &str,
     configure: impl FnOnce(bool) -> F,
 ) -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mode = if smoke { "smoke" } else { "full" };
-    let mut report = evaluate(name, configure(smoke));
+    let args = Args::from_env();
+    let mode = if args.smoke { "smoke" } else { "full" };
+    let mut report = evaluate(name, configure(args.smoke));
     report.config.push(Cell::json("mode", mode));
     print!("{}", report.render());
-    let path = out_path(&format!("BENCH_{name}.json"));
+    let path = args.out_path(&format!("BENCH_{name}.json"));
     std::fs::write(&path, format!("{}\n", report.to_json()))
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("wrote {}", path.display());
@@ -252,6 +294,48 @@ mod tests {
         let text = render_table4();
         assert!(text.contains("/sys/class/hwmon/hwmon0/temp1_input"));
         assert!(text.contains("cpu_temp"));
+    }
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    #[test]
+    fn every_ci_invocation_parses() {
+        assert_eq!(parse(&[]), Ok(Args::default()));
+        let out_dir = Some(PathBuf::from("ci-bench"));
+        assert_eq!(
+            parse(&["--out-dir", "ci-bench"]),
+            Ok(Args {
+                smoke: false,
+                out_dir: out_dir.clone()
+            })
+        );
+        let smoke = Ok(Args {
+            smoke: true,
+            out_dir,
+        });
+        assert_eq!(parse(&["--smoke", "--out-dir", "ci-bench"]), smoke);
+        assert_eq!(parse(&["--out-dir", "ci-bench", "--smoke"]), smoke);
+        assert_eq!(
+            Args::default().out_path("BENCH_x.json"),
+            PathBuf::from("BENCH_x.json")
+        );
+    }
+
+    #[test]
+    fn unknown_arguments_and_a_bare_out_dir_are_rejected() {
+        assert_eq!(
+            parse(&["--smok", "--out-dir", "ci-typo"]),
+            Err("unknown argument \"--smok\"".to_owned())
+        );
+        assert_eq!(
+            parse(&["--smoke", "extra"]),
+            Err("unknown argument \"extra\"".to_owned())
+        );
+        let bare = Err("--out-dir requires a directory argument".to_owned());
+        assert_eq!(parse(&["--out-dir"]), bare);
+        assert_eq!(parse(&["--out-dir", "--smoke"]), bare);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Job-level checkpoint metadata and the NFS-backed checkpoint store.
+//! Job-level checkpoint metadata and the checkpoint store on the NFS
+//! master export.
 //!
 //! The engine's checkpoint/restart path snapshots each running job's
 //! progress at a configurable cadence and replays it after a node failure,
@@ -15,17 +16,49 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use cimone_soc::units::{Bytes, SimDuration, SimTime};
+use cimone_soc::units::{SimDuration, SimTime};
 
-use crate::services::nfs::{MountHandle, NfsError, NfsServer};
-
-/// Uid the engine writes checkpoints under (a system service account).
-const CKPT_UID: u32 = 900;
+/// The export checkpoints are kept on.
+const CKPT_EXPORT: &str = "/ckpt";
 
 /// How many record generations (newest first) the store retains per job
 /// for corruption fallback: a snapshot whose CRC fails on restore is
 /// quarantined and the walk falls back to the next-newest generation.
 pub const GENERATION_DEPTH: usize = 4;
+
+/// Fixed quiesce-barrier and metadata overhead of one checkpoint write.
+const WRITE_BARRIER: SimDuration = SimDuration::from_secs(1);
+
+/// Effective rate at which application state drains to the master node's
+/// disks over the Gigabit Ethernet every NFS client shares, bytes per
+/// second (~117 MB/s).
+const DRAIN_BYTES_PER_SEC: f64 = 117.0e6;
+
+/// First retry delay when a drained write cannot commit because the
+/// export is offline; each further attempt doubles it.
+const RETRY_BASE: SimDuration = SimDuration::from_secs(4);
+
+/// Ceiling on the exponential backoff between commit retries.
+const RETRY_CAP: SimDuration = SimDuration::from_secs(64);
+
+/// Deferred commit attempts allowed before the in-flight write is
+/// abandoned (its pending progress dropped) and the cadence resumes.
+pub(crate) const MAX_RETRIES: u32 = 5;
+
+/// How long a checkpoint of `bytes` of application state pauses the job
+/// (the overhead side of the overhead-vs-rework tradeoff the recovery
+/// sweep measures): a 1 s barrier plus the drain at ~117 MB/s.
+pub(crate) fn write_cost(bytes: f64) -> SimDuration {
+    WRITE_BARRIER + SimDuration::from_secs_f64(bytes.max(0.0) / DRAIN_BYTES_PER_SEC)
+}
+
+/// The exponential-backoff delay before commit retry number
+/// `retries + 1`: `4 s · 2^retries`, capped at 64 s.
+pub(crate) fn retry_delay(retries: u32) -> SimDuration {
+    let base = RETRY_BASE.as_secs_f64();
+    let cap = RETRY_CAP.as_secs_f64();
+    SimDuration::from_secs_f64((base * 2f64.powi(retries.min(31) as i32)).min(cap))
+}
 
 /// CRC-64/ECMA-182 lookup table, built at compile time.
 const CRC64_TABLE: [u64; 256] = {
@@ -59,35 +92,6 @@ pub fn crc64(bytes: &[u8]) -> u64 {
         crc = CRC64_TABLE[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
-}
-
-/// The default export checkpoints are kept on (see
-/// [`CheckpointStoreConfig`] to place them elsewhere).
-const CKPT_EXPORT: &str = "/ckpt";
-
-/// Where a [`CheckpointStore`] keeps its records: which NFS export, how
-/// big it is, and which client identity mounts it. The historical
-/// hard-coded `/ckpt` layout is [`CheckpointStoreConfig::default`]; a
-/// second store on a second export (with its own outage windows) is just
-/// a second config.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointStoreConfig {
-    /// The export path records live under.
-    pub export: String,
-    /// The export's quota.
-    pub quota: Bytes,
-    /// The client hostname the store mounts as.
-    pub client: String,
-}
-
-impl Default for CheckpointStoreConfig {
-    fn default() -> Self {
-        CheckpointStoreConfig {
-            export: CKPT_EXPORT.to_owned(),
-            quota: Bytes::from_gib(20),
-            client: "mc-master".to_owned(),
-        }
-    }
 }
 
 /// Where a job resumes inside its kernel: the natural restart unit of
@@ -176,55 +180,45 @@ impl JobCheckpoint {
         line
     }
 
-    /// Parses the [`JobCheckpoint::encode`] format. `v2` records must
-    /// carry a matching CRC64; the pre-integrity `v1` format (no
-    /// checksum) is still accepted for old records.
+    /// Parses the [`JobCheckpoint::encode`] format; the record must carry
+    /// a matching CRC64.
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Corrupt`] when a `v2` record's checksum
-    /// does not match its body, and [`CheckpointError::Malformed`] for
+    /// Returns [`CheckpointError::Corrupt`] when the checksum does not
+    /// match the record body, and [`CheckpointError::Malformed`] for
     /// anything else.
     pub fn decode(line: &str) -> Result<Self, CheckpointError> {
         let malformed = || CheckpointError::Malformed {
             line: line.to_owned(),
         };
-        let mut fields = line.split_whitespace();
-        if fields.next() != Some("ckpt") {
+        let mut header = line.split_whitespace();
+        if header.next() != Some("ckpt") || header.next() != Some("v2") {
             return Err(malformed());
         }
-        let fields = match fields.next() {
-            Some("v1") => fields,
-            Some("v2") => {
-                let (body, crc_hex) = line.rsplit_once(" crc=").ok_or_else(malformed)?;
-                // Only the canonical encoding — exactly 16 lowercase hex
-                // digits — is accepted. `from_str_radix` alone would parse
-                // a case-flipped digit ('a' → 'A' is a single-bit flip) to
-                // the same value and let the corruption through.
-                if crc_hex.len() != 16
-                    || !crc_hex
-                        .bytes()
-                        .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-                {
-                    return Err(malformed());
-                }
-                let found = u64::from_str_radix(crc_hex, 16).map_err(|_| malformed())?;
-                let expected = crc64(body.as_bytes());
-                if found != expected {
-                    return Err(CheckpointError::Corrupt { expected, found });
-                }
-                let mut fields = body.split_whitespace();
-                fields.next(); // "ckpt"
-                fields.next(); // "v2"
-                fields
-            }
-            _ => return Err(malformed()),
-        };
+        let (body, crc_hex) = line.rsplit_once(" crc=").ok_or_else(malformed)?;
+        // Only the canonical encoding — exactly 16 lowercase hex digits —
+        // is accepted. `from_str_radix` alone would parse a case-flipped
+        // digit ('a' → 'A' is a single-bit flip) to the same value and let
+        // the corruption through.
+        if crc_hex.len() != 16
+            || !crc_hex
+                .bytes()
+                .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+        {
+            return Err(malformed());
+        }
+        let found = u64::from_str_radix(crc_hex, 16).map_err(|_| malformed())?;
+        let expected = crc64(body.as_bytes());
+        if found != expected {
+            return Err(CheckpointError::Corrupt { expected, found });
+        }
         let mut job_id = None;
         let mut progress_bits = None;
         let mut position = None;
         let mut written_at = None;
-        for field in fields {
+        // Past the "ckpt v2" header.
+        for field in body.split_whitespace().skip(2) {
             let (key, value) = field.split_once('=').ok_or_else(malformed)?;
             match key {
                 "job" => job_id = Some(value.parse().map_err(|_| malformed())?),
@@ -278,18 +272,9 @@ pub enum CheckpointError {
         /// The checksum the record carries.
         found: u64,
     },
-    /// No checkpoint exists for the job.
-    Missing {
-        /// The job asked about.
-        job_id: u64,
-    },
-    /// The underlying filesystem refused the operation.
-    Storage(NfsError),
     /// The export is inside an injected outage window: the server is
     /// unreachable until `until`. Retry, back off, or spill.
     ExportOffline {
-        /// The unavailable export path.
-        export: String,
         /// When the outage window ends.
         until: SimTime,
     },
@@ -306,72 +291,14 @@ impl fmt::Display for CheckpointError {
                 "corrupt checkpoint record: crc64 {found:016x} does not \
                  match body {expected:016x}"
             ),
-            CheckpointError::Missing { job_id } => {
-                write!(f, "no checkpoint stored for job {job_id}")
-            }
-            CheckpointError::Storage(e) => write!(f, "checkpoint storage failed: {e}"),
-            CheckpointError::ExportOffline { export, until } => {
-                write!(f, "export {export} is offline until t={until}")
+            CheckpointError::ExportOffline { until } => {
+                write!(f, "export {CKPT_EXPORT} is offline until t={until}")
             }
         }
     }
 }
 
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Storage(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<NfsError> for CheckpointError {
-    fn from(e: NfsError) -> Self {
-        CheckpointError::Storage(e)
-    }
-}
-
-/// How long a checkpoint write pauses the job (the overhead side of the
-/// overhead-vs-rework tradeoff the recovery sweep measures).
-///
-/// The application data drains to the master node's disks over the same
-/// Gigabit Ethernet every NFS client shares, so the variable term is the
-/// job's resident set divided by the link rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CheckpointCostModel {
-    /// Fixed barrier + metadata overhead per checkpoint.
-    pub fixed: SimDuration,
-    /// Drain rate to stable storage, bytes per second.
-    pub bytes_per_sec: f64,
-}
-
-impl CheckpointCostModel {
-    /// Monte Cimone's path today: quiesce barrier ≈ 1 s, drain over
-    /// Gigabit Ethernet (~117 MiB/s effective).
-    pub fn gigabit_nfs() -> Self {
-        CheckpointCostModel {
-            fixed: SimDuration::from_secs(1),
-            bytes_per_sec: 117.0e6,
-        }
-    }
-
-    /// The pause a checkpoint of `bytes` of application state costs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured drain rate is not positive.
-    pub fn cost(&self, bytes: f64) -> SimDuration {
-        assert!(self.bytes_per_sec > 0.0, "drain rate must be positive");
-        self.fixed + SimDuration::from_secs_f64(bytes.max(0.0) / self.bytes_per_sec)
-    }
-}
-
-impl Default for CheckpointCostModel {
-    fn default() -> Self {
-        CheckpointCostModel::gigabit_nfs()
-    }
-}
+impl std::error::Error for CheckpointError {}
 
 /// One running job's checkpoint state machine: when the next write
 /// begins, when an in-flight write drains, and which progress fractions
@@ -484,8 +411,44 @@ impl CheckpointSchedule {
     }
 }
 
-/// The cluster's checkpoint directory: one record per job on a dedicated
-/// NFS export, plus a decoded cache for the scheduler's restart path.
+/// One job's records, each kept as the exact CRC-framed bytes it was
+/// written as: corruption targets bytes, and a flush moves them verbatim,
+/// so a flipped bit survives onto the export for the restore-time CRC to
+/// catch instead of being silently re-encoded away.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Chain {
+    /// A record buffered on a node's local disk while the export was
+    /// offline, newer than every durable generation.
+    spill: Option<Spill>,
+    /// Durable generations on the export, newest first, capped at
+    /// [`GENERATION_DEPTH`].
+    durable: Vec<Vec<u8>>,
+}
+
+/// A node-local write-behind record and the node buffering it.
+#[derive(Debug, Clone, PartialEq)]
+struct Spill {
+    /// The node whose local disk holds the record.
+    holder: usize,
+    /// The record's bytes.
+    bytes: Vec<u8>,
+}
+
+impl Chain {
+    /// The records newest first: the spill (when `include_spill`), then
+    /// the durable generations.
+    fn records(&self, include_spill: bool) -> impl Iterator<Item = &[u8]> {
+        let spill = self.spill.as_ref().filter(|_| include_spill);
+        spill
+            .map(|s| s.bytes.as_slice())
+            .into_iter()
+            .chain(self.durable.iter().map(Vec::as_slice))
+    }
+}
+
+/// The cluster's checkpoint directory: per job, one chain of CRC-framed
+/// records — the durable generations on the export plus at most one
+/// node-local spill — decoded and verified whenever a record is read.
 ///
 /// # Examples
 ///
@@ -495,65 +458,23 @@ impl CheckpointSchedule {
 ///
 /// let mut store = CheckpointStore::new();
 /// let ckpt = JobCheckpoint::new(7, 0.25, CheckpointPosition::HplPanel(53), SimTime::from_secs(40));
-/// store.save(ckpt)?;
+/// store.save(ckpt);
 /// assert_eq!(store.load(7).unwrap().progress(), 0.25);
-/// # Ok::<(), cimone_cluster::checkpoint::CheckpointError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointStore {
-    config: CheckpointStoreConfig,
-    nfs: NfsServer,
-    mount: MountHandle,
-    cache: BTreeMap<u64, JobCheckpoint>,
     /// Injected export outage: while `now < offline_until`, timed saves
     /// fail with [`CheckpointError::ExportOffline`].
     offline_until: Option<SimTime>,
-    /// Node-local write-behind records awaiting an export recovery flush.
-    spill: BTreeMap<u64, JobCheckpoint>,
-    /// The exact serialized bytes of each spilled record — corruption
-    /// targets bytes, and a flush moves them verbatim so a flipped bit
-    /// survives onto the export instead of being silently re-encoded
-    /// away.
-    spill_bytes: BTreeMap<u64, Vec<u8>>,
-    /// Per-job durable record history, newest first, capped at
-    /// [`GENERATION_DEPTH`]: the byte-level chain a verified restore
-    /// walks when the newest generation fails its CRC.
-    generations: BTreeMap<u64, Vec<Vec<u8>>>,
+    /// Each job's record chain, by job id (a flush walks them in id
+    /// order).
+    chains: BTreeMap<u64, Chain>,
 }
 
 impl CheckpointStore {
-    /// A store on a fresh master-node export over Gigabit Ethernet, at
-    /// the default `/ckpt` layout.
+    /// An empty store on a reachable export.
     pub fn new() -> Self {
-        CheckpointStore::with_config(CheckpointStoreConfig::default())
-    }
-
-    /// A store with an explicit export layout.
-    pub fn with_config(config: CheckpointStoreConfig) -> Self {
-        let mut nfs = NfsServer::monte_cimone();
-        nfs.export(&config.export, config.quota);
-        let mount = nfs
-            .mount(&config.export, &config.client)
-            .expect("the export was just created");
-        CheckpointStore {
-            config,
-            nfs,
-            mount,
-            cache: BTreeMap::new(),
-            offline_until: None,
-            spill: BTreeMap::new(),
-            spill_bytes: BTreeMap::new(),
-            generations: BTreeMap::new(),
-        }
-    }
-
-    /// The export layout this store writes to.
-    pub fn config(&self) -> &CheckpointStoreConfig {
-        &self.config
-    }
-
-    fn path(&self, job_id: u64) -> String {
-        format!("{}/job-{job_id}.ckpt", self.config.export)
+        CheckpointStore::default()
     }
 
     /// Marks the export unreachable until `until` (an injected
@@ -584,40 +505,24 @@ impl CheckpointStore {
         self.offline_until.is_some_and(|t| now < t)
     }
 
-    /// Commits a checkpoint record, replacing the job's previous one.
-    /// Returns the metadata write's network cost (the application data's
-    /// drain time is the [`CheckpointCostModel`]'s business).
+    /// [`CheckpointError::ExportOffline`] while `now` lies inside the
+    /// outage window.
+    fn reachable(&self, now: SimTime) -> Result<(), CheckpointError> {
+        match self.offline_until {
+            Some(until) if now < until => Err(CheckpointError::ExportOffline { until }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Commits a checkpoint as its job's newest durable generation,
+    /// keeping the newest [`GENERATION_DEPTH`].
     ///
     /// This path assumes the export is reachable; the engine's timed
     /// commits go through [`CheckpointStore::save_at`], which honours
     /// outage windows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures (quota, export gone).
-    pub fn save(&mut self, ckpt: JobCheckpoint) -> Result<SimDuration, CheckpointError> {
-        let cost = self.write_record(ckpt.job_id, ckpt.encode().into_bytes())?;
-        self.cache.insert(ckpt.job_id, ckpt);
-        Ok(cost)
-    }
-
-    /// Writes `bytes` as `job_id`'s newest record: the export file is
-    /// (created and) overwritten, and the byte-level generation chain
-    /// advances, keeping the newest [`GENERATION_DEPTH`] generations.
-    fn write_record(
-        &mut self,
-        job_id: u64,
-        bytes: Vec<u8>,
-    ) -> Result<SimDuration, CheckpointError> {
-        let path = self.path(job_id);
-        if !self.generations.contains_key(&job_id) {
-            self.nfs.create(&self.mount, &path, CKPT_UID, false)?;
-        }
-        let cost = self.nfs.write(&self.mount, &path, CKPT_UID, &bytes)?;
-        let gens = self.generations.entry(job_id).or_default();
-        gens.insert(0, bytes);
-        gens.truncate(GENERATION_DEPTH);
-        Ok(cost)
+    pub fn save(&mut self, ckpt: JobCheckpoint) {
+        let chain = self.chains.entry(ckpt.job_id).or_default();
+        push_durable(chain, ckpt.encode().into_bytes());
     }
 
     /// [`CheckpointStore::save`], but refused while `now` lies inside an
@@ -625,136 +530,108 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::ExportOffline`] during an outage, else any
-    /// filesystem failure.
-    pub fn save_at(
-        &mut self,
-        now: SimTime,
-        ckpt: JobCheckpoint,
-    ) -> Result<SimDuration, CheckpointError> {
-        if let Some(until) = self.offline_until {
-            if now < until {
-                return Err(CheckpointError::ExportOffline {
-                    export: self.config.export.clone(),
-                    until,
-                });
-            }
-        }
-        self.save(ckpt)
+    /// [`CheckpointError::ExportOffline`] during an outage.
+    pub fn save_at(&mut self, now: SimTime, ckpt: JobCheckpoint) -> Result<(), CheckpointError> {
+        self.reachable(now)?;
+        self.save(ckpt);
+        Ok(())
     }
 
-    /// Buffers a record node-locally instead of committing it: the
-    /// write-behind path a spill-enabled engine takes while the export is
-    /// offline. The record replaces any older spill for the same job and
-    /// is flushed to the export by [`CheckpointStore::flush_spill`].
-    pub fn spill_write(&mut self, ckpt: JobCheckpoint) {
-        self.spill_bytes
-            .insert(ckpt.job_id, ckpt.encode().into_bytes());
-        self.spill.insert(ckpt.job_id, ckpt);
+    /// Buffers a record on node `holder`'s local disk instead of
+    /// committing it: the write-behind path a spill-enabled engine takes
+    /// while the export is offline. The record (and its holder) replaces
+    /// any older spill for the same job and is flushed to the export by
+    /// [`CheckpointStore::flush_spill`].
+    pub fn spill_write(&mut self, ckpt: JobCheckpoint, holder: usize) {
+        self.chains.entry(ckpt.job_id).or_default().spill = Some(Spill {
+            holder,
+            bytes: ckpt.encode().into_bytes(),
+        });
     }
 
-    /// The spilled (buffered, not yet durable on the export) record for
-    /// `job_id`, if one is waiting.
-    pub fn spilled(&self, job_id: u64) -> Option<&JobCheckpoint> {
-        self.spill.get(&job_id)
+    /// The node buffering `job_id`'s spilled record, if one is waiting.
+    pub fn spill_holder(&self, job_id: u64) -> Option<usize> {
+        self.chains.get(&job_id)?.spill.as_ref().map(|s| s.holder)
     }
 
-    /// Drops `job_id`'s spilled record (the buffering node crashed before
-    /// the flush), returning it if one existed.
-    pub fn drop_spill(&mut self, job_id: u64) -> Option<JobCheckpoint> {
-        self.spill_bytes.remove(&job_id);
-        self.spill.remove(&job_id)
+    /// Whether `node` buffers any job's spilled record — the only copy of
+    /// that restart point until the flush.
+    pub fn holds_spill(&self, node: usize) -> bool {
+        self.chains
+            .values()
+            .any(|chain| chain.spill.as_ref().is_some_and(|s| s.holder == node))
+    }
+
+    /// Drops `job_id`'s spilled record (the buffering node died before the
+    /// flush). Returns whether one existed.
+    pub fn drop_spill(&mut self, job_id: u64) -> bool {
+        self.chains
+            .get_mut(&job_id)
+            .is_some_and(|chain| chain.spill.take().is_some())
     }
 
     /// Jobs with a spilled record waiting to flush.
     pub fn spilled_jobs(&self) -> usize {
-        self.spill.len()
+        self.chains
+            .values()
+            .filter(|chain| chain.spill.is_some())
+            .count()
     }
 
     /// Flushes every spilled record to the (recovered) export, in job-id
-    /// order. Returns how many records flushed and their total network
-    /// cost.
+    /// order: its bytes become the job's newest durable generation
+    /// verbatim. Returns how many records flushed.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::ExportOffline`] if the export is still inside
-    /// an outage window at `now`, else any filesystem failure (records
-    /// already flushed stay flushed).
-    pub fn flush_spill(&mut self, now: SimTime) -> Result<(usize, SimDuration), CheckpointError> {
-        if self.is_export_offline(now) {
-            return Err(CheckpointError::ExportOffline {
-                export: self.config.export.clone(),
-                until: self.offline_until.expect("offline window is open"),
-            });
-        }
+    /// an outage window at `now`.
+    pub fn flush_spill(&mut self, now: SimTime) -> Result<usize, CheckpointError> {
+        self.reachable(now)?;
         let mut flushed = 0;
-        let mut cost = SimDuration::ZERO;
-        while let Some((&job_id, _)) = self.spill.iter().next() {
-            let ckpt = self.spill.remove(&job_id).expect("key just observed");
-            // Flush the buffered *bytes* verbatim: a bit that flipped in
-            // the node-local buffer lands on the export as-is, for the
-            // restore-time CRC to catch — re-encoding would silently heal
-            // it and hide the corruption.
-            let bytes = self
-                .spill_bytes
-                .remove(&job_id)
-                .unwrap_or_else(|| ckpt.encode().into_bytes());
-            let decoded = decode_bytes(&bytes).ok();
-            cost += self.write_record(job_id, bytes)?;
-            if let Some(valid) = decoded {
-                self.cache.insert(job_id, valid);
+        for chain in self.chains.values_mut() {
+            if let Some(spill) = chain.spill.take() {
+                push_durable(chain, spill.bytes);
+                flushed += 1;
             }
-            flushed += 1;
         }
-        Ok((flushed, cost))
+        Ok(flushed)
     }
 
-    /// The last committed checkpoint for `job_id`, preferring a spilled
-    /// (newer, node-local) record over the export's copy.
-    pub fn load(&self, job_id: u64) -> Option<&JobCheckpoint> {
-        self.spill.get(&job_id).or_else(|| self.cache.get(&job_id))
+    /// The newest record of `job_id` that verifies, preferring a spilled
+    /// (newer, node-local) record over the export's generations. A read:
+    /// nothing is quarantined ([`CheckpointStore::restore_verified`]
+    /// does that).
+    pub fn load(&self, job_id: u64) -> Option<JobCheckpoint> {
+        self.newest_valid(job_id, true)
     }
 
-    /// The last record durable *on the export* for `job_id` — what
-    /// survives if the spill-buffering node dies before the flush.
-    pub fn load_durable(&self, job_id: u64) -> Option<&JobCheckpoint> {
-        self.cache.get(&job_id)
+    /// The newest record durable *on the export* for `job_id` that
+    /// verifies — what survives if the spill-buffering node dies before
+    /// the flush.
+    pub fn load_durable(&self, job_id: u64) -> Option<JobCheckpoint> {
+        self.newest_valid(job_id, false)
     }
 
-    /// Re-reads and re-parses `job_id`'s record from the filesystem (what
-    /// a restarting job actually does; tests use it to prove the stored
-    /// bytes round-trip).
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Missing`] if no record exists, or a parse or
-    /// filesystem error.
-    pub fn reload(&mut self, job_id: u64) -> Result<JobCheckpoint, CheckpointError> {
-        if !self.cache.contains_key(&job_id) {
-            return Err(CheckpointError::Missing { job_id });
-        }
-        let (data, _cost) = self.nfs.read(&self.mount, &self.path(job_id), CKPT_UID)?;
-        let text = String::from_utf8(data).map_err(|e| CheckpointError::Malformed {
-            line: format!("<invalid utf-8: {e}>"),
-        })?;
-        JobCheckpoint::decode(&text)
+    fn newest_valid(&self, job_id: u64, include_spill: bool) -> Option<JobCheckpoint> {
+        self.chains
+            .get(&job_id)?
+            .records(include_spill)
+            .find_map(|bytes| decode_bytes(bytes).ok())
     }
 
-    /// Deletes a job's checkpoint — spilled and durable alike (done on
+    /// Deletes a job's records — spilled and durable alike (done on
     /// completion: the restart point is dead weight once the job
     /// finishes).
     pub fn remove(&mut self, job_id: u64) {
-        self.spill.remove(&job_id);
-        self.spill_bytes.remove(&job_id);
-        self.cache.remove(&job_id);
-        if self.generations.remove(&job_id).is_some() {
-            let _ = self.nfs.remove(&self.mount, &self.path(job_id), CKPT_UID);
-        }
+        self.chains.remove(&job_id);
     }
 
     /// Durable generations currently retained for `job_id`.
     pub fn generations_retained(&self, job_id: u64) -> usize {
-        self.generations.get(&job_id).map_or(0, Vec::len)
+        self.chains
+            .get(&job_id)
+            .map_or(0, |chain| chain.durable.len())
     }
 
     /// Flips one bit in `job_id`'s stored record chain — the silent-data-
@@ -765,18 +642,19 @@ impl CheckpointStore {
     /// and bit deterministically. Returns `false` when the job holds no
     /// records to corrupt.
     pub fn corrupt_chain(&mut self, job_id: u64, generation: usize, salt: u64) -> bool {
-        let mut chain: Vec<&mut Vec<u8>> = Vec::new();
-        if let Some(bytes) = self.spill_bytes.get_mut(&job_id) {
-            chain.push(bytes);
-        }
-        if let Some(gens) = self.generations.get_mut(&job_id) {
-            chain.extend(gens.iter_mut());
-        }
-        if chain.is_empty() {
+        let Some(chain) = self.chains.get_mut(&job_id) else {
+            return false;
+        };
+        let spilled = usize::from(chain.spill.is_some());
+        let held = spilled + chain.durable.len();
+        if held == 0 {
             return false;
         }
-        let idx = generation.min(chain.len() - 1);
-        let bytes = &mut *chain[idx];
+        let idx = generation.min(held - 1);
+        let bytes = match &mut chain.spill {
+            Some(spill) if idx == 0 => &mut spill.bytes,
+            _ => &mut chain.durable[idx - spilled],
+        };
         if bytes.is_empty() {
             return false;
         }
@@ -789,77 +667,58 @@ impl CheckpointStore {
     /// record's CRC64, and returns the newest checkpoint that verifies
     /// plus the chain indices (0 = newest; spill first when
     /// `include_spill`) that failed and were quarantined — dropped from
-    /// the chain so a later walk cannot trip on them again. The decoded
-    /// durable cache is re-synced to whatever actually survives, so
-    /// [`CheckpointStore::load_durable`] never answers with bits the CRC
-    /// rejected.
+    /// the chain so a later walk cannot trip on them again.
     pub fn restore_verified(
         &mut self,
         job_id: u64,
         include_spill: bool,
     ) -> (Option<JobCheckpoint>, Vec<usize>) {
         let mut quarantined = Vec::new();
-        let mut index = 0usize;
+        let Some(chain) = self.chains.get_mut(&job_id) else {
+            return (None, quarantined);
+        };
         if include_spill {
-            if let Some(bytes) = self.spill_bytes.get(&job_id) {
-                match decode_bytes(bytes) {
+            if let Some(spill) = &chain.spill {
+                match decode_bytes(&spill.bytes) {
                     Ok(ckpt) => return (Some(ckpt), quarantined),
                     Err(_) => {
-                        quarantined.push(index);
-                        self.spill.remove(&job_id);
-                        self.spill_bytes.remove(&job_id);
-                    }
-                }
-                index += 1;
-            }
-        }
-        let mut found = None;
-        if let Some(gens) = self.generations.get_mut(&job_id) {
-            while let Some(bytes) = gens.first() {
-                match decode_bytes(bytes) {
-                    Ok(ckpt) => {
-                        found = Some(ckpt);
-                        break;
-                    }
-                    Err(_) => {
-                        quarantined.push(index);
-                        index += 1;
-                        gens.remove(0);
+                        quarantined.push(0);
+                        chain.spill = None;
                     }
                 }
             }
         }
-        match found {
-            Some(ckpt) => {
-                self.cache.insert(job_id, ckpt);
-            }
-            None => {
-                self.cache.remove(&job_id);
+        while let Some(bytes) = chain.durable.first() {
+            match decode_bytes(bytes) {
+                Ok(ckpt) => return (Some(ckpt), quarantined),
+                Err(_) => {
+                    quarantined.push(quarantined.len());
+                    chain.durable.remove(0);
+                }
             }
         }
-        (found, quarantined)
+        (None, quarantined)
     }
 
-    /// Checkpoints currently held.
+    /// Jobs holding at least one record.
     pub fn len(&self) -> usize {
-        self.cache.len()
+        self.chains
+            .values()
+            .filter(|chain| chain.spill.is_some() || !chain.durable.is_empty())
+            .count()
     }
 
-    /// Whether no checkpoint is held.
+    /// Whether no job holds a record.
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// The underlying filesystem (op and byte accounting lives there).
-    pub fn nfs(&self) -> &NfsServer {
-        &self.nfs
+        self.len() == 0
     }
 }
 
-impl Default for CheckpointStore {
-    fn default() -> Self {
-        CheckpointStore::new()
-    }
+/// Makes `bytes` `chain`'s newest durable generation, keeping the newest
+/// [`GENERATION_DEPTH`].
+fn push_durable(chain: &mut Chain, bytes: Vec<u8>) {
+    chain.durable.insert(0, bytes);
+    chain.durable.truncate(GENERATION_DEPTH);
 }
 
 /// Parses a stored record's raw bytes (UTF-8, then the line format with
@@ -935,27 +794,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn malformed_records_are_rejected() {
-        for bad in [
-            "",
-            "ckpt v2 job=1 progress=0 pos=fraction at=0",
-            "ckpt v3 job=1 progress=0 pos=fraction at=0 crc=0000000000000000",
-            "ckpt v1 job=x progress=0 pos=fraction at=0",
-            "ckpt v1 job=1 pos=fraction at=0",
-            "ckpt v1 job=1 progress=0 pos=unknown:3 at=0",
-            "ckpt v1 job=1 progress=0 pos=fraction at=0 extra=1",
-        ] {
-            assert!(JobCheckpoint::decode(bad).is_err(), "accepted {bad:?}");
-        }
+    /// `body` with the CRC suffix a writer would append.
+    fn framed(body: &str) -> String {
+        format!("{body} crc={:016x}", crc64(body.as_bytes()))
     }
 
     #[test]
-    fn legacy_v1_records_still_decode() {
-        let line = "ckpt v1 job=5 progress=3fd0000000000000 pos=hpl-panel:9 at=100";
-        let ckpt = JobCheckpoint::decode(line).expect("v1 has no checksum to check");
-        assert_eq!(ckpt.job_id, 5);
-        assert_eq!(ckpt.progress(), 0.25);
+    fn malformed_records_are_rejected() {
+        for bad in [
+            String::new(),
+            "ckpt v2 job=1 progress=0 pos=fraction at=0".to_owned(),
+            "ckpt v3 job=1 progress=0 pos=fraction at=0 crc=0000000000000000".to_owned(),
+            // A `v1` header, framed or not, is refused rather than
+            // trusted unchecked.
+            "ckpt v1 job=5 progress=3fd0000000000000 pos=hpl-panel:9 at=100".to_owned(),
+            framed("ckpt v1 job=5 progress=3fd0000000000000 pos=hpl-panel:9 at=100"),
+            framed("ckpt v2 job=x progress=0 pos=fraction at=0"),
+            framed("ckpt v2 job=1 pos=fraction at=0"),
+            framed("ckpt v2 job=1 progress=0 pos=unknown:3 at=0"),
+            framed("ckpt v2 job=1 progress=0 pos=fraction at=0 extra=1"),
+        ] {
+            assert!(JobCheckpoint::decode(&bad).is_err(), "accepted {bad:?}");
+        }
+        // The same frame around a well-formed body decodes.
+        let good = framed("ckpt v2 job=5 progress=3fd0000000000000 pos=hpl-panel:9 at=100");
+        assert_eq!(JobCheckpoint::decode(&good).map(|c| c.progress()), Ok(0.25));
     }
 
     #[test]
@@ -1000,7 +863,7 @@ mod tests {
                 CheckpointPosition::HplPanel(i),
                 t(100 * (i as u64 + 1)),
             );
-            store.save(ckpt).expect("saves");
+            store.save(ckpt);
         }
         assert_eq!(store.generations_retained(7), 3);
 
@@ -1023,7 +886,10 @@ mod tests {
         let (none, bad) = store.restore_verified(7, true);
         assert!(none.is_none());
         assert_eq!(bad, vec![0, 1]);
-        assert!(store.load_durable(7).is_none(), "cache holds no ghost");
+        assert!(
+            store.load_durable(7).is_none(),
+            "no rejected record reads back"
+        );
 
         // An empty chain reports nothing to corrupt.
         assert!(!store.corrupt_chain(99, 0, 0));
@@ -1039,7 +905,7 @@ mod tests {
                 CheckpointPosition::Fraction,
                 SimTime::from_secs(i),
             );
-            store.save(ckpt).expect("saves");
+            store.save(ckpt);
         }
         assert_eq!(store.generations_retained(3), GENERATION_DEPTH);
         store.remove(3);
@@ -1050,7 +916,7 @@ mod tests {
     fn corrupt_spill_survives_the_flush_and_is_caught_on_restore() {
         let t = SimTime::from_secs;
         let mut store = CheckpointStore::new();
-        store.save(sample()).expect("saves");
+        store.save(sample());
         store.set_export_offline(t(100));
         let newer = JobCheckpoint::new(
             42,
@@ -1058,7 +924,7 @@ mod tests {
             CheckpointPosition::HplPanel(160),
             SimTime::from_secs(90),
         );
-        store.spill_write(newer);
+        store.spill_write(newer, 0);
         // The corruption lands in the node-local buffer (chain index 0);
         // salt 240 flips a progress-mantissa digit so the damage is in the
         // checksummed body rather than the framing.
@@ -1073,42 +939,34 @@ mod tests {
         assert_eq!(probe.spilled_jobs(), 0, "the poisoned spill is gone");
 
         // Flushing instead moves the poisoned bytes verbatim onto the
-        // export; the durable cache keeps the last record that verified.
+        // export as its newest generation; a read skips them to the last
+        // record that verifies.
         store.clear_export_offline();
-        let (flushed, _) = store.flush_spill(t(100)).expect("export is back");
-        assert_eq!(flushed, 1);
-        assert_eq!(store.load_durable(42), Some(&sample()));
-        assert!(matches!(
-            store.reload(42),
-            Err(CheckpointError::Corrupt { .. })
-        ));
+        assert_eq!(store.flush_spill(t(100)), Ok(1));
+        assert_eq!(store.generations_retained(42), 2);
+        assert_eq!(store.load_durable(42), Some(sample()));
         let (restored, bad) = store.restore_verified(42, false);
         assert_eq!(restored, Some(sample()), "fallback skips the bad flush");
         assert_eq!(bad, vec![0]);
     }
 
     #[test]
-    fn store_saves_reloads_and_replaces() {
+    fn store_saves_loads_and_replaces() {
         let mut store = CheckpointStore::new();
-        let cost = store.save(sample()).expect("saves");
-        assert!(cost > SimDuration::ZERO);
-        // A newer checkpoint replaces the record in place.
+        store.save(sample());
+        // A newer checkpoint becomes the record a read returns.
         let newer = JobCheckpoint::new(
             42,
             0.5,
             CheckpointPosition::HplPanel(106),
             SimTime::from_secs(2000),
         );
-        store.save(newer).expect("replaces");
+        store.save(newer);
         assert_eq!(store.len(), 1);
-        let reloaded = store.reload(42).expect("reads back");
-        assert_eq!(reloaded, newer);
+        assert_eq!(store.load(42), Some(newer));
         store.remove(42);
         assert!(store.is_empty());
-        assert!(matches!(
-            store.reload(42),
-            Err(CheckpointError::Missing { job_id: 42 })
-        ));
+        assert_eq!(store.load(42), None);
     }
 
     #[test]
@@ -1139,21 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn store_config_parameterises_the_export() {
-        let config = CheckpointStoreConfig {
-            export: "/ckpt2".to_owned(),
-            quota: Bytes::from_gib(5),
-            client: "mc-login".to_owned(),
-        };
-        let mut store = CheckpointStore::with_config(config.clone());
-        assert_eq!(store.config(), &config);
-        store.save(sample()).expect("saves on the renamed export");
-        assert_eq!(store.reload(42).expect("reads back"), sample());
-        // The default store still lives at the historical /ckpt path.
-        assert_eq!(CheckpointStore::new().config().export, "/ckpt");
-    }
-
-    #[test]
     fn offline_windows_refuse_timed_saves() {
         let t = SimTime::from_secs;
         let mut store = CheckpointStore::new();
@@ -1165,11 +1008,11 @@ mod tests {
         assert!(!store.is_export_offline(t(100)));
         let err = store.save_at(t(40), sample()).unwrap_err();
         assert!(
-            matches!(err, CheckpointError::ExportOffline { until, .. } if until == t(100)),
+            matches!(err, CheckpointError::ExportOffline { until } if until == t(100)),
             "{err}"
         );
         assert!(err.to_string().contains("/ckpt"), "{err}");
-        assert_eq!(store.len(), 0, "no torn write: the cache saw nothing");
+        assert_eq!(store.len(), 0, "no torn write: the store saw nothing");
         // At the window's end the same save lands.
         store.save_at(t(100), sample()).expect("export is back");
         assert_eq!(store.len(), 1);
@@ -1180,7 +1023,7 @@ mod tests {
         let t = SimTime::from_secs;
         let mut store = CheckpointStore::new();
         // A durable pre-outage record.
-        store.save(sample()).expect("saves");
+        store.save(sample());
         store.set_export_offline(t(100));
         let newer = JobCheckpoint::new(
             42,
@@ -1188,51 +1031,41 @@ mod tests {
             CheckpointPosition::HplPanel(127),
             SimTime::from_secs(80),
         );
-        store.spill_write(newer);
+        store.spill_write(newer, 3);
         assert_eq!(store.spilled_jobs(), 1);
+        assert_eq!(store.spill_holder(42), Some(3));
+        assert!(store.holds_spill(3) && !store.holds_spill(0));
         // The restart path sees the newer spilled record; the durable view
         // still answers with the pre-outage one.
-        assert_eq!(store.load(42), Some(&newer));
-        assert_eq!(store.load_durable(42), Some(&sample()));
+        assert_eq!(store.load(42), Some(newer));
+        assert_eq!(store.load_durable(42), Some(sample()));
         // Flushing mid-outage is refused.
         assert!(matches!(
             store.flush_spill(t(90)),
             Err(CheckpointError::ExportOffline { .. })
         ));
         // After recovery the spill drains to the export.
-        let (flushed, cost) = store.flush_spill(t(100)).expect("export is back");
-        assert_eq!(flushed, 1);
-        assert!(cost > SimDuration::ZERO);
+        assert_eq!(store.flush_spill(t(100)), Ok(1));
         assert_eq!(store.spilled_jobs(), 0);
-        assert_eq!(store.load_durable(42), Some(&newer));
-        assert_eq!(store.reload(42).expect("reads back"), newer);
+        assert!(!store.holds_spill(3), "the flush releases the holder");
+        assert_eq!(store.load_durable(42), Some(newer));
         // A crash of the buffering node instead drops the spill: the
         // durable record is what recovery falls back to.
         let mut store = CheckpointStore::new();
-        store.save(sample()).expect("saves");
-        store.spill_write(newer);
-        assert_eq!(store.drop_spill(42), Some(newer));
-        assert_eq!(store.load(42), Some(&sample()));
+        store.save(sample());
+        store.spill_write(newer, 3);
+        assert!(store.drop_spill(42));
+        assert!(!store.drop_spill(42), "nothing left to drop");
+        assert_eq!(store.spill_holder(42), None);
+        assert_eq!(store.load(42), Some(sample()));
     }
 
     #[test]
-    fn cost_model_scales_with_state_size() {
-        let model = CheckpointCostModel::gigabit_nfs();
-        let small = model.cost(1.0e6);
-        let large = model.cost(13.0e9); // the paper HPL's full matrix
-        assert!(small >= model.fixed);
+    fn write_cost_scales_with_state_size() {
+        let small = write_cost(1.0e6);
+        let large = write_cost(13.0e9); // the paper HPL's full matrix
+        assert!(small >= WRITE_BARRIER);
         // 13 GB over ~117 MB/s ≈ 111 s.
         assert!((large.as_secs_f64() - 112.1).abs() < 2.0, "{large}");
-    }
-
-    #[test]
-    fn errors_format_and_chain() {
-        let err = CheckpointError::Missing { job_id: 9 };
-        assert!(err.to_string().contains("job 9"));
-        let storage: CheckpointError = NfsError::NoSuchFile {
-            path: "/ckpt/x".into(),
-        }
-        .into();
-        assert!(std::error::Error::source(&storage).is_some());
     }
 }

@@ -32,13 +32,12 @@ use cimone_net::switch::MgmtSwitch;
 
 use crate::blade::MachineLayout;
 use crate::checkpoint::{
-    CheckpointError, CheckpointPosition, CheckpointSchedule, CheckpointStore, JobCheckpoint,
+    retry_delay, write_cost, CheckpointError, CheckpointPosition, CheckpointSchedule,
+    CheckpointStore, JobCheckpoint, MAX_RETRIES,
 };
 use crate::dpm::{GovernorAction, ThermalGovernor};
 use crate::faults::{FaultKind, FaultPlan, FaultPlanError, FaultQueue, SdcTarget};
-use crate::healing::{
-    CapAction, ControlAction, ControlPlane, PowerCapConfig, PowerCapGovernor, RecoveryConfig,
-};
+use crate::healing::{CapAction, ControlAction, ControlPlane, PowerCapGovernor, RecoveryConfig};
 use crate::node::{ComputeNode, NodeConditions};
 use crate::perf::{HplModel, HplProblem, LaxModel};
 use crate::thermal::{AirflowConfig, AirflowDegradation, ThermalModel};
@@ -121,12 +120,12 @@ pub struct EngineConfig {
     pub recovery: Option<RecoveryConfig>,
     /// Clock advancement strategy; see [`ClockMode`].
     pub clock: ClockMode,
-    /// Blade power-rail cap governor. `Some` (the default) arms graceful
-    /// degradation: a [`FaultKind::RailBrownout`] is met by capping the
-    /// blade's DVFS operating points under the reduced budget instead of
-    /// letting its boards crash. `None` reproduces the crash-only
+    /// Whether the blade power-rail cap governor runs. On (the default)
+    /// arms graceful degradation: a [`FaultKind::RailBrownout`] is met by
+    /// capping the blade's DVFS operating points under the reduced budget
+    /// instead of letting its boards crash. Off reproduces the crash-only
     /// machine — a brownout takes both boards down for its span.
-    pub power_cap: Option<PowerCapConfig>,
+    pub power_cap: bool,
     /// ABFT protection the jobs' kernels run with, governing how an
     /// injected [`FaultKind::BitFlip`] plays out: `Off` lets the flip ride
     /// to a wrong answer, `Detect` catches it (panel checksum or the
@@ -146,7 +145,7 @@ impl Default for EngineConfig {
             governor: None,
             recovery: None,
             clock: ClockMode::FixedDt,
-            power_cap: Some(PowerCapConfig::rv007_default()),
+            power_cap: true,
             abft: AbftMode::Off,
         }
     }
@@ -248,13 +247,6 @@ pub enum EngineEvent {
         at: SimTime,
         /// The progress fraction it resumed from.
         progress: f64,
-    },
-    /// The thermal watchdog stepped a hot node's DVFS down.
-    WatchdogThrottled {
-        /// Node index.
-        node: usize,
-        /// When.
-        at: SimTime,
     },
     /// The power-cap governor set (or moved) a blade's DVFS ceiling to fit
     /// a browned-out rail's budget.
@@ -614,9 +606,8 @@ pub struct SimEngine {
     /// The tick's telemetry batch — power samples, then plugin messages
     /// in node order — drained by [`Broker::publish_batch_serial`].
     tick_batch: Vec<(Topic, Payload)>,
-    /// Per-node temperatures, reused so a warm tick allocates nothing:
-    /// the control plane's input on a full step, and the pre-tick
-    /// snapshot in a fast-forward.
+    /// Per-node temperatures before a fast-forwarded tick, reused so a
+    /// warm span allocates nothing.
     temps: Vec<Celsius>,
     /// Ticks executed through the full step pipeline.
     ticks_stepped: u64,
@@ -646,10 +637,6 @@ struct RecoveryState {
     checkpoints_written: usize,
     suspicions: usize,
     fences: usize,
-    /// Which node holds each job's spilled (node-local, not yet durable)
-    /// checkpoint: by convention the job's first allocated node. Placement
-    /// soft-avoids these nodes until the spill flushes.
-    spill_holders: HashMap<u64, usize>,
 }
 
 impl SimEngine {
@@ -717,7 +704,6 @@ impl SimEngine {
             checkpoints_written: 0,
             suspicions: 0,
             fences: 0,
-            spill_holders: HashMap::new(),
         });
         SimEngine {
             config,
@@ -749,7 +735,7 @@ impl SimEngine {
             layout,
             power_cap: config
                 .power_cap
-                .map(|pc| PowerCapGovernor::new(pc, blade_count, opp_count)),
+                .then(|| PowerCapGovernor::new(blade_count, opp_count)),
             last_blade_power: vec![0.0; blade_count],
             brownout_peak_power: vec![0.0; blade_count],
             rack_peak_power: 0.0,
@@ -1013,7 +999,7 @@ impl SimEngine {
         self.recovery.as_ref().map_or(0, |r| r.suspicions)
     }
 
-    /// Nodes fenced by the control plane so far (suspicion or watchdog).
+    /// Nodes fenced by the control plane so far.
     pub fn fence_count(&self) -> usize {
         self.recovery.as_ref().map_or(0, |r| r.fences)
     }
@@ -1523,8 +1509,8 @@ impl SimEngine {
     }
 
     /// Phase 3b: the blade power-cap governor's decision, plus the
-    /// enforcement of whatever ceilings it holds (the thermal watchdog or
-    /// DVFS governor may have stepped a board back up since last tick).
+    /// enforcement of whatever ceilings it holds (the DVFS governor may
+    /// have stepped a board back up since last tick).
     fn evaluate_power_cap(&mut self) {
         let Some(mut gov) = self.power_cap.take() else {
             return;
@@ -1608,18 +1594,14 @@ impl SimEngine {
                 }
             }
         }
-        // With a thermal governor or watchdog configured, those own the
-        // upward moves (they step boards back up when cool), so the cap is
-        // a one-way upper bound. Without either, nothing else would ever
-        // raise a clamped board again — so nodes are pinned *exactly* at
-        // the ceiling (nominal on healthy blades, the implicit
-        // performance-governor semantic), and each ramp-back step and the
-        // final release restore their frequency.
-        let pin_exact = self.config.governor.is_none()
-            && self
-                .recovery
-                .as_ref()
-                .is_none_or(|rec| rec.config.thermal_watchdog.is_none());
+        // With a thermal governor configured, it owns the upward moves (it
+        // steps boards back up when cool), so the cap is a one-way upper
+        // bound. Without one, nothing else would ever raise a clamped
+        // board again — so nodes are pinned *exactly* at the ceiling
+        // (nominal on healthy blades, the implicit performance-governor
+        // semantic), and each ramp-back step and the final release restore
+        // their frequency.
+        let pin_exact = self.config.governor.is_none();
         for (blade, b) in self.layout.blades().iter().enumerate() {
             let ceiling = gov.ceiling(blade);
             for &i in &b.node_indices {
@@ -1685,10 +1667,15 @@ impl SimEngine {
     /// `false` is conservative: the tick is stepped in full.
     fn tick_is_observation_only(&self) -> bool {
         // `would_start_any == false` is a proof schedule() is a no-op.
+        // A busy control plane (a fence outstanding or a partition
+        // deferred) decides every tick.
         if !self.running.is_empty()
             || self.scheduler.would_start_any(self.now)
             || self.next_due(self.now).is_some()
-            || self.control_plane_busy()
+            || self
+                .recovery
+                .as_ref()
+                .is_some_and(|rec| !rec.control.is_quiescent())
         {
             return false;
         }
@@ -1755,10 +1742,11 @@ impl SimEngine {
     /// silence, so the solved first crossing is exact until the next
     /// arrival, after which it is solved again from the following tick.
     /// A crossing fences, which only a full step applies, so the span
-    /// stops just before it; a trip, governor move or watchdog arming
-    /// finishes its tick, then stops the span. Fast-forwarded ticks count
-    /// as skipped. Returns whether the clock advanced (`false` ⇒ the
-    /// caller steps).
+    /// stops just before it; a trip or governor move finishes its tick,
+    /// then stops the span. A masked tick never runs the control plane's
+    /// decision pass, so fencing and partition state hold still across
+    /// the span. Fast-forwarded ticks count as skipped. Returns whether
+    /// the clock advanced (`false` ⇒ the caller steps).
     fn fast_forward_to(&mut self, cap: SimTime) -> bool {
         if cap <= self.now || !self.tick_is_observation_only() {
             return false;
@@ -1799,7 +1787,7 @@ impl SimEngine {
             let tick = self.tick(phases);
             self.ticks_skipped += 1;
             if phases.plant {
-                if tick.changed || self.control_plane_busy() {
+                if tick.changed {
                     break;
                 }
                 phases.plant = (0..n).any(|i| self.thermal.temperature(i) != prev_temps[i]);
@@ -1833,17 +1821,6 @@ impl SimEngine {
             .filter(|&i| rec.node_alive[i] && !partition.is_some_and(|(a, b)| a == i || b == i))
             .map(|i| self.grid_align_up(rec.next_heartbeat[i]))
             .min()
-    }
-
-    /// Whether the recovery control plane has work at the current
-    /// temperatures: a fenced node, watchdog state in flight, or a
-    /// temperature over a watchdog threshold. Such a tick is never
-    /// fast-forwarded.
-    fn control_plane_busy(&self) -> bool {
-        self.recovery.as_ref().is_some_and(|rec| {
-            !rec.control
-                .is_quiescent((0..self.nodes.len()).map(|i| self.thermal.temperature(i)))
-        })
     }
 
     /// Open span-fault windows: their effect holds while `now < until`.
@@ -2030,13 +2007,8 @@ impl SimEngine {
             // A finished job's restart point is dead weight.
             rec.store.remove(id.0);
             rec.resume_progress.remove(&id);
-            Self::release_spill_holder(
-                &mut rec.spill_holders,
-                &mut self.scheduler,
-                &self.nodes,
-                id.0,
-            );
         }
+        self.sync_spill_avoidance();
         if let Some(record) = JobRecord::from_job(self.scheduler.job(id).expect("job exists")) {
             self.accounting.record(record.with_energy(job.energy));
         }
@@ -2078,16 +2050,9 @@ impl SimEngine {
             let rec = self.recovery.as_mut().expect("recovery mode");
             rec.store.clear_export_offline();
             if rec.store.spilled_jobs() > 0 {
-                let (records, _cost) = rec.store.flush_spill(self.now).expect("export back online");
+                let records = rec.store.flush_spill(self.now).expect("export back online");
                 rec.checkpoints_written += records;
-                for job_id in rec.spill_holders.keys().copied().collect::<Vec<_>>() {
-                    Self::release_spill_holder(
-                        &mut rec.spill_holders,
-                        &mut self.scheduler,
-                        &self.nodes,
-                        job_id,
-                    );
-                }
+                self.sync_spill_avoidance();
                 self.events.push(EngineEvent::SpillFlushed {
                     at: self.now,
                     records,
@@ -2317,23 +2282,14 @@ impl SimEngine {
                 // durable on the export, and the extra loss is attributed
                 // as wasted work (the crash landed inside the outage
                 // window).
-                let mut include_spill = false;
-                if rec.store.spilled(id.0).is_some() {
-                    let holder = rec.spill_holders.get(&id.0).copied();
-                    let holder_ok =
-                        holder.is_some_and(|h| rec.node_alive[h] && !rec.control.is_fenced(h));
-                    if holder_ok {
-                        include_spill = true;
-                    } else {
+                let include_spill = match rec.store.spill_holder(id.0) {
+                    Some(h) if rec.node_alive[h] && !rec.control.is_fenced(h) => true,
+                    Some(_) => {
                         rec.store.drop_spill(id.0);
-                        Self::release_spill_holder(
-                            &mut rec.spill_holders,
-                            &mut self.scheduler,
-                            &self.nodes,
-                            id.0,
-                        );
+                        false
                     }
-                }
+                    None => false,
+                };
                 // The restart point is read back through the CRC-verifying
                 // chain walk, never trusted from memory: a record rotted on
                 // the export (or in the spill buffer) is quarantined here
@@ -2347,16 +2303,6 @@ impl SimEngine {
                         generation,
                         at: self.now,
                     });
-                }
-                if verified.is_none() && include_spill {
-                    // The spill was the quarantined record: its holder mark
-                    // is stale now that the buffer is gone.
-                    Self::release_spill_holder(
-                        &mut rec.spill_holders,
-                        &mut self.scheduler,
-                        &self.nodes,
-                        id.0,
-                    );
                 }
                 let saved = verified.map(|c| c.progress()).unwrap_or(0.0);
                 let wasted = (run.progress - saved).max(0.0);
@@ -2381,12 +2327,6 @@ impl SimEngine {
                 if let Some(rec) = self.recovery.as_mut() {
                     rec.store.remove(id.0);
                     rec.resume_progress.remove(&id);
-                    Self::release_spill_holder(
-                        &mut rec.spill_holders,
-                        &mut self.scheduler,
-                        &self.nodes,
-                        id.0,
-                    );
                 }
                 self.events.push(EngineEvent::JobLost { id, at: self.now });
             } else {
@@ -2394,6 +2334,8 @@ impl SimEngine {
                     .push(EngineEvent::JobRequeued { id, at: self.now });
             }
         }
+        // A dropped, quarantined or removed spill releases its holder.
+        self.sync_spill_avoidance();
         self.accounting.record_events(self.scheduler.take_events());
     }
 
@@ -2474,7 +2416,6 @@ impl SimEngine {
         });
         if let Some(rec) = self.recovery.as_mut() {
             rec.fences += 1;
-            rec.control.set_fenced(node_index, true);
         }
         // A false suspicion still takes a healthy node out of service:
         // that availability cost is real, so the outage clock opens either
@@ -2490,9 +2431,6 @@ impl SimEngine {
         self.thermal.clear_trip(node_index);
         let hostname = self.nodes[node_index].hostname().to_owned();
         self.scheduler.resume_node(&hostname);
-        if let Some(rec) = self.recovery.as_mut() {
-            rec.control.set_fenced(node_index, false);
-        }
         if let Some(since) = self.node_down_since[node_index].take() {
             self.node_downtime[node_index] += self.now.saturating_since(since);
         }
@@ -2506,7 +2444,7 @@ impl SimEngine {
     /// DVFS-capped or throttled board runs its management daemon slower
     /// too: its heartbeat cadence stretches by the inverse performance
     /// scale, and the detector is told so slowness is not mistaken for
-    /// death (gated by [`RecoveryConfig::cap_aware_suspicion`]).
+    /// death.
     fn set_expected_scales(&mut self) {
         let Some(rec) = self.recovery.as_mut() else {
             return;
@@ -2557,14 +2495,11 @@ impl SimEngine {
     }
 
     /// One control-plane decision tick: suspicion, fencing, unfencing and
-    /// the thermal watchdog.
+    /// partition detection.
     fn control_plane_tick(&mut self) {
-        self.temps.clear();
-        self.temps
-            .extend((0..self.nodes.len()).map(|i| self.thermal.temperature(i)));
         let actions = {
             let rec = self.recovery.as_mut().expect("recovery mode");
-            rec.control.tick(self.now, &self.temps)
+            rec.control.tick(self.now)
         };
         for action in actions {
             match action {
@@ -2579,20 +2514,8 @@ impl SimEngine {
                     }
                     self.fence_node(node);
                 }
-                ControlAction::FenceHot { node, .. } => {
-                    self.fence_node(node);
-                }
                 ControlAction::Unfence { node } => {
                     self.unfence_node(node);
-                }
-                ControlAction::ThrottleHot { node, .. } => {
-                    if self.nodes[node].cpufreq_mut().step_down() {
-                        self.events
-                            .push(EngineEvent::WatchdogThrottled { node, at: self.now });
-                    }
-                }
-                ControlAction::RelaxCool { node } => {
-                    self.nodes[node].cpufreq_mut().step_up();
                 }
                 ControlAction::PartitionSuspected { silent } => {
                     self.events.push(EngineEvent::PartitionSuspected {
@@ -2612,31 +2535,18 @@ impl SimEngine {
         }
     }
 
-    /// Records that `node` holds `job_id`'s only (spilled) checkpoint copy
-    /// and steers placement away from it until the flush.
-    fn mark_spill_holder(
-        holders: &mut HashMap<u64, usize>,
-        scheduler: &mut Scheduler,
-        nodes: &[ComputeNode],
-        job_id: u64,
-        node: usize,
-    ) {
-        holders.insert(job_id, node);
-        scheduler.set_node_avoided(nodes[node].hostname(), true);
-    }
-
-    /// Releases `job_id`'s spill-holder mark (record flushed, dropped, or
-    /// job gone); the node returns to normal placement once no other job
-    /// spills on it.
-    fn release_spill_holder(
-        holders: &mut HashMap<u64, usize>,
-        scheduler: &mut Scheduler,
-        nodes: &[ComputeNode],
-        job_id: u64,
-    ) {
-        if let Some(node) = holders.remove(&job_id) {
-            if !holders.values().any(|&n| n == node) {
-                scheduler.set_node_avoided(nodes[node].hostname(), false);
+    /// Soft-avoids exactly the nodes that buffer some job's spilled
+    /// checkpoint (the only copy of that restart point until the flush),
+    /// as the store records them. Called after every change to the
+    /// store's spills; only a changed flag reaches the scheduler.
+    fn sync_spill_avoidance(&mut self) {
+        let Some(rec) = self.recovery.as_ref() else {
+            return;
+        };
+        for (i, node) in self.nodes.iter().enumerate() {
+            let hold = rec.store.holds_spill(i);
+            if self.scheduler.avoided_nodes().contains(node.hostname()) != hold {
+                self.scheduler.set_node_avoided(node.hostname(), hold);
             }
         }
     }
@@ -2659,8 +2569,7 @@ impl SimEngine {
             return;
         };
         let events = &mut self.events;
-        let scheduler = &mut self.scheduler;
-        let nodes = &self.nodes;
+        let mut spilled = false;
         for job in self.running.values_mut() {
             if job.ckpt.drained_by(now) {
                 let progress = job.ckpt.pending();
@@ -2671,7 +2580,7 @@ impl SimEngine {
                     now,
                 );
                 match rec.store.save_at(now, ckpt) {
-                    Ok(_) => {
+                    Ok(()) => {
                         let progress = job.ckpt.commit(now + cfg.interval);
                         rec.checkpoints_written += 1;
                         events.push(EngineEvent::CheckpointWritten {
@@ -2687,26 +2596,15 @@ impl SimEngine {
                             // as the restart point — it survives anything
                             // short of that node dying before the flush.
                             let holder = *job.node_indices.first().expect("running job has nodes");
-                            rec.store.spill_write(JobCheckpoint::new(
-                                job.id.0,
-                                progress,
-                                checkpoint_position(&job.workload, progress),
-                                now,
-                            ));
-                            Self::mark_spill_holder(
-                                &mut rec.spill_holders,
-                                scheduler,
-                                nodes,
-                                job.id.0,
-                                holder,
-                            );
+                            rec.store.spill_write(ckpt, holder);
+                            spilled = true;
                             let progress = job.ckpt.commit(now + cfg.interval);
                             events.push(EngineEvent::CheckpointSpilled {
                                 id: job.id,
                                 at: now,
                                 progress,
                             });
-                        } else if job.ckpt.retries() >= cfg.max_retries {
+                        } else if job.ckpt.retries() >= MAX_RETRIES {
                             // Retry budget spent: drop the write, resume
                             // the cadence from the last durable commit.
                             job.ckpt.abandon(now + cfg.interval);
@@ -2715,7 +2613,7 @@ impl SimEngine {
                                 at: now,
                             });
                         } else {
-                            let retry_at = now + cfg.retry_delay(job.ckpt.retries());
+                            let retry_at = now + retry_delay(job.ckpt.retries());
                             job.ckpt.defer(retry_at);
                             events.push(EngineEvent::CheckpointDeferred {
                                 id: job.id,
@@ -2733,8 +2631,11 @@ impl SimEngine {
             {
                 let bytes = job.mem_per_node * job.node_indices.len() as f64;
                 let start = nfs_stalled_until.unwrap_or(now);
-                job.ckpt.begin(job.progress, start + cfg.cost.cost(bytes));
+                job.ckpt.begin(job.progress, start + write_cost(bytes));
             }
+        }
+        if spilled {
+            self.sync_spill_avoidance();
         }
     }
 
@@ -3334,7 +3235,7 @@ mod tests {
         let mut engine = SimEngine::new(EngineConfig {
             monitoring: false,
             dt: SimDuration::from_secs(1),
-            power_cap: None,
+            power_cap: false,
             ..EngineConfig::default()
         })
         .with_fault_plan(FaultPlan::new().with(
@@ -3377,43 +3278,47 @@ mod tests {
     fn capped_nodes_heartbeat_slower_without_tripping_a_cap_aware_detector() {
         // A deep brownout clamps blade 0 to the floor OPP: its health
         // daemons run at a third of nominal speed and heartbeat late. The
-        // cap-aware detector is told the expected slowdown and stays
-        // quiet; the legacy detector reads the silence as death and
-        // fences healthy nodes (the false-suspicion regression).
-        let run = |cap_aware: bool| {
-            let mut recovery = RecoveryConfig::detection_only();
-            recovery.cap_aware_suspicion = cap_aware;
-            let mut engine = SimEngine::new(EngineConfig {
-                monitoring: false,
-                dt: SimDuration::from_secs(1),
-                recovery: Some(recovery),
-                ..EngineConfig::default()
-            })
-            .with_fault_plan(FaultPlan::new().with(
-                SimTime::from_secs(30),
-                FaultKind::RailBrownout {
-                    blade: 0,
-                    budget_frac: 0.58,
-                    span: SimDuration::from_secs(300),
-                },
-            ));
-            engine.submit(synthetic(8, 500)).unwrap();
-            engine.run_for(SimDuration::from_secs(400));
-            engine
-        };
-        let aware = run(true);
+        // detector is told the expected slowdown and stays quiet.
+        let mut engine = SimEngine::new(EngineConfig {
+            monitoring: false,
+            dt: SimDuration::from_secs(1),
+            recovery: Some(RecoveryConfig::detection_only()),
+            ..EngineConfig::default()
+        })
+        .with_fault_plan(FaultPlan::new().with(
+            SimTime::from_secs(30),
+            FaultKind::RailBrownout {
+                blade: 0,
+                budget_frac: 0.58,
+                span: SimDuration::from_secs(300),
+            },
+        ));
+        engine.submit(synthetic(8, 500)).unwrap();
+        // Mid-brownout, the capped blade's detectors expect stretched
+        // beats and every other blade's the nominal cadence.
+        engine.run_for(SimDuration::from_secs(200));
         assert!(
-            aware.events().iter().any(
+            engine.events().iter().any(
                 |e| matches!(e, EngineEvent::BladeCapped { blade: 0, ceiling, .. } if *ceiling == 0)
             ),
             "the 58% budget must clamp blade 0 to the floor OPP"
         );
-        assert_eq!(aware.suspicion_count(), 0, "capped is not dead");
-        assert_eq!(aware.fence_count(), 0);
-        let legacy = run(false);
-        assert!(
-            legacy.suspicion_count() > 0,
-            "without cap awareness the slow heartbeats read as death"
-        );
+        let monitor = engine.control_plane().expect("recovery on").monitor();
+        for (b, blade) in engine.layout().blades().iter().enumerate() {
+            for &i in &blade.node_indices {
+                let scale = monitor
+                    .detector(engine.nodes()[i].hostname())
+                    .expect("every node is watched")
+                    .expected_scale();
+                if b == 0 {
+                    assert!(scale >= 2.0, "capped node {i} expects {scale}x beats");
+                } else {
+                    assert_eq!(scale, 1.0, "uncapped node {i}");
+                }
+            }
+        }
+        engine.run_for(SimDuration::from_secs(200));
+        assert_eq!(engine.suspicion_count(), 0, "capped is not dead");
+        assert_eq!(engine.fence_count(), 0);
     }
 }

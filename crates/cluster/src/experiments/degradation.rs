@@ -159,7 +159,7 @@ fn brownout_campaign(
     // The full recovery stack runs underneath: capped nodes heartbeat
     // slower but must not be fenced (the detector is cap-aware), while
     // crash-only brownouts go through real detection and requeue.
-    let mut config = EngineConfig {
+    let config = EngineConfig {
         dt: SimDuration::from_secs(2),
         seed,
         monitoring: false,
@@ -167,11 +167,9 @@ fn brownout_campaign(
             600,
         ))),
         clock,
+        power_cap: capping,
         ..EngineConfig::default()
     };
-    if !capping {
-        config.power_cap = None;
-    }
     let mut engine = SimEngine::new(config).with_fault_plan(FaultPlan::new().with(
         SimTime::from_secs(120),
         FaultKind::RailBrownout {

@@ -1,5 +1,5 @@
-//! The self-healing control plane: heartbeat-driven failure detection,
-//! node fencing, and a closed-loop thermal watchdog.
+//! The self-healing control plane: heartbeat-driven failure detection
+//! and node fencing.
 //!
 //! With recovery enabled the engine stops telling the scheduler about
 //! crashes directly. Instead every node publishes a periodic heartbeat
@@ -11,33 +11,26 @@
 //! Because detection rides the telemetry path, injected broker message
 //! loss and network partitions can fence perfectly healthy nodes — the
 //! false-positive cost the phi threshold trades against latency.
-//!
-//! The thermal watchdog closes the loop the paper had to close by hand
-//! during its node-7 runaway: sustained over-temperature first throttles
-//! DVFS, and past a hotter line fences the blade before the 107 °C
-//! hardware trip fires.
 
 use cimone_monitor::broker::Broker;
 use cimone_monitor::heartbeat::{HeartbeatMonitor, DEFAULT_PHI_THRESHOLD};
-use cimone_soc::units::{Celsius, SimDuration, SimTime};
+use cimone_soc::units::{SimDuration, SimTime};
 
-use crate::checkpoint::CheckpointCostModel;
+use crate::blade::RAIL_RATED_WATTS;
 
-/// Checkpoint/restart policy for the engine.
+/// How long the `Partitioned` state may defer suspicion before the
+/// plane concludes the cluster really did die en masse and lets fencing
+/// proceed.
+pub const PARTITION_TIMEOUT: SimDuration = SimDuration::from_secs(120);
+
+/// Checkpoint/restart policy for the engine. The rest is fixed: a commit
+/// quiesces the job for 1 s plus its state drained at ~117 MB/s, and a
+/// commit the offline export refuses is retried after 4 s, doubling up to
+/// 64 s, at most 5 times before it is abandoned.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointConfig {
     /// Cadence between checkpoint commits of one job.
     pub interval: SimDuration,
-    /// What each commit costs the job.
-    pub cost: CheckpointCostModel,
-    /// First retry delay when a drained write cannot commit because the
-    /// export is offline; each further attempt doubles it.
-    pub retry_base: SimDuration,
-    /// Ceiling on the exponential backoff between retries.
-    pub retry_cap: SimDuration,
-    /// Deferred commit attempts allowed before the in-flight write is
-    /// abandoned (its pending progress dropped) and the cadence resumes.
-    pub max_retries: u32,
     /// Node-local write-behind: while the export is offline a drained
     /// write spills to the job's first allocated node instead of retrying,
     /// and flushes to the export when it recovers. The spilled progress is
@@ -47,9 +40,8 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// Checkpoints every `interval` at the default Gigabit-NFS cost, with
-    /// the default outage posture: bounded retry (4 s base, 64 s cap,
-    /// 5 attempts), no spill buffer.
+    /// Checkpoints every `interval`, with the default outage posture:
+    /// bounded retry, no spill buffer.
     ///
     /// # Panics
     ///
@@ -58,10 +50,6 @@ impl CheckpointConfig {
         assert!(!interval.is_zero(), "checkpoint interval must be non-zero");
         CheckpointConfig {
             interval,
-            cost: CheckpointCostModel::default(),
-            retry_base: SimDuration::from_secs(4),
-            retry_cap: SimDuration::from_secs(64),
-            max_retries: 5,
             spill: false,
         }
     }
@@ -71,93 +59,36 @@ impl CheckpointConfig {
         self.spill = true;
         self
     }
-
-    /// The exponential-backoff delay before retry number `retries + 1`:
-    /// `retry_base · 2^retries`, capped at `retry_cap`.
-    pub fn retry_delay(&self, retries: u32) -> SimDuration {
-        let base = self.retry_base.as_secs_f64();
-        let cap = self.retry_cap.as_secs_f64();
-        SimDuration::from_secs_f64((base * 2f64.powi(retries.min(31) as i32)).min(cap))
-    }
 }
 
-/// The closed-loop thermal watchdog policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThermalWatchdog {
-    /// Above this, step the node's DVFS down one OPP per tick.
-    pub throttle_above: Celsius,
-    /// Below this, step back up (hysteresis against oscillation).
-    pub release_below: Celsius,
-    /// Above this for [`ThermalWatchdog::sustain`], fence the blade.
-    pub fence_above: Celsius,
-    /// How long over-temperature must persist before fencing.
-    pub sustain: SimDuration,
-}
-
-impl ThermalWatchdog {
-    /// Defaults tuned under the FU740's 107 °C trip: throttle at 95 °C,
-    /// release below 85 °C, fence after 30 s sustained above 103 °C.
-    pub fn fu740_default() -> Self {
-        ThermalWatchdog {
-            throttle_above: Celsius::new(95.0),
-            release_below: Celsius::new(85.0),
-            fence_above: Celsius::new(103.0),
-            sustain: SimDuration::from_secs(30),
-        }
-    }
-}
-
-/// Recovery-subsystem configuration (engine-level).
+/// Recovery-subsystem configuration (engine-level). Suspicion fences at
+/// phi [`DEFAULT_PHI_THRESHOLD`], against each node's cadence stretched
+/// by its DVFS slowdown.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// Heartbeat publication cadence per node.
     pub heartbeat_interval: SimDuration,
-    /// Phi threshold above which a node is suspected (see
-    /// [`cimone_monitor::heartbeat`] for the latency/false-positive
-    /// tradeoff).
-    pub phi_threshold: f64,
     /// Checkpoint/restart policy; `None` restarts evicted jobs from zero.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Whether suspicion fences the node (evicting its jobs). Disabling
-    /// leaves detection observable but inert.
-    pub fence_on_suspicion: bool,
-    /// Optional closed-loop thermal watchdog.
-    pub thermal_watchdog: Option<ThermalWatchdog>,
-    /// Whether the failure detector is told about DVFS slowdowns. A capped
-    /// (or throttled) node runs its health daemon slower and heartbeats
-    /// late; with this on, the engine feeds the expected slowdown into the
-    /// [`HeartbeatMonitor`] so phi is computed against the scaled cadence
-    /// and graceful degradation never trips suspicion fencing. Disabling
-    /// it reproduces the false-positive failure mode (for regression
-    /// tests).
-    pub cap_aware_suspicion: bool,
     /// Whether the control plane distinguishes "everyone went silent at
     /// once" (a rack-level switch outage) from "everyone died": when a
     /// node would be suspected while *no* node in the cluster has
     /// heartbeat recently, the plane enters a `Partitioned` state and
-    /// defers all suspicion until connectivity returns, instead of
-    /// mass-fencing the machine. Disabling reproduces the legacy
-    /// mass-false-suspect behaviour (for regression tests).
+    /// defers all suspicion until connectivity returns (or
+    /// [`PARTITION_TIMEOUT`] passes), instead of mass-fencing the
+    /// machine. Disabling reproduces the naive mass-false-suspect
+    /// behaviour.
     pub partition_aware: bool,
-    /// How long the `Partitioned` state may defer suspicion before the
-    /// plane concludes the cluster really did die en masse and lets
-    /// fencing proceed.
-    pub partition_timeout: SimDuration,
 }
 
 impl RecoveryConfig {
     /// Detection and self-healing on, checkpointing off: 5 s heartbeats,
-    /// phi threshold 8, fence + auto-unfence, no watchdog.
+    /// fence + auto-unfence, partition-aware.
     pub fn detection_only() -> Self {
         RecoveryConfig {
             heartbeat_interval: SimDuration::from_secs(5),
-            phi_threshold: DEFAULT_PHI_THRESHOLD,
             checkpoint: None,
-            fence_on_suspicion: true,
-            thermal_watchdog: None,
-            cap_aware_suspicion: true,
             partition_aware: true,
-            partition_timeout: SimDuration::from_secs(120),
         }
     }
 
@@ -194,25 +125,6 @@ pub enum ControlAction {
         /// Node index.
         node: usize,
     },
-    /// Watchdog: the node is over its throttle line; step DVFS down.
-    ThrottleHot {
-        /// Node index.
-        node: usize,
-        /// The temperature observed.
-        temperature: Celsius,
-    },
-    /// Watchdog: the node cooled below the release line; step DVFS up.
-    RelaxCool {
-        /// Node index.
-        node: usize,
-    },
-    /// Watchdog: sustained over-temperature; fence before the trip.
-    FenceHot {
-        /// Node index.
-        node: usize,
-        /// The temperature observed.
-        temperature: Celsius,
-    },
     /// Every node went silent at once: the plane suspects the shared
     /// switch, not the nodes, and defers all suspicion.
     PartitionSuspected {
@@ -222,8 +134,8 @@ pub enum ControlAction {
     /// A heartbeat got through again: connectivity is back, deferred
     /// suspicion re-accrues per node from here.
     PartitionHealed,
-    /// The partition outlived [`RecoveryConfig::partition_timeout`]: the
-    /// plane concludes the cluster really died and lets fencing proceed.
+    /// The partition outlived [`PARTITION_TIMEOUT`]: the plane concludes
+    /// the cluster really died and lets fencing proceed.
     PartitionTimedOut,
 }
 
@@ -233,13 +145,10 @@ pub struct ControlPlane {
     config: RecoveryConfig,
     /// Each node's detector slot in `monitor`, resolved once.
     slots: Vec<usize>,
-    /// Which nodes this control plane has fenced.
+    /// Which nodes this control plane has fenced. The plane is the only
+    /// writer: it marks a node in the tick that emits the action, and the
+    /// engine applies the action in that same tick.
     fenced: Vec<bool>,
-    /// When each node crossed the watchdog's fence line, if it is over it.
-    hot_since: Vec<Option<SimTime>>,
-    /// Outstanding watchdog DVFS step-downs per node, so cooling only
-    /// relaxes what the watchdog itself throttled.
-    throttle_depth: Vec<usize>,
     /// Since when the plane has judged the cluster partitioned (correlated
     /// silence), deferring all suspicion.
     partitioned_since: Option<SimTime>,
@@ -254,7 +163,7 @@ impl ControlPlane {
             "org/unibo/cluster/cimone/node/+/plugin/health_pub/chnl/data/heartbeat"
                 .parse()
                 .expect("valid filter"),
-            config.phi_threshold,
+            DEFAULT_PHI_THRESHOLD,
         );
         let n = hostnames.len();
         let slots = hostnames.iter().map(|h| monitor.register(h)).collect();
@@ -263,8 +172,6 @@ impl ControlPlane {
             config,
             slots,
             fenced: vec![false; n],
-            hot_since: vec![None; n],
-            throttle_depth: vec![0; n],
             partitioned_since: None,
         }
     }
@@ -289,22 +196,14 @@ impl ControlPlane {
         self.fenced[node]
     }
 
-    /// Marks `node` fenced (the engine calls this after applying a fence
-    /// action so operator-driven fences stay in sync too).
-    pub fn set_fenced(&mut self, node: usize, fenced: bool) {
-        self.fenced[node] = fenced;
-    }
-
     /// Tells the failure detector that `node` is expected to heartbeat
     /// `scale`× slower than nominal (a DVFS-capped node's health daemon
-    /// runs at the capped clock). A no-op unless
-    /// [`RecoveryConfig::cap_aware_suspicion`] is set.
+    /// runs at the capped clock), so phi is computed against the scaled
+    /// cadence and graceful degradation never trips suspicion fencing.
     pub fn set_expected_interval_scale(&mut self, node: usize, scale: f64) {
-        if self.config.cap_aware_suspicion {
-            self.monitor
-                .slot_mut(self.slots[node])
-                .set_expected_scale(scale);
-        }
+        self.monitor
+            .slot_mut(self.slots[node])
+            .set_expected_scale(scale);
     }
 
     /// Whether any node is currently fenced. A fenced node's unfence
@@ -342,37 +241,20 @@ impl ControlPlane {
 
     /// Whether [`ControlPlane::tick`] is provably a pure observation for
     /// ticks where no heartbeat arrives and no phi threshold is crossed:
-    /// no node fenced, no armed watchdog sustain clock, no outstanding
-    /// watchdog throttle to relax, and (when a watchdog is configured)
-    /// every temperature strictly below its throttle and fence lines.
-    /// Under these conditions the only state `tick` could mutate is
-    /// driven by arrivals or crossings, both of which a due-time clock
-    /// schedules explicitly — so skipping the call is exact.
-    pub fn is_quiescent(&self, temperatures: impl IntoIterator<Item = Celsius>) -> bool {
-        if self.any_fenced() {
-            return false;
-        }
+    /// no node fenced and no partition being deferred. Under these
+    /// conditions the only state `tick` could mutate is driven by arrivals
+    /// or crossings, both of which a due-time clock schedules explicitly —
+    /// so skipping the call is exact.
+    pub fn is_quiescent(&self) -> bool {
         // The partitioned state heals on arrivals and expires on a wall
         // clock: both are tick-observed, so the plane stays busy.
-        if self.partitioned_since.is_some() {
-            return false;
-        }
-        match self.config.thermal_watchdog {
-            None => true,
-            Some(w) => {
-                self.hot_since.iter().all(Option::is_none)
-                    && self.throttle_depth.iter().all(|&d| d == 0)
-                    && temperatures
-                        .into_iter()
-                        .all(|t| t < w.throttle_above && t < w.fence_above)
-            }
-        }
+        !self.any_fenced() && self.partitioned_since.is_none()
     }
 
     /// The first grid tick in `[from, to]` (stepping by `step`) at which
     /// node `i` would cross the suspicion threshold with no further
-    /// heartbeats — `None` when suspicion cannot fence (disabled, already
-    /// fenced, or the crossing lies beyond `to`).
+    /// heartbeats — `None` when the node is already fenced or the crossing
+    /// lies beyond `to`.
     pub fn next_suspicion_due(
         &self,
         node: usize,
@@ -380,27 +262,21 @@ impl ControlPlane {
         to: SimTime,
         step: SimDuration,
     ) -> Option<SimTime> {
-        if !self.config.fence_on_suspicion || self.fenced[node] {
+        if self.fenced[node] {
             return None;
         }
-        self.monitor.slot(self.slots[node]).first_crossing(
-            self.config.phi_threshold,
-            from,
-            to,
-            step,
-        )
+        self.monitor
+            .slot(self.slots[node])
+            .first_crossing(DEFAULT_PHI_THRESHOLD, from, to, step)
     }
 
-    /// One decision tick: ingest heartbeats, evaluate suspicion for every
-    /// node, and run the thermal watchdog over `temperatures`. Returns the
-    /// actions for the engine to apply, in node order.
-    // The index walks four parallel per-node vectors; iterating any one
-    // of them would just obscure that.
-    #[allow(clippy::needless_range_loop)]
-    pub fn tick(&mut self, now: SimTime, temperatures: &[Celsius]) -> Vec<ControlAction> {
+    /// One decision tick: ingest heartbeats and evaluate suspicion for
+    /// every node. Returns the actions for the engine to apply, in node
+    /// order.
+    pub fn tick(&mut self, now: SimTime) -> Vec<ControlAction> {
         self.monitor.pump();
         let mut actions = Vec::new();
-        if self.config.partition_aware && self.config.fence_on_suspicion {
+        if self.config.partition_aware {
             let fresh = self.recently_heard_any(now);
             match self.partitioned_since {
                 Some(since) => {
@@ -411,7 +287,7 @@ impl ControlPlane {
                         // died — are fenced by the loop below, this tick.
                         self.partitioned_since = None;
                         actions.push(ControlAction::PartitionHealed);
-                    } else if now.saturating_since(since) >= self.config.partition_timeout {
+                    } else if now.saturating_since(since) >= PARTITION_TIMEOUT {
                         // Nobody came back: the cluster really died en
                         // masse. Stop deferring and let fencing proceed.
                         self.partitioned_since = None;
@@ -423,7 +299,7 @@ impl ControlPlane {
                         .filter(|&n| {
                             !self.fenced[n]
                                 && self.monitor.slot(self.slots[n]).phi(now)
-                                    >= self.config.phi_threshold
+                                    >= DEFAULT_PHI_THRESHOLD
                         })
                         .count();
                     // Correlated silence is only inferable against peers:
@@ -450,67 +326,25 @@ impl ControlPlane {
                 }
             }
         }
-        for node in 0..self.slots.len() {
-            let detector = self.monitor.slot(self.slots[node]);
+        for (node, &slot) in self.slots.iter().enumerate() {
+            let detector = self.monitor.slot(slot);
             let phi = detector.phi(now);
             if !self.fenced[node] {
-                if self.config.fence_on_suspicion
-                    && self.partitioned_since.is_none()
-                    && phi >= self.config.phi_threshold
-                {
+                if self.partitioned_since.is_none() && phi >= DEFAULT_PHI_THRESHOLD {
                     actions.push(ControlAction::FenceSuspect { node, phi });
-                    // Applied optimistically: the engine fences in the same
-                    // tick it receives the action.
                     self.fenced[node] = true;
-                    continue;
                 }
             } else {
                 // A fenced node returns to service once its stream has
                 // demonstrably resumed (a real repair or a false
                 // suspicion): a fresh arrival and suspicion back under half
-                // the line. A thermally fenced node keeps heartbeating, so
-                // it must additionally have cooled below the release line.
+                // the line.
                 let resumed = detector
                     .last_heard()
                     .is_some_and(|t| now.saturating_since(t) < self.config.heartbeat_interval * 2);
-                let cooled = self
-                    .config
-                    .thermal_watchdog
-                    .is_none_or(|w| temperatures[node] < w.release_below);
-                if resumed && cooled && phi < self.config.phi_threshold * 0.5 {
+                if resumed && phi < DEFAULT_PHI_THRESHOLD * 0.5 {
                     actions.push(ControlAction::Unfence { node });
                     self.fenced[node] = false;
-                }
-            }
-            if let Some(watchdog) = self.config.thermal_watchdog {
-                if self.fenced[node] {
-                    self.hot_since[node] = None;
-                    continue;
-                }
-                let temp = temperatures[node];
-                if temp >= watchdog.fence_above {
-                    let since = *self.hot_since[node].get_or_insert(now);
-                    if now.saturating_since(since) >= watchdog.sustain {
-                        actions.push(ControlAction::FenceHot {
-                            node,
-                            temperature: temp,
-                        });
-                        self.fenced[node] = true;
-                        self.hot_since[node] = None;
-                        continue;
-                    }
-                } else {
-                    self.hot_since[node] = None;
-                }
-                if temp >= watchdog.throttle_above {
-                    actions.push(ControlAction::ThrottleHot {
-                        node,
-                        temperature: temp,
-                    });
-                    self.throttle_depth[node] += 1;
-                } else if temp < watchdog.release_below && self.throttle_depth[node] > 0 {
-                    actions.push(ControlAction::RelaxCool { node });
-                    self.throttle_depth[node] -= 1;
                 }
             }
         }
@@ -527,41 +361,17 @@ impl std::fmt::Debug for ControlPlane {
     }
 }
 
-/// Power-cap governor policy (engine-level).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerCapConfig {
-    /// Rated power budget of one blade's rail, watts; a brownout's
-    /// `budget_frac` scales this.
-    pub rail_rated_watts: f64,
-    /// Hysteresis between single-OPP ramp-back steps — both once a rail
-    /// recovers and while capped under an active budget — so a flapping
-    /// rail or a wiggling temperature cannot make the blade's frequency
-    /// oscillate.
-    pub ramp_interval: SimDuration,
-    /// Up-step margin: while a budget is active, the ceiling only rises
-    /// to an OPP whose predicted power fits under `budget × (1 − margin)`.
-    /// Down-steps ignore the margin (safety is immediate).
-    pub up_margin_frac: f64,
-}
+/// Hysteresis between single-OPP ramp-back steps of the power-cap
+/// governor — both once a rail recovers and while capped under an active
+/// budget — so a flapping rail or a wiggling temperature cannot make the
+/// blade's frequency oscillate.
+pub const RAMP_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
-impl PowerCapConfig {
-    /// Defaults for the RV007 blade: the rated rail budget from
-    /// [`crate::blade::RAIL_RATED_WATTS`], ramping one OPP per 10 s, with
-    /// a 3% up-step margin.
-    pub fn rv007_default() -> Self {
-        PowerCapConfig {
-            rail_rated_watts: crate::blade::RAIL_RATED_WATTS,
-            ramp_interval: SimDuration::from_secs(10),
-            up_margin_frac: 0.03,
-        }
-    }
-}
-
-impl Default for PowerCapConfig {
-    fn default() -> Self {
-        PowerCapConfig::rv007_default()
-    }
-}
+/// Up-step margin of the power-cap governor: while a budget is active,
+/// the ceiling only rises to an OPP whose predicted power fits under
+/// `budget × (1 − margin)`. Down-steps ignore the margin (safety is
+/// immediate).
+pub const UP_MARGIN_FRAC: f64 = 0.03;
 
 /// An action the power-cap governor asks the engine to apply. Like
 /// [`ControlAction`], the governor never touches nodes or the scheduler
@@ -643,7 +453,8 @@ struct RackBudget {
 /// the blade's DVFS operating points so the blade's *mean* power never
 /// exceeds the reduced budget, instead of letting the boards crash; when
 /// the rail recovers it ramps the cap back one OPP per
-/// [`PowerCapConfig::ramp_interval`] (hysteresis against rail flap).
+/// [`RAMP_INTERVAL`] (hysteresis against rail flap). Budgets are
+/// fractions of [`RAIL_RATED_WATTS`] per blade.
 ///
 /// Everything is an exact function of grid-tick inputs, and the governor
 /// exposes [`PowerCapGovernor::next_due`] and
@@ -652,7 +463,6 @@ struct RackBudget {
 /// clock modes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerCapGovernor {
-    config: PowerCapConfig,
     opp_count: usize,
     blades: Vec<BladeCap>,
     rack: Option<RackBudget>,
@@ -665,10 +475,9 @@ impl PowerCapGovernor {
     /// # Panics
     ///
     /// Panics if `opp_count` is zero.
-    pub fn new(config: PowerCapConfig, blade_count: usize, opp_count: usize) -> Self {
+    pub fn new(blade_count: usize, opp_count: usize) -> Self {
         assert!(opp_count > 0, "need at least one operating point");
         PowerCapGovernor {
-            config,
             opp_count,
             blades: vec![
                 BladeCap {
@@ -685,11 +494,6 @@ impl PowerCapGovernor {
         }
     }
 
-    /// The governor's policy.
-    pub fn config(&self) -> &PowerCapConfig {
-        &self.config
-    }
-
     /// Registers a brownout on `blade`'s rail: `budget_frac` of the rated
     /// budget remains available until `now + span`. The next
     /// [`PowerCapGovernor::evaluate`] picks the cap.
@@ -701,19 +505,19 @@ impl PowerCapGovernor {
         span: SimDuration,
     ) {
         let cap = &mut self.blades[blade];
-        cap.budget_watts = Some(budget_frac * self.config.rail_rated_watts);
+        cap.budget_watts = Some(budget_frac * RAIL_RATED_WATTS);
         cap.until = now + span;
         cap.next_ramp = None;
         cap.up_fit_since = None;
     }
 
     /// Registers a machine-wide brownout: `budget_frac` of the rack's total
-    /// rated feed (`rail_rated_watts × blade_count`) remains available
+    /// rated feed ([`RAIL_RATED_WATTS`] × `blade_count`) remains available
     /// until `now + span`. Each [`PowerCapGovernor::evaluate`] while the
     /// budget is live arbitrates per-blade shares by deterministic
     /// water-filling over the blades' measured load curves.
     pub fn begin_rack_brownout(&mut self, budget_frac: f64, now: SimTime, span: SimDuration) {
-        let rated = self.config.rail_rated_watts * self.blades.len() as f64;
+        let rated = RAIL_RATED_WATTS * self.blades.len() as f64;
         self.rack = Some(RackBudget {
             budget_watts: budget_frac * rated,
             until: now + span,
@@ -862,7 +666,7 @@ impl PowerCapGovernor {
                     cap.next_ramp = None;
                     actions.push(CapAction::Release { blade });
                 } else {
-                    cap.next_ramp = Some(now + self.config.ramp_interval);
+                    cap.next_ramp = Some(now + RAMP_INTERVAL);
                 }
                 continue;
             }
@@ -878,7 +682,7 @@ impl PowerCapGovernor {
                 let admissible = (0..self.opp_count)
                     .rev()
                     .find(|&opp| blade_power_at(blade, opp) <= budget);
-                let up_budget = budget * (1.0 - self.config.up_margin_frac);
+                let up_budget = budget * (1.0 - UP_MARGIN_FRAC);
                 let cap = &mut self.blades[blade];
                 match admissible {
                     // Over budget at the current ceiling: clamp down to the
@@ -886,7 +690,7 @@ impl PowerCapGovernor {
                     // for a ramp interval.
                     Some(ceiling) if ceiling < cap.ceiling => {
                         cap.ceiling = ceiling;
-                        cap.next_ramp = Some(now + self.config.ramp_interval);
+                        cap.next_ramp = Some(now + RAMP_INTERVAL);
                         cap.up_fit_since = None;
                         actions.push(CapAction::SetCeiling { blade, ceiling });
                     }
@@ -901,11 +705,11 @@ impl PowerCapGovernor {
                         let next = cap.ceiling + 1;
                         if blade_power_at(blade, next) <= up_budget {
                             let since = *cap.up_fit_since.get_or_insert(now);
-                            if now >= since + self.config.ramp_interval
+                            if now >= since + RAMP_INTERVAL
                                 && cap.next_ramp.is_none_or(|t| now >= t)
                             {
                                 cap.ceiling = next;
-                                cap.next_ramp = Some(now + self.config.ramp_interval);
+                                cap.next_ramp = Some(now + RAMP_INTERVAL);
                                 // Each level earns its own dwell.
                                 cap.up_fit_since = None;
                                 actions.push(CapAction::SetCeiling {
@@ -944,7 +748,7 @@ impl PowerCapGovernor {
                         cap.next_ramp = None;
                         actions.push(CapAction::Release { blade });
                     } else {
-                        cap.next_ramp = Some(now + self.config.ramp_interval);
+                        cap.next_ramp = Some(now + RAMP_INTERVAL);
                     }
                 }
             }
@@ -1040,10 +844,6 @@ mod tests {
         (1..=2).map(|i| format!("mc-node-{i:02}")).collect()
     }
 
-    fn cool() -> Vec<Celsius> {
-        vec![Celsius::new(50.0); 2]
-    }
-
     #[test]
     fn silence_fences_and_resumption_unfences() {
         let broker = Broker::new();
@@ -1052,9 +852,9 @@ mod tests {
         for s in (0..60).step_by(5) {
             broker.publish(&topic, Payload::new(1.0, SimTime::from_secs(s)));
         }
-        assert!(cp.tick(SimTime::from_secs(60), &cool()).is_empty());
+        assert!(cp.tick(SimTime::from_secs(60)).is_empty());
         // 30 s of silence: node 0 crosses phi 8 and is fenced.
-        let actions = cp.tick(SimTime::from_secs(90), &cool());
+        let actions = cp.tick(SimTime::from_secs(90));
         assert!(matches!(
             actions.as_slice(),
             [ControlAction::FenceSuspect { node: 0, phi }] if *phi >= 8.0
@@ -1062,28 +862,9 @@ mod tests {
         assert!(cp.is_fenced(0));
         // The stream resumes: the node is unfenced.
         broker.publish(&topic, Payload::new(1.0, SimTime::from_secs(95)));
-        let actions = cp.tick(SimTime::from_secs(96), &cool());
+        let actions = cp.tick(SimTime::from_secs(96));
         assert_eq!(actions, vec![ControlAction::Unfence { node: 0 }]);
         assert!(!cp.is_fenced(0));
-    }
-
-    #[test]
-    fn fencing_can_be_disabled() {
-        let broker = Broker::new();
-        let config = RecoveryConfig {
-            fence_on_suspicion: false,
-            ..RecoveryConfig::detection_only()
-        };
-        let mut cp = ControlPlane::new(&broker, config, hosts());
-        let topic = heartbeat_topic("mc-node-02");
-        for s in (0..60).step_by(5) {
-            broker.publish(&topic, Payload::new(1.0, SimTime::from_secs(s)));
-        }
-        assert!(cp.tick(SimTime::from_secs(200), &cool()).is_empty());
-        // Suspicion is still observable even though nothing was fenced.
-        assert!(cp
-            .monitor()
-            .is_suspect("mc-node-02", SimTime::from_secs(200)));
     }
 
     /// Steady 5 s heartbeats for every host until `until_secs`.
@@ -1098,15 +879,10 @@ mod tests {
 
     /// Runs the plane tick-by-tick over `[from, to]` seconds, collecting
     /// every action tagged with its tick.
-    fn drive(
-        cp: &mut ControlPlane,
-        from: u64,
-        to: u64,
-        temps: &[Celsius],
-    ) -> Vec<(u64, ControlAction)> {
+    fn drive(cp: &mut ControlPlane, from: u64, to: u64) -> Vec<(u64, ControlAction)> {
         let mut seen = Vec::new();
         for s in from..=to {
-            for a in cp.tick(SimTime::from_secs(s), temps) {
+            for a in cp.tick(SimTime::from_secs(s)) {
                 seen.push((s, a));
             }
         }
@@ -1119,7 +895,7 @@ mod tests {
         let mut cp = ControlPlane::new(&broker, RecoveryConfig::detection_only(), hosts());
         beat_all(&broker, 60);
         // The switch goes dark after t=55: total silence, both nodes.
-        let seen = drive(&mut cp, 56, 140, &cool());
+        let seen = drive(&mut cp, 56, 140);
         assert!(
             seen.iter()
                 .all(|(_, a)| matches!(a, ControlAction::PartitionSuspected { .. })),
@@ -1132,7 +908,7 @@ mod tests {
         ));
         assert!(cp.is_partitioned());
         assert!(!cp.is_fenced(0) && !cp.is_fenced(1), "nobody fenced");
-        assert!(!cp.is_quiescent(cool()), "partitioned plane stays busy");
+        assert!(!cp.is_quiescent(), "partitioned plane stays busy");
         // The switch comes back: both streams resume, the partition heals,
         // and — the acceptance bar — not one false suspicion ever fires.
         for host in hosts() {
@@ -1141,7 +917,7 @@ mod tests {
                 broker.publish(&topic, Payload::new(1.0, SimTime::from_secs(s)));
             }
         }
-        let seen = drive(&mut cp, 141, 200, &cool());
+        let seen = drive(&mut cp, 141, 200);
         assert_eq!(
             seen.iter()
                 .filter(|(_, a)| matches!(a, ControlAction::PartitionHealed))
@@ -1169,7 +945,7 @@ mod tests {
         };
         let mut cp = ControlPlane::new(&broker, config, hosts());
         beat_all(&broker, 60);
-        let seen = drive(&mut cp, 56, 140, &cool());
+        let seen = drive(&mut cp, 56, 140);
         let fences: Vec<_> = seen
             .iter()
             .filter(|(_, a)| matches!(a, ControlAction::FenceSuspect { .. }))
@@ -1183,7 +959,7 @@ mod tests {
         let broker = Broker::new();
         let mut cp = ControlPlane::new(&broker, RecoveryConfig::detection_only(), hosts());
         beat_all(&broker, 60);
-        drive(&mut cp, 56, 140, &cool());
+        drive(&mut cp, 56, 140);
         assert!(cp.is_partitioned());
         // Only node 0 resumes: the partition heals, and node 1 — silent
         // since well before the rebaseline — is fenced at once.
@@ -1191,7 +967,7 @@ mod tests {
             &heartbeat_topic("mc-node-01"),
             Payload::new(1.0, SimTime::from_secs(141)),
         );
-        let seen = drive(&mut cp, 141, 160, &cool());
+        let seen = drive(&mut cp, 141, 160);
         assert!(
             seen.iter()
                 .any(|(_, a)| matches!(a, ControlAction::PartitionHealed)),
@@ -1208,15 +984,11 @@ mod tests {
     #[test]
     fn partition_timeout_concedes_mass_death() {
         let broker = Broker::new();
-        let config = RecoveryConfig {
-            partition_timeout: SimDuration::from_secs(60),
-            ..RecoveryConfig::detection_only()
-        };
-        let mut cp = ControlPlane::new(&broker, config, hosts());
+        let mut cp = ControlPlane::new(&broker, RecoveryConfig::detection_only(), hosts());
         beat_all(&broker, 60);
         // Nobody ever comes back: after the timeout the plane concedes and
         // fences the (really dead) cluster.
-        let seen = drive(&mut cp, 56, 300, &cool());
+        let seen = drive(&mut cp, 56, 400);
         let timeout_at = seen
             .iter()
             .find(|(_, a)| matches!(a, ControlAction::PartitionTimedOut))
@@ -1227,51 +999,16 @@ mod tests {
             .find(|(_, a)| matches!(a, ControlAction::PartitionSuspected { .. }))
             .map(|(s, _)| *s)
             .expect("partition entry");
-        assert_eq!(timeout_at, entry_at + 60);
+        assert_eq!(
+            SimTime::from_secs(timeout_at),
+            SimTime::from_secs(entry_at) + PARTITION_TIMEOUT
+        );
         let fences: Vec<_> = seen
             .iter()
             .filter(|(s, a)| matches!(a, ControlAction::FenceSuspect { .. }) && *s >= timeout_at)
             .collect();
         assert_eq!(fences.len(), 2, "{seen:?}");
         assert!(!cp.is_partitioned());
-    }
-
-    #[test]
-    fn watchdog_fences_only_after_sustained_heat() {
-        let broker = Broker::new();
-        let config = RecoveryConfig {
-            thermal_watchdog: Some(ThermalWatchdog {
-                throttle_above: Celsius::new(95.0),
-                release_below: Celsius::new(85.0),
-                fence_above: Celsius::new(103.0),
-                sustain: SimDuration::from_secs(30),
-            }),
-            ..RecoveryConfig::detection_only()
-        };
-        let mut cp = ControlPlane::new(&broker, config, hosts());
-        let hot = vec![Celsius::new(104.0), Celsius::new(50.0)];
-        // First sighting: throttle, arm the sustain clock — no fence yet.
-        let actions = cp.tick(SimTime::from_secs(10), &hot);
-        assert_eq!(
-            actions,
-            vec![ControlAction::ThrottleHot {
-                node: 0,
-                temperature: Celsius::new(104.0)
-            }]
-        );
-        // Still hot within the sustain window: throttle again.
-        let actions = cp.tick(SimTime::from_secs(30), &hot);
-        assert!(matches!(
-            actions.as_slice(),
-            [ControlAction::ThrottleHot { node: 0, .. }]
-        ));
-        // Past the sustain window: fence.
-        let actions = cp.tick(SimTime::from_secs(40), &hot);
-        assert!(matches!(
-            actions.as_slice(),
-            [ControlAction::FenceHot { node: 0, .. }]
-        ));
-        assert!(cp.is_fenced(0));
     }
 
     #[test]
@@ -1282,8 +1019,8 @@ mod tests {
         for s in (0..60).step_by(5) {
             broker.publish(&topic, Payload::new(1.0, SimTime::from_secs(s)));
         }
-        assert!(cp.tick(SimTime::from_secs(60), &cool()).is_empty());
-        assert!(cp.is_quiescent(cool()));
+        assert!(cp.tick(SimTime::from_secs(60)).is_empty());
+        assert!(cp.is_quiescent());
         // Predict the fence tick, then replay tick-by-tick and compare.
         let step = SimDuration::from_secs(1);
         let from = SimTime::from_secs(61);
@@ -1292,7 +1029,7 @@ mod tests {
             .expect("silence must cross the threshold");
         let mut t = from;
         let fenced_at = loop {
-            let actions = cp.tick(t, &cool());
+            let actions = cp.tick(t);
             if actions
                 .iter()
                 .any(|a| matches!(a, ControlAction::FenceSuspect { node: 0, .. }))
@@ -1305,58 +1042,11 @@ mod tests {
         assert_eq!(due, fenced_at);
         // A fence is a standing obligation: no longer quiescent, and the
         // fenced node no longer has a suspicion due-time.
-        assert!(!cp.is_quiescent(cool()));
+        assert!(!cp.is_quiescent());
         assert_eq!(
             cp.next_suspicion_due(0, t, SimTime::from_secs(800), step),
             None
         );
-    }
-
-    #[test]
-    fn watchdog_state_blocks_quiescence() {
-        let broker = Broker::new();
-        let config = RecoveryConfig {
-            thermal_watchdog: Some(ThermalWatchdog::fu740_default()),
-            ..RecoveryConfig::detection_only()
-        };
-        let mut cp = ControlPlane::new(&broker, config, hosts());
-        assert!(cp.is_quiescent(cool()));
-        // Hot air alone breaks quiescence before any action is taken.
-        let hot = vec![Celsius::new(96.0), Celsius::new(50.0)];
-        assert!(!cp.is_quiescent(hot.clone()));
-        // An outstanding throttle keeps the plane busy even once cool.
-        cp.tick(SimTime::from_secs(10), &hot);
-        assert!(!cp.is_quiescent(cool()));
-        cp.tick(SimTime::from_secs(20), &cool()); // RelaxCool drains it
-        assert!(cp.is_quiescent(cool()));
-    }
-
-    #[test]
-    fn watchdog_cooling_resets_the_sustain_clock() {
-        let broker = Broker::new();
-        let config = RecoveryConfig {
-            thermal_watchdog: Some(ThermalWatchdog::fu740_default()),
-            ..RecoveryConfig::detection_only()
-        };
-        let mut cp = ControlPlane::new(&broker, config, hosts());
-        let hot = vec![Celsius::new(104.0), Celsius::new(50.0)];
-        let warm = vec![Celsius::new(90.0), Celsius::new(50.0)];
-        cp.tick(SimTime::from_secs(0), &hot);
-        // Dipping below the fence line resets the sustain clock...
-        cp.tick(SimTime::from_secs(20), &warm);
-        // ...so heat at t=40 has accrued 0 s, not 40 s.
-        let actions = cp.tick(SimTime::from_secs(40), &hot);
-        assert!(
-            !actions
-                .iter()
-                .any(|a| matches!(a, ControlAction::FenceHot { .. })),
-            "{actions:?}"
-        );
-        // Cool air below the release line steps DVFS back up — but only
-        // on the node the watchdog actually throttled.
-        let cold = vec![Celsius::new(60.0), Celsius::new(50.0)];
-        let actions = cp.tick(SimTime::from_secs(60), &cold);
-        assert_eq!(actions, vec![ControlAction::RelaxCool { node: 0 }]);
     }
 
     /// A synthetic power curve: blade power at OPP `opp` is
@@ -1368,7 +1058,7 @@ mod tests {
 
     #[test]
     fn governor_caps_to_the_largest_admissible_opp_and_ramps_back() {
-        let mut gov = PowerCapGovernor::new(PowerCapConfig::rv007_default(), 4, 5);
+        let mut gov = PowerCapGovernor::new(4, 5);
         assert!(gov.is_quiescent());
         assert_eq!(gov.next_due(), None);
         // 75 % of 12 W = 9 W: OPP 2 draws exactly 9 W, OPP 3 draws 10.5 W.
@@ -1415,7 +1105,7 @@ mod tests {
 
     #[test]
     fn governor_declares_emergency_when_even_the_floor_opp_overdraws() {
-        let mut gov = PowerCapGovernor::new(PowerCapConfig::rv007_default(), 4, 5);
+        let mut gov = PowerCapGovernor::new(4, 5);
         // 25 % of 12 W = 3 W < the 6 W floor.
         gov.begin_brownout(2, 0.25, SimTime::ZERO, SimDuration::from_secs(40));
         let actions = gov.evaluate(SimTime::ZERO, synth_power);
@@ -1447,7 +1137,7 @@ mod tests {
 
     #[test]
     fn governor_tracks_load_shifts_under_an_active_budget() {
-        let mut gov = PowerCapGovernor::new(PowerCapConfig::rv007_default(), 1, 5);
+        let mut gov = PowerCapGovernor::new(1, 5);
         gov.begin_brownout(0, 0.75, SimTime::ZERO, SimDuration::from_secs(100));
         // Busy blade: 9 W budget admits OPP 2 on the synthetic curve.
         gov.evaluate(SimTime::ZERO, synth_power);
@@ -1495,7 +1185,7 @@ mod tests {
 
     #[test]
     fn rack_arbiter_water_fills_the_machine_budget_by_blade_load() {
-        let mut gov = PowerCapGovernor::new(PowerCapConfig::rv007_default(), 4, 5);
+        let mut gov = PowerCapGovernor::new(4, 5);
         // 60 % of the 48 W machine feed = 28.8 W across four blades.
         gov.begin_rack_brownout(0.6, SimTime::ZERO, SimDuration::from_secs(100));
         assert!(!gov.is_quiescent());
@@ -1556,7 +1246,7 @@ mod tests {
 
     #[test]
     fn rack_emergency_fires_once_when_even_floor_opps_overdraw() {
-        let mut gov = PowerCapGovernor::new(PowerCapConfig::rv007_default(), 4, 5);
+        let mut gov = PowerCapGovernor::new(4, 5);
         // 25 % of 48 W = 12 W < the 24 W sum of floor OPPs.
         gov.begin_rack_brownout(0.25, SimTime::ZERO, SimDuration::from_secs(50));
         let actions = gov.evaluate(SimTime::ZERO, synth_power);

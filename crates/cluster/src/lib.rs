@@ -16,10 +16,10 @@
 //!   thermal and monitoring integrated;
 //! * [`faults`] — deterministic, seeded fault injection driven against
 //!   the engine clock;
-//! * [`checkpoint`] / [`healing`] — the recovery subsystem: NFS-backed
-//!   checkpoint/restart, phi-accrual failure detection over broker
-//!   heartbeats, and the self-healing control plane (fencing, migration,
-//!   thermal watchdog, partition-aware detection, blade and rack power
+//! * [`checkpoint`] / [`healing`] — the recovery subsystem: CRC-framed
+//!   checkpoint/restart on the NFS export, phi-accrual failure detection
+//!   over broker heartbeats, and the self-healing control plane (fencing,
+//!   migration, partition-aware detection, blade and rack power
 //!   arbitration);
 //! * [`experiments`] — one module per paper table/figure.
 //!
@@ -53,14 +53,11 @@ pub mod services;
 pub mod thermal;
 
 pub use blade::{Blade, MachineLayout, RAIL_RATED_WATTS};
-pub use checkpoint::{CheckpointCostModel, CheckpointStore, CheckpointStoreConfig, JobCheckpoint};
+pub use checkpoint::{CheckpointStore, JobCheckpoint};
 pub use dpm::ThermalGovernor;
 pub use engine::{ClusterWorkload, EngineConfig, EngineEvent, JobRequest, SimEngine};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
-pub use healing::{
-    CapAction, CheckpointConfig, ControlPlane, PowerCapConfig, PowerCapGovernor, RecoveryConfig,
-    ThermalWatchdog,
-};
+pub use healing::{CapAction, CheckpointConfig, ControlPlane, PowerCapGovernor, RecoveryConfig};
 pub use node::ComputeNode;
 pub use perf::{HplModel, HplProblem, LaxModel};
 pub use reference::ReferenceNode;

@@ -11,7 +11,7 @@ use cimone_cluster::engine::{
     ClockMode, ClusterWorkload, EngineConfig, EngineEvent, JobRequest, SimEngine,
 };
 use cimone_cluster::faults::{FaultKind, FaultPlan, SdcTarget};
-use cimone_cluster::healing::{PowerCapConfig, RecoveryConfig};
+use cimone_cluster::healing::RecoveryConfig;
 use cimone_cluster::thermal::AirflowDegradation;
 use cimone_soc::units::{SimDuration, SimTime};
 use cimone_soc::workload::Workload;
@@ -193,7 +193,7 @@ proptest! {
                 seed,
                 monitoring,
                 recovery: Some(RecoveryConfig::with_checkpoints(SimDuration::from_secs(60))),
-                power_cap: capped.then(PowerCapConfig::rv007_default),
+                power_cap: capped,
                 clock,
                 ..EngineConfig::default()
             })
@@ -225,7 +225,7 @@ fn later_windows_replace_open_ones_and_close_in_blade_order() {
     let at = SimTime::from_secs;
     let mut engine = SimEngine::new(EngineConfig {
         dt: secs(1),
-        power_cap: None,
+        power_cap: false,
         ..EngineConfig::default()
     })
     .with_fault_plan(

@@ -265,6 +265,131 @@ fn crash_during_nfs_outage_resumes_from_spill_with_wasted_work_attributed() {
     );
 }
 
+/// Nodes placement soft-avoids, in hostname order.
+fn avoided(engine: &SimEngine) -> Vec<&str> {
+    engine
+        .scheduler()
+        .avoided_nodes()
+        .iter()
+        .map(String::as_str)
+        .collect()
+}
+
+/// A job that spills on one node, is requeued mid-outage and spills again
+/// from another node leaves no stale mark behind: the avoid set always
+/// names exactly the nodes that hold a spill, and empties at the flush.
+#[test]
+fn a_requeued_job_that_spills_again_releases_its_old_holder() {
+    let mut engine = SimEngine::new(EngineConfig {
+        dt: SimDuration::from_secs(1),
+        monitoring: false,
+        recovery: Some(spill_recovery(60)),
+        ..EngineConfig::default()
+    })
+    .with_fault_plan(
+        FaultPlan::new()
+            .with(
+                SimTime::from_secs(200),
+                FaultKind::NfsExportDown {
+                    span: SimDuration::from_secs(2_000),
+                },
+            )
+            .with(SimTime::from_secs(450), FaultKind::NodeCrash { node: 1 }),
+    );
+    engine.submit(synthetic(2, 3_000)).unwrap();
+    // Spilling from its first node, mc-node-01, before the crash.
+    engine.run_for(SimDuration::from_secs(440));
+    assert_eq!(avoided(&engine), ["mc-node-01"]);
+    // Fenced off node 1, the job resumes from that spill on blade 1 and
+    // spills again from its new first node while the export stays down.
+    engine.run_for(SimDuration::from_secs(1_000));
+    let restarted = engine.events().iter().rev().find_map(|e| match e {
+        EngineEvent::JobStarted { nodes, .. } => Some(nodes.clone()),
+        _ => None,
+    });
+    assert_eq!(restarted, Some(vec![2, 3]));
+    assert_eq!(avoided(&engine), ["mc-node-03"]);
+    // The export returns at 2,200 s and the flush releases every holder.
+    engine.run_for(SimDuration::from_secs(2_560));
+    assert!(engine
+        .events()
+        .iter()
+        .any(|e| matches!(e, EngineEvent::SpillFlushed { .. })));
+    let store = engine.checkpoint_store().expect("recovery on");
+    assert_eq!(store.spilled_jobs(), 0);
+    assert!(
+        avoided(&engine).is_empty(),
+        "stale marks {:?}",
+        avoided(&engine)
+    );
+}
+
+/// A spill the restore walk quarantines releases its holder in the same
+/// tick, even though the job still resumes from an older durable record.
+#[test]
+fn a_quarantined_spill_releases_its_holder_in_the_same_tick() {
+    let mut engine = SimEngine::new(EngineConfig {
+        dt: SimDuration::from_secs(1),
+        monitoring: false,
+        recovery: Some(spill_recovery(60)),
+        ..EngineConfig::default()
+    })
+    .with_fault_plan(
+        FaultPlan::new()
+            .with(
+                SimTime::from_secs(200),
+                FaultKind::NfsExportDown {
+                    span: SimDuration::from_secs(2_000),
+                },
+            )
+            // Rots chain index 0, the spill node 0 buffers.
+            .with(
+                SimTime::from_secs(290),
+                FaultKind::CheckpointCorruption {
+                    node: 0,
+                    generation: 0,
+                },
+            )
+            .with(SimTime::from_secs(300), FaultKind::NodeCrash { node: 1 }),
+    );
+    let id = engine.submit(synthetic(2, 3_000)).unwrap();
+    let quarantined_at = loop {
+        engine.step();
+        let caught = engine.events().iter().find_map(|e| match e {
+            EngineEvent::CheckpointCorrupt { generation, at, .. } => Some((*generation, *at)),
+            _ => None,
+        });
+        if let Some((generation, at)) = caught {
+            assert_eq!(generation, 0, "the spill is the quarantined record");
+            break at;
+        }
+        assert!(engine.now() < SimTime::from_secs(600), "never quarantined");
+    };
+    assert!(
+        avoided(&engine).is_empty(),
+        "stale marks {:?}",
+        avoided(&engine)
+    );
+    let store = engine.checkpoint_store().expect("recovery on");
+    assert_eq!(store.spilled_jobs(), 0);
+    // The job restarts from the newest record the export holds.
+    engine.run_for(SimDuration::from_secs(300));
+    let durable = engine.events().iter().rev().find_map(|e| match e {
+        EngineEvent::CheckpointWritten { progress, at, .. } if *at < quarantined_at => {
+            Some(*progress)
+        }
+        _ => None,
+    });
+    let resumed = engine.events().iter().find_map(|e| match e {
+        EngineEvent::JobResumed {
+            id: j, progress, ..
+        } if *j == id => Some(*progress),
+        _ => None,
+    });
+    assert!(durable.is_some_and(|p| p > 0.0));
+    assert_eq!(resumed, durable, "resumes from the older durable record");
+}
+
 /// The zero-false-suspicion acceptance law: a pure switch outage (no node
 /// is actually down) must produce *zero* suspicions and *zero* fences on a
 /// partition-aware plane — and the legacy plane reproduces the historical

@@ -1,12 +1,17 @@
 //! The silent-data-corruption fault domain, end to end: CRC64 checkpoint
 //! integrity under arbitrary single-bit rot (durable and through the
-//! spill/flush path), and the cluster-scale SDC plan under the
+//! spill/flush path), the checkpoint store held to a plain list model
+//! under random operation sequences, and the cluster-scale SDC plan under the
 //! bit-identity contract — byte-equal across clock modes, with every
 //! defence layer (ABFT, CRC restore walk, telemetry scrub) firing.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
-use cimone_cluster::checkpoint::{CheckpointPosition, CheckpointStore, JobCheckpoint};
+use cimone_cluster::checkpoint::{
+    CheckpointError, CheckpointPosition, CheckpointStore, JobCheckpoint, GENERATION_DEPTH,
+};
 use cimone_cluster::engine::{
     ClockMode, ClusterWorkload, EngineConfig, EngineEvent, JobRequest, SimEngine,
 };
@@ -41,8 +46,8 @@ proptest! {
         salt in 0u64..u64::MAX,
     ) {
         let mut store = CheckpointStore::new();
-        store.save(ckpt(old_progress, 1, 100)).expect("saves");
-        store.save(ckpt(new_progress, 2, 200)).expect("saves");
+        store.save(ckpt(old_progress, 1, 100));
+        store.save(ckpt(new_progress, 2, 200));
         prop_assert!(store.corrupt_chain(JOB, 0, salt));
 
         let (restored, quarantined) = store.restore_verified(JOB, true);
@@ -72,9 +77,9 @@ proptest! {
     ) {
         let build = || {
             let mut store = CheckpointStore::new();
-            store.save(ckpt(durable_progress, 1, 100)).expect("saves");
+            store.save(ckpt(durable_progress, 1, 100));
             store.set_export_offline(SimTime::from_secs(500));
-            store.spill_write(ckpt(spill_progress, 2, 200));
+            store.spill_write(ckpt(spill_progress, 2, 200), 0);
             assert!(store.corrupt_chain(JOB, 0, salt), "spill is chain index 0");
             store
         };
@@ -92,14 +97,221 @@ proptest! {
         // and the restore walk catches them there.
         let mut store = build();
         store.clear_export_offline();
-        let (flushed, _) = store.flush_spill(SimTime::from_secs(500)).expect("export is back");
-        prop_assert_eq!(flushed, 1);
+        prop_assert_eq!(store.flush_spill(SimTime::from_secs(500)), Ok(1));
         let (restored, quarantined) = store.restore_verified(JOB, false);
         prop_assert_eq!(quarantined, vec![0], "the flush must not heal the rot");
         prop_assert_eq!(
             restored.map(|c| c.progress().to_bits()),
             Some(durable_progress.to_bits())
         );
+    }
+}
+
+/// A record's bytes, tagged with the node buffering it when it is a
+/// spill.
+type Record = (Option<usize>, Vec<u8>);
+
+/// The checkpoint store's reference model: per job, one newest-first list
+/// of byte records, whose first entry may be a spill.
+#[derive(Debug, Default)]
+struct StoreModel {
+    offline_until: Option<SimTime>,
+    jobs: BTreeMap<u64, Vec<Record>>,
+}
+
+/// 1 when `records` starts with a spill, else 0.
+fn spilled(records: &[Record]) -> usize {
+    usize::from(records.first().is_some_and(|r| r.0.is_some()))
+}
+
+/// A record's bytes, if they decode and verify.
+fn verified(bytes: &[u8]) -> Option<JobCheckpoint> {
+    JobCheckpoint::decode(std::str::from_utf8(bytes).ok()?).ok()
+}
+
+impl StoreModel {
+    fn reachable(&self, now: SimTime) -> Result<(), CheckpointError> {
+        match self.offline_until {
+            Some(until) if now < until => Err(CheckpointError::ExportOffline { until }),
+            _ => Ok(()),
+        }
+    }
+
+    fn save_at(&mut self, now: SimTime, ckpt: JobCheckpoint) -> Result<(), CheckpointError> {
+        self.reachable(now)?;
+        let records = self.jobs.entry(ckpt.job_id).or_default();
+        let newest = spilled(records);
+        records.insert(newest, (None, ckpt.encode().into_bytes()));
+        records.truncate(newest + GENERATION_DEPTH);
+        Ok(())
+    }
+
+    fn spill_write(&mut self, ckpt: JobCheckpoint, holder: usize) {
+        let records = self.jobs.entry(ckpt.job_id).or_default();
+        if spilled(records) == 1 {
+            records.remove(0);
+        }
+        records.insert(0, (Some(holder), ckpt.encode().into_bytes()));
+    }
+
+    fn corrupt_chain(&mut self, job: u64, generation: usize, salt: u64) -> bool {
+        let Some(records) = self.jobs.get_mut(&job) else {
+            return false;
+        };
+        let Some(oldest) = records.len().checked_sub(1) else {
+            return false;
+        };
+        let bytes = &mut records[generation.min(oldest)].1;
+        if bytes.is_empty() {
+            return false;
+        }
+        let byte = (salt / 8) as usize % bytes.len();
+        bytes[byte] ^= 1 << (salt % 8);
+        true
+    }
+
+    fn flush_spill(&mut self, now: SimTime) -> Result<usize, CheckpointError> {
+        self.reachable(now)?;
+        let mut flushed = 0;
+        for records in self.jobs.values_mut() {
+            if spilled(records) == 1 {
+                records[0].0 = None;
+                records.truncate(GENERATION_DEPTH);
+                flushed += 1;
+            }
+        }
+        Ok(flushed)
+    }
+
+    fn drop_spill(&mut self, job: u64) -> bool {
+        match self.jobs.get_mut(&job) {
+            Some(records) if spilled(records) == 1 => {
+                records.remove(0);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn restore_verified(
+        &mut self,
+        job: u64,
+        include_spill: bool,
+    ) -> (Option<JobCheckpoint>, Vec<usize>) {
+        let mut quarantined = Vec::new();
+        let Some(records) = self.jobs.get_mut(&job) else {
+            return (None, quarantined);
+        };
+        let walk = if include_spill { 0 } else { spilled(records) };
+        while walk < records.len() {
+            match verified(&records[walk].1) {
+                Some(ckpt) => return (Some(ckpt), quarantined),
+                None => {
+                    quarantined.push(quarantined.len());
+                    records.remove(walk);
+                }
+            }
+        }
+        (None, quarantined)
+    }
+
+    fn load(&self, job: u64, include_spill: bool) -> Option<JobCheckpoint> {
+        let records = self.jobs.get(&job)?;
+        let skip = if include_spill { 0 } else { spilled(records) };
+        records.iter().skip(skip).find_map(|r| verified(&r.1))
+    }
+
+    fn spill_holder(&self, job: u64) -> Option<usize> {
+        self.jobs.get(&job)?.first()?.0
+    }
+}
+
+/// Asserts every read of `store` agrees with `model`.
+fn same_view(store: &CheckpointStore, model: &StoreModel) -> Result<(), TestCaseError> {
+    for job in 0..3 {
+        prop_assert_eq!(store.load(job), model.load(job, true), "load {}", job);
+        prop_assert_eq!(
+            store.load_durable(job),
+            model.load(job, false),
+            "durable {}",
+            job
+        );
+        prop_assert_eq!(store.spill_holder(job), model.spill_holder(job));
+        let durable = model.jobs.get(&job).map_or(0, |r| r.len() - spilled(r));
+        prop_assert_eq!(store.generations_retained(job), durable);
+    }
+    for node in 0..8 {
+        let holds = (0..3).any(|job| model.spill_holder(job) == Some(node));
+        prop_assert_eq!(store.holds_spill(node), holds, "node {}", node);
+    }
+    let spills = model.jobs.values().map(|r| spilled(r)).sum::<usize>();
+    prop_assert_eq!(store.spilled_jobs(), spills);
+    let held = model.jobs.values().filter(|r| !r.is_empty()).count();
+    prop_assert_eq!(store.len(), held);
+    prop_assert_eq!(store.export_offline_until(), model.offline_until);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random interleavings of saves, spills, rot, flushes, dropped
+    /// spills, verified restores and removals leave the store exactly
+    /// where a plain per-job list of byte records would be: every restore
+    /// returns the same checkpoint and quarantines the same indices.
+    #[test]
+    fn store_matches_a_per_job_record_list(
+        ops in prop::collection::vec((0u8..9, 0u64..3, 0u64..u64::MAX), 1..80),
+    ) {
+        let mut store = CheckpointStore::new();
+        let mut model = StoreModel::default();
+        for (step, (op, job, r)) in ops.into_iter().enumerate() {
+            let now = SimTime::from_secs(10 * step as u64);
+            let record = JobCheckpoint::new(
+                job,
+                (r % 1001) as f64 / 1000.0,
+                CheckpointPosition::HplPanel((r % 97) as usize),
+                now,
+            );
+            match op {
+                0 => prop_assert_eq!(store.save_at(now, record), model.save_at(now, record)),
+                1 => {
+                    let holder = (r % 8) as usize;
+                    store.spill_write(record, holder);
+                    model.spill_write(record, holder);
+                }
+                2 => {
+                    let (generation, salt) = ((r % 6) as usize, r >> 8);
+                    prop_assert_eq!(
+                        store.corrupt_chain(job, generation, salt),
+                        model.corrupt_chain(job, generation, salt)
+                    );
+                }
+                3 => prop_assert_eq!(store.flush_spill(now), model.flush_spill(now)),
+                4 => prop_assert_eq!(store.drop_spill(job), model.drop_spill(job)),
+                5 => {
+                    let include_spill = r % 2 == 0;
+                    prop_assert_eq!(
+                        store.restore_verified(job, include_spill),
+                        model.restore_verified(job, include_spill)
+                    );
+                }
+                6 => {
+                    store.remove(job);
+                    model.jobs.remove(&job);
+                }
+                7 => {
+                    let until = now + SimDuration::from_secs(r % 100);
+                    store.set_export_offline(until);
+                    model.offline_until = Some(model.offline_until.map_or(until, |t| t.max(until)));
+                }
+                _ => {
+                    store.clear_export_offline();
+                    model.offline_until = None;
+                }
+            }
+            same_view(&store, &model)?;
+        }
     }
 }
 

@@ -1,8 +1,9 @@
 //! A reusable fixed-size worker pool for the compute kernels.
 //!
-//! The pool is built on the vendored `crossbeam` unbounded channel: one
-//! carries jobs to the workers, and each scope opens another that carries
-//! task completions back to the caller. Workers are spawned
+//! The pool keeps one job queue, a `Mutex<VecDeque>` with a `Condvar`
+//! that workers block on, and each scope opens a `std::sync::mpsc`
+//! channel that carries task completions back to the caller. Workers are
+//! spawned
 //! once and live for the pool's lifetime, so per-call overhead is one
 //! channel send per task instead of an OS thread spawn — the difference
 //! between a usable trailing-update fan-out at HPL block granularity and
@@ -48,11 +49,10 @@
 //! assert_eq!(data[1023], 3);
 //! ```
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 /// Environment variable overriding the global pool's worker count.
 pub const THREADS_ENV: &str = "CIMONE_THREADS";
@@ -64,12 +64,64 @@ pub const MAX_THREADS: usize = 64;
 /// A boxed unit of work handed to a worker.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// The job queue the workers share with the scope callers.
+#[derive(Default)]
+struct Injector {
+    state: Mutex<Queue>,
+    /// Signalled when a job is queued or the pool closes.
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Set when the pool drops: workers drain what is queued, then exit.
+    closed: bool,
+}
+
+impl Injector {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Queue> {
+        // Jobs never run under the lock, so it cannot be poisoned.
+        self.state.lock().expect("pool queue lock")
+    }
+
+    fn push(&self, job: Job) {
+        self.lock().jobs.push_back(job);
+        self.ready.notify_one();
+    }
+
+    /// The next queued job, without blocking.
+    fn try_pop(&self) -> Option<Job> {
+        self.lock().jobs.pop_front()
+    }
+
+    /// Blocks until a job is queued, or returns `None` once the pool is
+    /// closed and the queue drained.
+    fn pop(&self) -> Option<Job> {
+        let mut queue = self.lock();
+        loop {
+            if let Some(job) = queue.jobs.pop_front() {
+                return Some(job);
+            }
+            if queue.closed {
+                return None;
+            }
+            queue = self.ready.wait(queue).expect("pool queue lock");
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+}
+
 /// A fixed-size pool of long-lived worker threads.
 pub struct WorkerPool {
-    injector: Option<Sender<Job>>,
-    /// The workers' end of the job queue, kept so a blocked scope caller
-    /// can help drain it instead of idling on an OS wakeup.
-    queue: Option<Receiver<Job>>,
+    /// The job queue, shared with the workers; a blocked scope caller
+    /// helps drain it instead of idling on an OS wakeup. `None` for the
+    /// one-worker pool, which runs its scopes inline.
+    injector: Option<Arc<Injector>>,
     workers: Vec<JoinHandle<()>>,
     size: usize,
 }
@@ -96,19 +148,18 @@ impl WorkerPool {
         if threads == 1 {
             return WorkerPool {
                 injector: None,
-                queue: None,
                 workers: Vec::new(),
                 size: 1,
             };
         }
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
+        let injector = Arc::new(Injector::default());
         let workers = (0..threads)
             .map(|i| {
-                let rx = rx.clone();
+                let queue = Arc::clone(&injector);
                 std::thread::Builder::new()
                     .name(format!("cimone-worker-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
+                        while let Some(job) = queue.pop() {
                             job();
                         }
                     })
@@ -116,8 +167,7 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool {
-            injector: Some(tx),
-            queue: Some(rx),
+            injector: Some(injector),
             workers,
             size: threads,
         }
@@ -169,10 +219,10 @@ impl WorkerPool {
             return;
         };
         let total = tasks.len();
-        let (done_tx, done_rx) = unbounded::<Option<Box<dyn std::any::Any + Send>>>();
+        let (done_tx, done_rx) = mpsc::channel::<Option<Box<dyn std::any::Any + Send>>>();
         for task in tasks {
             // SAFETY: the transmute erases the `'env` lifetime on the
-            // boxed closure so it can cross the injector channel. It is
+            // boxed closure so it can cross the job queue. It is
             // sound because this function does not return until every
             // task has reported completion below — the borrows inside
             // the closure therefore never outlive `'env`.
@@ -189,13 +239,12 @@ impl WorkerPool {
                 // still blocked in the recv loop below.
                 let _ = done.send(outcome);
             });
-            assert!(injector.send(job).is_ok(), "worker pool alive");
+            injector.push(job);
         }
         // Join with helping: instead of idling on the done channel, the
         // caller drains queued jobs itself. On machines with fewer cores
         // than workers this removes the OS-wakeup round trip from the
         // barrier's critical path (the caller may well run every tile).
-        let queue = self.queue.as_ref().expect("threaded pool has a queue");
         let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
         let mut completed = 0;
         while completed < total {
@@ -206,7 +255,7 @@ impl WorkerPool {
                 }
                 continue;
             }
-            if let Ok(job) = queue.try_recv() {
+            if let Some(job) = injector.try_pop() {
                 job();
                 continue;
             }
@@ -236,9 +285,11 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Closing the injector disconnects the receivers; workers drain
-        // what is queued and exit.
-        self.injector.take();
+        // Workers drain what is queued, then see the queue closed and
+        // exit.
+        if let Some(injector) = self.injector.take() {
+            injector.close();
+        }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }

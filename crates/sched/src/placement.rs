@@ -267,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_holders_serve_only_as_a_last_resort() {
+    fn avoided_nodes_serve_only_as_a_last_resort() {
         let (mut p, t) = machine();
         let avoid: BTreeSet<String> = ["mc-node-01".to_owned()].into();
         // Plenty of room: the spill holder is skipped even though it sorts
