@@ -32,9 +32,15 @@
 //! steady-state batched publish throughput through the precompiled
 //! routing table, plus the compiled-route count, and a `per_call_ns`
 //! table: median nanoseconds per call of the eigensolver, the L2 cache
-//! simulator, the thermal step, TSDB insert and downsampling, one
-//! monitored tick's telemetry landing, one dashboard query, and the
-//! concretiser with its DAG install.
+//! simulator, the thermal step, TSDB insert (of a counter, whose pages
+//! seal coded, and of hashed values, whose pages seal raw) and
+//! downsampling, one monitored tick's telemetry landing, one dashboard
+//! query, and the concretiser with its DAG install.
+//!
+//! Both files open with a `config` object that says where the numbers
+//! came from: mode, reps and workers, the commit (`git describe --always
+//! --dirty` in the working directory, or `"unknown"`), the CPU model (the
+//! first `model name` of /proc/cpuinfo, or `"unknown"`) and `nproc`.
 //!
 //! `--smoke` shrinks the problem sizes for CI; `REPS` overrides the
 //! repetition count; `--out-dir DIR` redirects the JSON snapshots (so CI
@@ -591,6 +597,15 @@ fn bench_calls(sizes: &Sizes) -> JsonValue {
         t += 1;
         inserts.insert(&topic, Payload::new(t as f64, SimTime::from_micros(t)));
     });
+    // Hashed values: no three neighbours form a run, so every page the
+    // row fills seals raw.
+    let mut noisy = TimeSeriesStore::new();
+    let mut t = 0u64;
+    row("tsdb_insert_noisy", 100_000, &mut || {
+        t += 1;
+        let v = (t.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64;
+        noisy.insert(&topic, Payload::new(v, SimTime::from_micros(t)));
+    });
     let mut points = TimeSeriesStore::new();
     for ms in 0..100_000u64 {
         points.insert(&topic, Payload::new(ms as f64, SimTime::from_millis(ms)));
@@ -687,6 +702,38 @@ fn bench_calls(sizes: &Sizes) -> JsonValue {
     JsonValue::object(section)
 }
 
+/// The checkout's commit, from `git describe --always --dirty`, or
+/// `"unknown"` where git or the repository is missing.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|described| described.trim().to_owned())
+        .filter(|described| !described.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// The host's CPU model: the first `model name` line of /proc/cpuinfo,
+/// or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .filter(|line| line.starts_with("model name"))
+                .find_map(|line| Some(line.split_once(':')?.1.trim().to_owned()))
+        })
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// The CPUs this process may run on.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 fn main() {
     let args = Args::from_env();
     let mut sizes = if args.smoke {
@@ -716,6 +763,9 @@ fn main() {
         ("mode", JsonValue::String(sizes.mode.to_owned())),
         ("reps", sizes.reps.into()),
         ("workers", WORKERS.into()),
+        ("commit", JsonValue::String(commit())),
+        ("cpu", JsonValue::String(cpu_model())),
+        ("nproc", nproc().into()),
     ]);
     let kernels = JsonValue::object([
         ("config", config.clone()),

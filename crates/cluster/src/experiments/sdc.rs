@@ -28,6 +28,7 @@
 use cimone_kernels::abft::{AbftMode, SdcInjection};
 use cimone_kernels::hpl::{run_with_injection, HplConfig};
 use cimone_kernels::lu::hpl_flops;
+use cimone_kernels::matrix::vec_norm_inf;
 use cimone_soc::units::{SimDuration, SimTime};
 use cimone_soc::workload::Workload;
 
@@ -169,13 +170,11 @@ fn injection(n: usize, nb: usize, seed: u64, t: usize) -> SdcInjection {
     }
 }
 
-/// Relative sup-norm distance between a trial solution and the clean one.
+/// Relative sup-norm distance between a trial solution and the clean
+/// one; NaN when the trial solution holds a NaN.
 fn rel_err(x: &[f64], clean: &[f64]) -> f64 {
-    let scale = clean.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-300);
-    x.iter()
-        .zip(clean)
-        .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()))
-        / scale
+    let diff: Vec<f64> = x.iter().zip(clean).map(|(a, b)| a - b).collect();
+    vec_norm_inf(&diff) / vec_norm_inf(clean).max(1e-300)
 }
 
 fn kernel_campaign(n: usize, nb: usize, trials: usize, seed: u64, mode: AbftMode) -> SdcKernelCell {

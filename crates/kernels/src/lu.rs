@@ -681,6 +681,25 @@ mod tests {
         }
     }
 
+    /// A solution holding a NaN (or a NaN beside an ∞) fails the
+    /// residual, however many of its entries are finite.
+    #[test]
+    fn a_non_finite_solution_fails_hpl_residual() {
+        let (a, b) = random_system(24, 11);
+        let x = LuFactorization::factor(a.clone(), 8).unwrap().solve(&b);
+        for bad in [vec![(3, f64::NAN)], vec![(0, f64::NAN), (7, f64::INFINITY)]] {
+            let mut x = x.clone();
+            for &(i, v) in &bad {
+                x[i] = v;
+            }
+            let r = hpl_residual(&a, &x, &b);
+            let passed = r < HPL_RESIDUAL_THRESHOLD;
+            assert!(!passed, "{bad:?}: residual {r} passes");
+        }
+        let all_nan = vec![f64::NAN; 24];
+        assert!(hpl_residual(&a, &all_nan, &b).is_nan());
+    }
+
     #[test]
     fn blocked_and_unblocked_factors_agree() {
         let (a, _) = random_system(40, 99);

@@ -167,7 +167,7 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
-    /// Infinity norm (maximum absolute row sum).
+    /// Infinity norm (maximum absolute row sum); NaN if any entry is NaN.
     pub fn norm_inf(&self) -> f64 {
         let mut row_sums = vec![0.0; self.rows];
         for j in 0..self.cols {
@@ -175,7 +175,7 @@ impl Matrix {
                 row_sums[i] += v.abs();
             }
         }
-        row_sums.into_iter().fold(0.0, f64::max)
+        row_sums.into_iter().fold(0.0, max_or_nan)
     }
 
     /// Frobenius norm.
@@ -256,9 +256,20 @@ impl fmt::Display for Matrix {
     }
 }
 
-/// Infinity norm of a vector.
+/// Infinity norm of a vector; NaN if any entry is NaN.
 pub fn vec_norm_inf(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).fold(0.0, f64::max)
+    x.iter().map(|v| v.abs()).fold(0.0, max_or_nan)
+}
+
+/// The larger of `a` and `b`, or NaN if either is. `f64::max` returns
+/// the other operand, so a norm folded with it would drop NaN entries and
+/// let a NaN solution pass the HPL residual.
+fn max_or_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() || a >= b {
+        a
+    } else {
+        b
+    }
 }
 
 #[cfg(test)]
@@ -288,6 +299,23 @@ mod tests {
         let i = Matrix::identity(5);
         assert_eq!(i.norm_inf(), 1.0);
         assert!((i.norm_frobenius() - 5f64.sqrt()).abs() < 1e-15);
+    }
+
+    /// A NaN or an infinite entry reaches both norms.
+    #[test]
+    fn non_finite_entries_reach_the_norms() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut x = vec![1.0, -2.0, 0.5];
+            x[1] = bad;
+            let a = Matrix::from_fn(3, 3, |i, j| x[(i + j) % 3]);
+            for norm in [vec_norm_inf(&x), a.norm_inf()] {
+                if bad.is_nan() {
+                    assert!(norm.is_nan(), "{norm}");
+                } else {
+                    assert_eq!(norm, f64::INFINITY);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,38 @@
 //! The time-series storage backend (ExaMon's KairosDB role).
 //!
-//! Each series is two columns: its values, one `f64` per point, and its
-//! point times as *time runs*. A time run is a maximal arithmetic
-//! progression of integer-microsecond timestamps, `{start, step, first,
-//! len}`. The engine samples every series on a fixed tick comb, so a
-//! series holds one run per regular stretch, and a point costs 8 bytes
-//! instead of a 16-byte `(SimTime, f64)` pair. The values sit in fixed
-//! 4 KiB pages, so a growing series never copies a value and holds less
-//! than one page of slack. Reads never copy: a range query returns a
-//! [`SeriesView`] that borrows the pages and decodes times from the runs
-//! as it is read, and downsampling cuts its bins with the run arithmetic
-//! in one pass over the range.
+//! Each series is two columns: its values and its point times. The times
+//! are *time runs*, each a maximal arithmetic progression of
+//! integer-microsecond timestamps, `{start, step, first, len}`. The
+//! engine samples every series on a fixed tick comb, so a series holds
+//! one time run per regular stretch.
+//!
+//! The values sit in pages of 512. The open page, which takes the
+//! appends, is a `Vec<f64>`. A full page is sealed one of two ways:
+//!
+//! - **Coded**, when its values form at most four maximal *value runs*
+//!   `{start, step, len}`, held inline in the page table. Value `k` of a
+//!   run is `start + step * k as f64`; sealing and reading evaluate that
+//!   one expression, and a value joins a run only when it reproduces the
+//!   value's bits, so the coding is lossless. The runs are found
+//!   greedily, and a one-value run takes its step from the next value.
+//!   An idle counter advances by an exact integer step per tick, and
+//!   stats and heartbeats repeat, so an idle machine's pages code as one
+//!   or two runs. Coding clears the open page for reuse.
+//! - **Raw** otherwise, or when the page holds a NaN (arithmetic need
+//!   not keep a NaN's payload): boxed without a copy, 4 KiB, with the
+//!   next open page a spare one [`TimeSeriesStore::reserve_points`] set
+//!   aside, if there is one.
+//!
+//! Which way a page seals follows from its values alone, and neither
+//! allocates once room is reserved. Reads never copy: a range query
+//! returns a [`SeriesView`] that borrows the pages and the time runs.
+//! Its values are folded page by page, a coded page's computed as they
+//! are read, in column order and from the start values `Iterator::sum`
+//! (−0.0) and the `fold`s would use, so every aggregate is bit-identical
+//! to one over the raw values. Downsampling cuts its bins with the
+//! time-run arithmetic in one pass over the range. The cold paths, an
+//! out-of-order insert and an eviction, decode the values from the first
+//! page they touch and push them back, sealing pages again as they fill.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,16 +64,18 @@ pub enum Aggregation {
 
 impl Aggregation {
     /// Folds `values` in order (a sequential sum, never pairwise), so a
-    /// result is bit-identical however the range was cut or paged.
+    /// result is bit-identical however the range was cut, paged or coded.
+    /// A sum starts from −0.0, as `Iterator::sum` does, so a range of
+    /// −0.0 sums to −0.0.
     fn apply(self, values: Values<'_>) -> Option<f64> {
         let last = values.last()?;
         let count = values.len();
-        let values = values.iter();
+        let sum = || values.fold(-0.0, |sum, v| sum + v);
         Some(match self {
-            Aggregation::Mean => values.sum::<f64>() / count as f64,
+            Aggregation::Mean => sum() / count as f64,
             Aggregation::Min => values.fold(f64::INFINITY, f64::min),
             Aggregation::Max => values.fold(f64::NEG_INFINITY, f64::max),
-            Aggregation::Sum => values.sum(),
+            Aggregation::Sum => sum(),
             Aggregation::Count => count as f64,
             Aggregation::Last => last,
         })
@@ -144,20 +168,173 @@ fn times(runs: &[TimeRun], from: usize) -> impl Iterator<Item = u64> + '_ {
 /// Values per page: 512 `f64`s, 4 KiB.
 const PAGE: usize = 512;
 
-/// One series' values in fixed pages. Full pages are boxed arrays; the
-/// open page, which takes the appends, is a `Vec` held inline. The first
-/// open page grows like a `Vec` (4, 8, … 512 values), so a short series
-/// costs what a `Vec` would; a full open page is sealed into a box
-/// without a copy, and the next one opens at a whole page. Growth never
-/// moves a value, and the slack stays under one page (plus whatever
-/// [`Pages::reserve`] set aside).
+/// The most value runs a coded page holds.
+const MAX_RUNS: usize = 4;
+
+/// `len` values from `start`, `step` apart, at page positions that follow
+/// the runs before it. A one-value run's step is −0.0, which reproduces
+/// any start; an unused slot of a coded page is a run of length 0.
+/// Positions within a page are `u32`s: a page holds `PAGE` values, and a
+/// `u32` converts to `f64` in one instruction where a `usize` takes
+/// several.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct ValueRun {
+    start: f64,
+    step: f64,
+    len: u32,
+}
+
+impl ValueRun {
+    /// Value `k` of the run. Sealing and reading both evaluate this one
+    /// expression (never fused, never accumulated), so a value reads back
+    /// with exactly the bits it was sealed with.
+    #[inline]
+    fn value(&self, k: u32) -> f64 {
+        self.start + self.step * f64::from(k)
+    }
+}
+
+/// Codes a full page as its maximal value runs, found greedily: a run
+/// takes its step from its second value, as [`push_time`] does for times,
+/// and extends while the run's expression reproduces the next value's
+/// bits. `None` when the page needs more than [`MAX_RUNS`] runs, or holds
+/// a NaN: arithmetic need not keep a NaN's payload. Only a run's start
+/// needs that check: the pair check fails on an infinite start or step
+/// (`∞ · 0` is NaN), so a longer run's values are never NaN.
+fn code(values: &[f64]) -> Option<[ValueRun; MAX_RUNS]> {
+    let mut runs = [ValueRun::default(); MAX_RUNS];
+    let mut at = 0;
+    for slot in &mut runs {
+        let Some(&start) = values.get(at) else {
+            break;
+        };
+        if start.is_nan() {
+            return None;
+        }
+        let mut run = ValueRun {
+            start,
+            step: -0.0,
+            len: 1,
+        };
+        if let Some(&second) = values.get(at + 1) {
+            let pair = ValueRun {
+                step: second - start,
+                len: 2,
+                ..run
+            };
+            if pair.value(0).to_bits() == start.to_bits()
+                && pair.value(1).to_bits() == second.to_bits()
+            {
+                run = pair;
+                while values
+                    .get(at + run.len as usize)
+                    .is_some_and(|v| run.value(run.len).to_bits() == v.to_bits())
+                {
+                    run.len += 1;
+                }
+            }
+        }
+        *slot = run;
+        at += run.len as usize;
+    }
+    (at == values.len()).then_some(runs)
+}
+
+/// A sealed page of `PAGE` values: boxed raw, or, when they form at most
+/// [`MAX_RUNS`] value runs, coded inline as those runs.
+#[derive(Debug, Clone)]
+enum Page {
+    Raw(Box<[f64; PAGE]>),
+    Coded([ValueRun; MAX_RUNS]),
+}
+
+impl Page {
+    /// The page's values at positions `lo..hi`, at most `PAGE`.
+    fn chunk(&self, lo: usize, hi: usize) -> Chunk<'_> {
+        match self {
+            Page::Raw(values) => Chunk::Raw(&values[lo..hi]),
+            Page::Coded(runs) => Chunk::Coded {
+                runs,
+                skip: lo as u32,
+                take: (hi - lo) as u32,
+            },
+        }
+    }
+
+    /// The value at position `at`, below `PAGE`.
+    fn get(&self, at: usize) -> f64 {
+        match self {
+            Page::Raw(values) => values[at],
+            Page::Coded(runs) => {
+                let mut at = at as u32;
+                for run in runs {
+                    if at < run.len {
+                        return run.value(at);
+                    }
+                    at -= run.len;
+                }
+                unreachable!("a coded page holds PAGE values")
+            }
+        }
+    }
+}
+
+/// One page's share of a range: a raw or open page's slice, or a coded
+/// page's runs read from value `skip` on, `take` values long.
+#[derive(Debug, Clone, Copy)]
+enum Chunk<'a> {
+    Raw(&'a [f64]),
+    Coded {
+        runs: &'a [ValueRun; MAX_RUNS],
+        skip: u32,
+        take: u32,
+    },
+}
+
+impl Chunk<'_> {
+    /// Folds the values in order; a coded page's are computed as they are
+    /// read, into no buffer.
+    #[inline]
+    fn fold<B>(self, init: B, mut f: impl FnMut(B, f64) -> B) -> B {
+        match self {
+            Chunk::Raw(values) => values.iter().fold(init, |acc, &v| f(acc, v)),
+            Chunk::Coded {
+                runs,
+                mut skip,
+                mut take,
+            } => {
+                let mut acc = init;
+                for run in runs {
+                    if take == 0 {
+                        break;
+                    }
+                    let from = skip.min(run.len);
+                    let to = run.len.min(from + take);
+                    acc = (from..to).fold(acc, |acc, k| f(acc, run.value(k)));
+                    skip -= from;
+                    take -= to - from;
+                }
+                acc
+            }
+        }
+    }
+}
+
+/// One series' values in fixed pages. Sealed pages are coded as value
+/// runs or boxed raw; the open page, which takes the appends, is a `Vec`
+/// held inline. The first open page grows like a `Vec` (4, 8, … 512
+/// values), so a short series costs what a `Vec` would. A full open page
+/// is coded in place and cleared for reuse when its values form at most
+/// [`MAX_RUNS`] runs, and otherwise boxed without a copy, with the next
+/// open page a whole page. Growth never moves a value, and the slack
+/// stays under one page (plus whatever [`Pages::reserve`] set aside).
 #[derive(Debug, Clone, Default)]
 struct Pages {
-    full: Vec<Box<[f64; PAGE]>>,
+    full: Vec<Page>,
     /// The values after the full pages: at most `PAGE`, and at least one
     /// while there is a full page. Its capacity never exceeds `PAGE`.
     open: Vec<f64>,
-    /// Empty pages set aside by `reserve`, taken as the open page fills.
+    /// Empty pages set aside by `reserve`, taken as raw pages seal.
     spare: Vec<Vec<f64>>,
 }
 
@@ -199,8 +376,9 @@ impl Pages {
     }
 
     /// Makes room for one more value: doubles a short first page (up to a
-    /// page), or seals a full open page and opens the next, a reserved
-    /// one if there is one.
+    /// page), or seals a full open page. A coded seal keeps the open page
+    /// for reuse; a raw one boxes it and opens the next, a reserved one if
+    /// there is one. Neither allocates once `reserve` has run.
     #[cold]
     fn grow(&mut self) {
         let len = self.open.len();
@@ -208,11 +386,19 @@ impl Pages {
             self.open.reserve_exact((2 * len).clamp(4, PAGE) - len);
             return;
         }
-        let next = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(PAGE));
-        // A `Vec` whose length is its capacity boxes without a copy.
-        let sealed = std::mem::replace(&mut self.open, next).into_boxed_slice();
-        self.full
-            .push(sealed.try_into().expect("a sealed page holds PAGE values"));
+        let page = match code(&self.open) {
+            Some(runs) => {
+                self.open.clear();
+                Page::Coded(runs)
+            }
+            None => {
+                let next = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(PAGE));
+                // A `Vec` whose length is its capacity boxes without a copy.
+                let sealed = std::mem::replace(&mut self.open, next).into_boxed_slice();
+                Page::Raw(sealed.try_into().expect("a sealed page holds PAGE values"))
+            }
+        };
+        self.full.push(page);
     }
 
     /// Reserves room for `additional` more values, so that many pushes
@@ -228,62 +414,33 @@ impl Pages {
         }
     }
 
-    /// Inserts `v` at index `at`, moving every later value up one slot.
-    fn insert(&mut self, at: usize, mut v: f64) {
-        let split = self.full.len() * PAGE;
-        if at < split {
-            for (i, page) in self.full[at / PAGE..].iter_mut().enumerate() {
-                let from = if i == 0 { at % PAGE } else { 0 };
-                page[from..].rotate_right(1);
-                std::mem::swap(&mut page[from], &mut v);
-            }
+    /// Replaces the values from page `p` on with `values`, sealing pages
+    /// again as they fill.
+    fn rebuild_from(&mut self, p: usize, values: Vec<f64>) {
+        self.full.truncate(p);
+        self.open.clear();
+        for v in values {
+            self.push(v);
         }
-        let from = at.saturating_sub(split);
-        if from < self.open.len() {
-            self.open[from..].rotate_right(1);
-            std::mem::swap(&mut self.open[from], &mut v);
-        }
-        self.push(v);
     }
 
-    /// Drops the first `n` values, moving the rest down: whole pages go
-    /// at once, and the values left shift by the remainder page by page.
+    /// Inserts `v` at index `at`: decodes the values from the page
+    /// holding `at` on, and pushes them back with `v` in place.
+    fn insert(&mut self, at: usize, v: f64) {
+        let p = at / PAGE;
+        let mut values = self.range(p * PAGE, self.len()).to_vec();
+        values.insert(at % PAGE, v);
+        self.rebuild_from(p, values);
+    }
+
+    /// Drops the first `n` values, at most as many as there are: decodes
+    /// the rest, frees every page and pushes them back.
     fn drain_front(&mut self, n: usize) {
-        let len = self.len();
-        if n >= len {
-            return self.truncate(0);
+        if n > 0 {
+            let values = self.range(n, self.len()).to_vec();
+            self.open = Vec::new();
+            self.rebuild_from(0, values);
         }
-        // `n < len`, so at most every full page goes.
-        self.full.drain(..n / PAGE);
-        let shift = n % PAGE;
-        if shift > 0 {
-            for i in 0..self.full.len() {
-                let (page, later) = self.full[i..].split_first_mut().expect("in range");
-                page.copy_within(shift.., 0);
-                let next = match later.first() {
-                    Some(next) => &next[..shift],
-                    None => &self.open[..shift.min(self.open.len())],
-                };
-                page[PAGE - shift..][..next.len()].copy_from_slice(next);
-            }
-            self.open.drain(..shift.min(self.open.len()));
-        }
-        self.truncate(len - n);
-    }
-
-    /// Keeps the first `len` values, at most as many as there are, and
-    /// frees the pages after them; the last page kept becomes the open
-    /// page.
-    fn truncate(&mut self, len: usize) {
-        let pages = len.div_ceil(PAGE);
-        if pages <= self.full.len() {
-            self.full.truncate(pages);
-            self.open = self.full.pop().map_or_else(Vec::new, |page| {
-                let page: Box<[f64]> = page;
-                page.into_vec()
-            });
-        }
-        self.open.truncate(len - self.full.len() * PAGE);
     }
 }
 
@@ -376,20 +533,20 @@ impl Column {
     /// split them.
     fn same_points(&self, other: &Column) -> bool {
         let (ours, theirs) = (self.values.all(), other.values.all());
-        // Both ranges start at index 0, so their pages line up.
         ours.len() == theirs.len()
-            && ours.chunks().eq(theirs.chunks())
+            && ours.iter().eq(theirs.iter())
             && (self.runs == other.runs || times(&self.runs, 0).eq(times(&other.runs, 0)))
     }
 }
 
 /// A borrowed range of one series' values, in time order, read page by
-/// page: [`Values::chunks`] yields one slice per page the range touches.
+/// page: a raw page's values are read in place, and a coded page's are
+/// computed from its value runs as they are read.
 ///
 /// Returned by [`SeriesView::values`]; it copies nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Values<'a> {
-    full: &'a [Box<[f64; PAGE]>],
+    full: &'a [Page],
     open: &'a [f64],
     /// The range's column indices, `start..end`.
     start: usize,
@@ -407,9 +564,9 @@ impl<'a> Values<'a> {
         self.start == self.end
     }
 
-    /// The values as contiguous slices, one per page the range touches,
-    /// in order; none is empty.
-    pub fn chunks(&self) -> impl Iterator<Item = &'a [f64]> + 'a {
+    /// The range page by page, one chunk per page it touches, in order;
+    /// none is empty.
+    fn chunks(&self) -> impl Iterator<Item = Chunk<'a>> + 'a {
         let Values {
             full,
             open,
@@ -422,32 +579,45 @@ impl<'a> Values<'a> {
             0..0
         };
         pages.map(move |p| {
-            let page = full.get(p).map_or(open, |page| &page[..]);
             let base = p * PAGE;
-            &page[start.max(base) - base..end.min(base + PAGE) - base]
+            let (lo, hi) = (start.max(base) - base, end.min(base + PAGE) - base);
+            match full.get(p) {
+                Some(page) => page.chunk(lo, hi),
+                None => Chunk::Raw(&open[lo..hi]),
+            }
         })
+    }
+
+    /// Folds the values in order, page by page.
+    fn fold<B>(&self, init: B, mut f: impl FnMut(B, f64) -> B) -> B {
+        self.chunks()
+            .fold(init, |acc, chunk| chunk.fold(acc, &mut f))
+    }
+
+    /// The value at column index `at`, which the range holds.
+    fn get(&self, at: usize) -> f64 {
+        match self.full.get(at / PAGE) {
+            Some(page) => page.get(at % PAGE),
+            None => self.open[at - self.full.len() * PAGE],
+        }
     }
 
     /// The values, in order.
     pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
-        self.chunks().flatten().copied()
+        let values = *self;
+        (self.start..self.end).map(move |at| values.get(at))
     }
 
     /// The last value.
     pub fn last(&self) -> Option<f64> {
         let at = self.end.checked_sub(1).filter(|&at| at >= self.start)?;
-        Some(match self.full.get(at / PAGE) {
-            Some(page) => page[at % PAGE],
-            None => self.open[at - self.full.len() * PAGE],
-        })
+        Some(self.get(at))
     }
 
     /// The values, copied out.
     pub fn to_vec(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.len());
-        for chunk in self.chunks() {
-            out.extend_from_slice(chunk);
-        }
+        self.fold((), |(), v| out.push(v));
         out
     }
 
@@ -1071,6 +1241,83 @@ mod tests {
         }
     }
 
+    /// A full page codes as at most four value runs, each value exactly
+    /// `start + step·k`, and otherwise stays raw: a fifth run, a NaN, or
+    /// a value the expression does not reproduce (−0.0 before a positive
+    /// step, ∞ after a finite value) opens a run or keeps the page raw.
+    #[test]
+    fn sealed_pages_code_at_most_four_value_runs() {
+        let counter: Vec<f64> = (0..PAGE).map(|k| 2.4e9 * (k + 7) as f64).collect();
+        let run = |start, step, len| ValueRun { start, step, len };
+        let none = ValueRun::default();
+        assert_eq!(
+            code(&counter),
+            Some([run(2.4e9 * 7.0, 2.4e9, 512), none, none, none])
+        );
+        // Four stretches: a repeat, a counter, one lone value and a
+        // descending counter.
+        let mut four = vec![3.0; 100];
+        four.extend((0..200).map(|k| k as f64));
+        four.push(-0.0);
+        four.extend((0..211).map(|k| 1e6 - 3.0 * k as f64));
+        assert_eq!(
+            code(&four),
+            Some([
+                run(3.0, 0.0, 100),
+                run(0.0, 1.0, 200),
+                run(-0.0, -0.0, 1),
+                run(1e6, -3.0, 211),
+            ])
+        );
+        // Each coded page reads back bit for bit, the lone −0.0 included.
+        for values in [&counter, &four] {
+            let page = Page::Coded(code(values).unwrap());
+            let read = page.chunk(0, PAGE).fold(Vec::new(), |mut out, v| {
+                out.push(v);
+                out
+            });
+            assert!(read
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(values.iter().map(|v| v.to_bits())));
+        }
+        let mut five = four.clone();
+        five[PAGE - 1] = 0.5;
+        assert_eq!(code(&five), None);
+        let mut nan = counter.clone();
+        nan[9] = f64::NAN;
+        assert_eq!(code(&nan), None);
+        assert_eq!(code(&[f64::INFINITY; PAGE]), None);
+        assert_eq!(code(&[-0.0; PAGE]), None);
+        assert_eq!(
+            code(&[-0.0, 1.0, 2.0]).map(|runs| runs.map(|run| run.len)),
+            Some([1, 2, 0, 0])
+        );
+
+        // A store seals the counter coded and the rest raw, and reads
+        // every value back bit for bit.
+        let mut db = TimeSeriesStore::new();
+        let topic: Topic = "s".parse().unwrap();
+        let values: Vec<f64> = [counter, five, nan].concat();
+        for (i, &v) in values.iter().enumerate() {
+            db.insert(&topic, Payload::new(v, SimTime::from_secs(i as u64)));
+        }
+        db.insert(&topic, Payload::new(1.0, SimTime::from_secs(2_000)));
+        let full = &db.column("s").unwrap().values.full;
+        assert!(matches!(
+            full[..],
+            [Page::Coded(_), Page::Raw(_), Page::Raw(_)]
+        ));
+        let read = db
+            .query("s", SimTime::ZERO, SimTime::from_secs(1_999))
+            .values();
+        assert!(read
+            .to_vec()
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(values.iter().map(|v| v.to_bits())));
+    }
+
     /// Fully evicting a series frees its column for recycling; a new
     /// series then reuses the slot, and the evicted topic rebinds to a
     /// fresh column if it comes back — with no stale points either way.
@@ -1176,18 +1423,48 @@ mod tests {
             Aggregation::Last,
         ];
 
+        /// ±0.0, a NaN with a payload, ±∞, a subnormal and an integer
+        /// past 2^53.
+        const SPECIALS: [f64; 7] = [
+            0.0,
+            -0.0,
+            f64::from_bits(0x7ff8_0000_0000_1234),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            9_007_199_254_740_994.0,
+        ];
+
+        /// The values of a comb's `j`-th point (duplicates included).
+        #[derive(Debug, Clone, Copy)]
+        enum Shape {
+            /// `start + step·j`: an idle counter, which codes as runs,
+            /// unless it starts near 2^53, where rounding breaks them.
+            Counter {
+                start: f64,
+                step: f64,
+            },
+            Constant(f64),
+            /// The numbered values: each the last plus 0.37, which
+            /// rounds, so they rarely form runs.
+            Numbered,
+            /// `SPECIALS[j % 7]`.
+            Specials,
+        }
+
         #[derive(Debug, Clone)]
         enum Step {
             /// `count` points `step` µs apart, starting `offset` µs after
             /// the series' last point (0 repeats it), every `dup`-th point
-            /// twice. One comb in five is long enough to cross page
-            /// boundaries on its own.
+            /// twice, valued by `shape`. One comb in five is long enough
+            /// to cross page boundaries on its own.
             Comb {
                 series: usize,
                 offset: u64,
                 step: u64,
                 count: usize,
                 dup: usize,
+                shape: Shape,
             },
             /// A run of inserts at arbitrary times, sorted or not.
             Run {
@@ -1205,9 +1482,23 @@ mod tests {
             },
         }
 
+        fn shape() -> impl Strategy<Value = Shape> {
+            (0u32..4, 0usize..4, 0usize..5, 0usize..SPECIALS.len()).prop_map(
+                |(kind, start, step, special)| match kind {
+                    0 => Shape::Counter {
+                        start: [0.0, 7.2e9, -1e6, 9_007_199_254_740_692.0][start],
+                        step: [1.0, 2.4e9, 1.44e8, -3.0, 5e-324][step],
+                    },
+                    1 => Shape::Constant([5.0, SPECIALS[special]][start % 2]),
+                    2 => Shape::Numbered,
+                    _ => Shape::Specials,
+                },
+            )
+        }
+
         fn step() -> impl Strategy<Value = Step> {
             (
-                (0u32..10, 0usize..SERIES.len()),
+                (0u32..10, 0usize..SERIES.len(), shape()),
                 (
                     0u64..4,
                     prop::sample::select(vec![1u64, 3, 7, 40]),
@@ -1220,7 +1511,7 @@ mod tests {
             )
                 .prop_map(
                     |(
-                        (kind, series),
+                        (kind, series, shape),
                         (offset, step, (long, short, long_count), dup),
                         flag,
                         times,
@@ -1234,6 +1525,7 @@ mod tests {
                             step,
                             count: if long == 0 { long_count } else { short },
                             dup,
+                            shape,
                         },
                         5..=6 => Step::Run {
                             series,
@@ -1247,7 +1539,8 @@ mod tests {
         }
 
         /// Applies `step` to the store and the model alike. `next_value`
-        /// numbers the points, so a misplaced value cannot go unseen.
+        /// numbers the points of runs, inserts and numbered combs, so a
+        /// misplaced value cannot go unseen.
         fn apply(step: &Step, db: &mut TimeSeriesStore, model: &mut Model, next_value: &mut f64) {
             let mut value = || {
                 *next_value += 0.37;
@@ -1261,16 +1554,27 @@ mod tests {
                     step,
                     count,
                     dup,
+                    shape,
                 } => {
                     let name = SERIES[series];
                     let tail = model.get(name).and_then(|p| p.last()).map(|&(t, _)| t);
                     let start = tail.map_or(0, |t| t.as_micros() + offset);
+                    let mut j = 0;
+                    let mut shaped = || {
+                        j += 1;
+                        match shape {
+                            Shape::Counter { start, step } => start + step * (j - 1) as f64,
+                            Shape::Constant(v) => v,
+                            Shape::Numbered => value(),
+                            Shape::Specials => SPECIALS[(j - 1) % SPECIALS.len()],
+                        }
+                    };
                     let mut points = Vec::new();
                     for i in 0..count as u64 {
                         let t = at(start + i * step);
-                        points.push((t, value()));
+                        points.push((t, shaped()));
                         if dup > 0 && (i as usize).is_multiple_of(dup) {
-                            points.push((t, value()));
+                            points.push((t, shaped()));
                         }
                     }
                     land(db, model, name, &points);
@@ -1324,8 +1628,17 @@ mod tests {
                 .collect()
         }
 
-        /// The runs time every value exactly once, in order, and the
-        /// pages hold the values with less than one page of slack.
+        fn decode(chunk: Chunk<'_>) -> Vec<f64> {
+            chunk.fold(Vec::new(), |mut out, v| {
+                out.push(v);
+                out
+            })
+        }
+
+        /// The runs time every value exactly once, in order; the pages
+        /// hold the values with less than one page of slack; and the
+        /// coding is canonical: a sealed page is coded if and only if its
+        /// values form at most `MAX_RUNS` runs, and then as those runs.
         fn well_formed(column: &Column) -> bool {
             let mut end = 0;
             let mut last = 0;
@@ -1338,6 +1651,13 @@ mod tests {
                 && pages.open.capacity() <= PAGE
                 && (pages.full.is_empty() || !pages.open.is_empty())
                 && pages.capacity() < pages.len() + PAGE
+                && pages.full.iter().all(|page| {
+                    let canonical = code(&decode(page.chunk(0, PAGE)));
+                    match page {
+                        Page::Coded(runs) => canonical == Some(*runs),
+                        Page::Raw(_) => canonical.is_none(),
+                    }
+                })
         }
 
         fn agrees(
@@ -1356,7 +1676,7 @@ mod tests {
             for (&name, points) in model {
                 let column = db.column(name).expect("modelled series is stored");
                 prop_assert!(well_formed(column), "{:?}", column.runs);
-                prop_assert_eq!(db.latest(name), points.last().copied());
+                prop_assert_eq!(bits(db.latest(name)), bits(points.last().copied()));
                 let everything = [(0, u64::MAX, 1_000)];
                 for &(a, b, bin) in probes.iter().chain(&everything) {
                     let (from, to) = (SimTime::from_micros(a), SimTime::from_micros(b));
@@ -1364,7 +1684,7 @@ mod tests {
                     let view = db.query(name, from, to);
                     prop_assert_eq!(bits(view.iter()), bits(expected.iter().copied()));
                     let values = view.values();
-                    let chunks: Vec<&[f64]> = values.chunks().collect();
+                    let chunks: Vec<Vec<f64>> = values.chunks().map(decode).collect();
                     prop_assert!(chunks.iter().all(|c| !c.is_empty() && c.len() <= PAGE));
                     let expected_bits: Vec<u64> =
                         expected.iter().map(|(_, v)| v.to_bits()).collect();
@@ -1402,8 +1722,9 @@ mod tests {
                     }
                 }
             }
-            // Equal content compares equal however it was encoded, and a
-            // moved time or a changed value does not.
+            // Equal content compares equal however it was encoded (unless
+            // it holds a NaN, which equals nothing), and a moved time or a
+            // changed value does not.
             let mut rebuilt = TimeSeriesStore::new();
             for (&name, points) in model {
                 let topic: Topic = name.parse().expect("valid");
@@ -1411,7 +1732,8 @@ mod tests {
                     rebuilt.insert(&topic, Payload::new(v, t));
                 }
             }
-            prop_assert!(*db == rebuilt);
+            let nan = model.values().flatten().any(|(_, v)| v.is_nan());
+            prop_assert_eq!(*db == rebuilt, !nan);
             if let Some((&name, points)) = model.iter().next() {
                 let topic: Topic = name.parse().expect("valid");
                 let (t, v) = points[points.len() - 1];
@@ -1421,7 +1743,9 @@ mod tests {
                     Payload::new(v, SimTime::from_micros(t.as_micros() + 1)),
                 );
                 let mut changed = rebuilt.clone();
-                changed.insert(&topic, Payload::new(v + 1.0, t));
+                // `v + 1.0` would round back to `v` past 2^53, or stay ∞.
+                let other = if v == 0.0 { 1.0 } else { 0.0 };
+                changed.insert(&topic, Payload::new(other, t));
                 let mut longer = rebuilt;
                 longer.insert(&topic, Payload::new(v, t));
                 prop_assert!(moved != longer && changed != longer && *db != longer);
